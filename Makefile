@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-json bench-load check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load check
 
 all: check
 
@@ -67,6 +67,13 @@ test-conformance:
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 
+# The repo benchmark (benchmark/, BENCHMARK.json) is its own Go module, so
+# `build` and `test` above never compile it: its probes call a dozen
+# internal/ APIs directly and an API change breaks them silently unless
+# this runs.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Machine-readable benchmark trajectory: E10–E13 appended as timestamped
 # run points to BENCH_remote.json / BENCH_provision.json /
 # BENCH_events.json / BENCH_directory.json at the repo root. Commit the
@@ -82,5 +89,6 @@ bench-json:
 bench-load:
 	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s -mode batched -out .
 
-# The tier-1 gate: formatting, static checks, build, tests.
-check: fmt vet build test
+# The tier-1 gate: formatting, static checks, build, tests — and the
+# benchmark module those do not reach.
+check: fmt vet build test bench-module

@@ -152,6 +152,10 @@ func BenchmarkE10RemoteInvocation(b *testing.B) {
 	b.ReportMetric(rows[2].Throughput, "batched-rps")
 	b.ReportMetric(float64(rows[2].P99.Microseconds()), "batched-p99-us")
 	b.ReportMetric(float64(rows[2].P999.Microseconds()), "batched-p999-us")
+	// The exact columns: netsim messages per call, identical every run.
+	b.ReportMetric(float64(rows[0].Messages)/float64(rows[0].Calls), "pipelined-msgs/call")
+	b.ReportMetric(float64(rows[1].Messages)/float64(rows[1].Calls), "percall-msgs/call")
+	b.ReportMetric(float64(rows[2].Messages)/float64(rows[2].Calls), "batched-msgs/call")
 }
 
 // BenchmarkE11ArtifactTransfer measures chunked artifact provisioning

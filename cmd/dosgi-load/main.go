@@ -77,7 +77,6 @@ func main() {
 	conns := flag.Int("conns", 1, "pooled connections per endpoint (pipelined/batched)")
 	batch := flag.Int("batch", 16, "batch window in requests (batched mode)")
 	batchDelay := flag.Duration("batch-delay", 0, "batch micro-deadline (0 = protocol default)")
-	zeroCopy := flag.Bool("zerocopy", true, "borrow response strings/bytes from the frame buffer")
 	tokens := flag.Bool("tokens", true, "attach idempotency tokens so timeout retries stay effectively-once")
 	service := flag.String("service", "echo", `service to invoke ("echo" on both dosgid and dosgi-sim)`)
 	method := flag.String("method", "Add", "method to invoke")
@@ -112,11 +111,7 @@ func main() {
 
 	sched := clock.NewReal()
 	defer sched.Stop()
-	tcpOpts := []remote.TCPOption{remote.WithTCPCallTimeout(*timeout)}
-	if *zeroCopy {
-		tcpOpts = append(tcpOpts, remote.WithTCPZeroCopy())
-	}
-	transport := remote.NewTCPTransport(sched, tcpOpts...)
+	transport := remote.NewTCPTransport(sched, remote.WithTCPCallTimeout(*timeout))
 
 	var poolOpts []remote.PoolOption
 	switch *mode {
@@ -218,7 +213,7 @@ func main() {
 		params := map[string]any{
 			"rate": *rate, "durationNs": duration.Nanoseconds(), "workers": *workers,
 			"mode": *mode, "window": *window, "conns": *conns, "batch": *batch,
-			"zerocopy": *zeroCopy, "tokens": *tokens,
+			"tokens":  *tokens,
 			"service": *service, "method": *method, "sim": *simMode,
 		}
 		n, err := benchio.Append(path, "LoadFixedRate", params, []LoadRow{row})

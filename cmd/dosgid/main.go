@@ -424,7 +424,7 @@ func (ix daemonIndex) ask(method string, args ...any) (provision.Artifact, bool)
 		ch := make(chan outcome, 1)
 		req := &remote.Request{Service: provision.ServiceName, Method: method, Args: args}
 		if err := ix.pool.Invoke(addr, req, func(resp *remote.Response, err error) {
-			ch <- outcome{resp, err}
+			ch <- outcome{resp.Retain(), err} // read after the callback returns
 		}); err != nil {
 			continue
 		}
@@ -472,7 +472,8 @@ func (d *daemon) peerLocations() map[string][]string {
 		if err := d.pool.Invoke(addr, req, func(resp *remote.Response, err error) {
 			a := answer{addr: addr}
 			if err == nil && resp.Status == remote.StatusOK && len(resp.Results) == 1 {
-				a.locs, _ = resp.Results[0].([]any)
+				// The location strings outlive this callback.
+				a.locs, _ = remote.RetainValue(resp.Results[0]).([]any)
 			}
 			ch <- a
 		}); err != nil {
@@ -1367,7 +1368,7 @@ func (d *daemon) askMetrics(addr, method string, args ...any) ([]any, error) {
 	ch := make(chan outcome, 1)
 	req := &remote.Request{Service: services.MetricsRemoteName, Method: method, Args: args}
 	if err := d.pool.Invoke(addr, req, func(resp *remote.Response, err error) {
-		ch <- outcome{resp, err}
+		ch <- outcome{resp.Retain(), err} // read after the callback returns
 	}); err != nil {
 		return nil, err
 	}

@@ -112,7 +112,7 @@ func (h *harness) invokeErr(t *testing.T, conn remote.Conn, service, method stri
 	}
 	ch := make(chan outcome, 1)
 	err := conn.Call(&remote.Request{Service: service, Method: method, Args: args},
-		func(resp *remote.Response, err error) { ch <- outcome{resp, err} })
+		func(resp *remote.Response, err error) { ch <- outcome{resp.Retain(), err} })
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +345,7 @@ func (h *harness) subscribe(t *testing.T, service string, subID int64, filter st
 	err := conn.Call(&remote.Request{Service: service, Method: remote.MethodSubscribe, Args: args},
 		func(resp *remote.Response, err error) {
 			sink.noteResp()
-			ch <- outcome{resp, err}
+			ch <- outcome{resp.Retain(), err}
 		})
 	if err != nil {
 		t.Fatalf("%s: Subscribe send: %v", h.tgt.Name, err)

@@ -222,7 +222,8 @@ func TestA4TotalOrderNeverDiverges(t *testing.T) {
 }
 
 func TestE10PipeliningBeatsPerCall(t *testing.T) {
-	rows, err := E10RemoteInvocation(2000, 16)
+	const calls = 2000
+	rows, err := E10RemoteInvocation(calls, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestE10PipeliningBeatsPerCall(t *testing.T) {
 		t.Fatalf("modes = %s, %s, %s", pipelined.Mode, perCall.Mode, batched.Mode)
 	}
 	for _, r := range rows {
-		if r.Calls != 2000 || r.Throughput <= 0 || r.P99 <= 0 {
+		if r.Calls != calls || r.Throughput <= 0 || r.P99 <= 0 {
 			t.Errorf("degenerate row %+v", r)
 		}
 		// The headline regression: wall-clock nanosecond percentiles must
@@ -244,16 +245,21 @@ func TestE10PipeliningBeatsPerCall(t *testing.T) {
 			t.Errorf("%s: percentiles not monotone: p50=%v p99=%v p999=%v", r.Mode, r.P50, r.P99, r.P999)
 		}
 	}
-	// Pipelining over one pooled connection must beat a handshake per
-	// call on throughput (wall-clock: the per-call mode runs strictly more
-	// machinery — dial, handshake, teardown — per invocation).
-	if pipelined.Throughput <= perCall.Throughput {
-		t.Errorf("pipelined %.0f rps <= per-call %.0f rps", pipelined.Throughput, perCall.Throughput)
+	// Why pipelining beats a handshake per call, as counts the simulator
+	// repeats exactly (the wall-clock rps of a ~12 ms run is reported, not
+	// asserted — it flips on a loaded host): one pooled connection pays
+	// hello + ack once and then a request and a response per call, a
+	// connection per call pays the handshake every time, and batching
+	// sends fewer request frames than calls.
+	if want := int64(2*calls + 2); pipelined.Messages != want {
+		t.Errorf("pipelined sent %d messages, want %d (one handshake + 2 per call)", pipelined.Messages, want)
 	}
-	// Batching coalesces the request stream; it must not be slower than
-	// the per-call baseline either.
-	if batched.Throughput <= perCall.Throughput {
-		t.Errorf("batched %.0f rps <= per-call %.0f rps", batched.Throughput, perCall.Throughput)
+	if want := int64(4 * calls); perCall.Messages != want {
+		t.Errorf("per-call sent %d messages, want %d (handshake + 2 per call)", perCall.Messages, want)
+	}
+	if batched.Messages >= pipelined.Messages || batched.Messages <= calls+2 {
+		t.Errorf("batched sent %d messages, want fewer than pipelined's %d and more than the %d responses",
+			batched.Messages, pipelined.Messages, calls)
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // pipelined mode multiplexes them over a single pooled connection
 // (correlation ids); the per-call mode dials a fresh connection — one
 // hello/ack handshake round trip — for every invocation, the pre-R-OSGi
-// baseline; the batched mode adds request coalescing and zero-copy
-// response decode on top of pipelining.
+// baseline; the batched mode adds request coalescing on top of pipelining.
 //
 // Measurement is WALL-CLOCK, not simulated time: the deterministic
 // simulator delivers every message after an identical virtual latency, so
@@ -32,10 +31,16 @@ import (
 // and that cost is real time, recorded per call with time.Since at
 // nanosecond resolution into a log-bucketed obs.Histogram.
 
-// E10Row reports one invocation mode.
+// E10Row reports one invocation mode. Messages is the one column the
+// simulator repeats exactly — netsim messages delivered for the whole run:
+// a pooled connection pays one hello + ack and then a request and a
+// response per call, a connection per call pays the handshake every time,
+// and batching sends fewer request frames than calls. The timing columns
+// are wall clock and vary run to run.
 type E10Row struct {
 	Mode       string
 	Calls      int
+	Messages   int64
 	Elapsed    time.Duration // wall-clock, first issue to last completion
 	Throughput float64       // calls per wall-clock second
 	P50        time.Duration
@@ -60,24 +65,23 @@ func E10RemoteInvocation(calls, window int) ([]E10Row, error) {
 		batch = 16
 	}
 	modes := []struct {
-		name          string
-		opts          []remote.PoolOption
-		transportOpts []remote.NetsimOption
+		name string
+		opts []remote.PoolOption
 	}{
 		{"pipelined", []remote.PoolOption{
 			remote.WithMaxConnsPerEndpoint(1),
 			remote.WithMaxInFlight(window),
-		}, nil},
-		{"conn-per-call", []remote.PoolOption{remote.WithPerCallConns()}, nil},
+		}},
+		{"conn-per-call", []remote.PoolOption{remote.WithPerCallConns()}},
 		{"pipelined-batched", []remote.PoolOption{
 			remote.WithMaxConnsPerEndpoint(1),
 			remote.WithMaxInFlight(window),
 			remote.WithBatching(batch, 0),
-		}, []remote.NetsimOption{remote.WithNetsimZeroCopy()}},
+		}},
 	}
 	var rows []E10Row
 	for _, mode := range modes {
-		row, err := e10Run(mode.name, calls, window, mode.opts, mode.transportOpts)
+		row, err := e10Run(mode.name, calls, window, mode.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +90,7 @@ func E10RemoteInvocation(calls, window int) ([]E10Row, error) {
 	return rows, nil
 }
 
-func e10Run(name string, calls, window int, poolOpts []remote.PoolOption, transportOpts []remote.NetsimOption) (E10Row, error) {
+func e10Run(name string, calls, window int, poolOpts []remote.PoolOption) (E10Row, error) {
 	eng := sim.New(10)
 	net := netsim.NewNetwork(eng)
 	serverNIC := net.AttachNode("server")
@@ -118,7 +122,7 @@ func e10Run(name string, calls, window int, poolOpts []remote.PoolOption, transp
 		return E10Row{}, err
 	}
 
-	transport := remote.NewNetsimTransport(eng, clientNIC, "10.0.0.2", transportOpts...)
+	transport := remote.NewNetsimTransport(eng, clientNIC, "10.0.0.2")
 	pool := remote.NewPool(transport, poolOpts...)
 	resolver := remote.NewStaticResolver()
 	resolver.Set("bench", remote.Endpoint{Node: "server", Addr: "10.0.0.1:7100"})
@@ -166,12 +170,13 @@ func e10Run(name string, calls, window int, poolOpts []remote.PoolOption, transp
 	elapsed := lastDone.Sub(begin)
 	snap := lat.Snapshot()
 	row := E10Row{
-		Mode:    name,
-		Calls:   calls,
-		Elapsed: elapsed,
-		P50:     snap.P50,
-		P99:     snap.P99,
-		P999:    snap.P999,
+		Mode:     name,
+		Calls:    calls,
+		Messages: net.Stats().Delivered,
+		Elapsed:  elapsed,
+		P50:      snap.P50,
+		P99:      snap.P99,
+		P999:     snap.P999,
 	}
 	if elapsed > 0 {
 		row.Throughput = float64(calls) / elapsed.Seconds()

@@ -1,7 +1,10 @@
 package provision
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"sync"
 	"time"
 
@@ -58,11 +61,35 @@ func WithFetchObserver(now func() time.Duration, h *obs.Histogram) FetcherOption
 	}
 }
 
+// MaxArtifactSize bounds the payload a Fetch will allocate for. Artifact
+// metadata comes from a replica's Describe or the replicated directory —
+// the network — so its numbers are checked before they size anything.
+const MaxArtifactSize = 256 << 20
+
+// checkGeometry rejects chunk geometry no honest publisher produces
+// (NewArtifact derives Chunks from Size and ChunkSize) before a fetch
+// allocates or requests anything on its strength.
+func checkGeometry(art Artifact) error {
+	switch {
+	case art.Size < 0 || art.Size > MaxArtifactSize:
+		return fmt.Errorf("%w: %s: size %d outside [0, %d]", ErrVerification, art.Location, art.Size, int64(MaxArtifactSize))
+	case art.ChunkSize <= 0 || art.ChunkSize > remote.MaxFrameSize/2:
+		return fmt.Errorf("%w: %s: chunk size %d outside (0, %d]", ErrVerification, art.Location, art.ChunkSize, remote.MaxFrameSize/2)
+	case art.Chunks != chunkCount(art.Size, art.ChunkSize):
+		return fmt.Errorf("%w: %s: %d chunks, but %d bytes in %d-byte chunks is %d", ErrVerification,
+			art.Location, art.Chunks, art.Size, art.ChunkSize, chunkCount(art.Size, art.ChunkSize))
+	}
+	return nil
+}
+
 // Fetcher streams artifact payloads chunk-by-chunk from repository
-// replicas over the shared remote connection pool. Like the Invoker it
-// fails over on any per-replica error — but mid-transfer: chunks already
-// received survive the switch and only the missing ones are requested
-// from the next replica. An assembled payload whose digest does not match
+// replicas over the shared remote connection pool. Each chunk is copied
+// once, from the connection's read buffer to its place in the payload,
+// and a running SHA-256 follows the in-order prefix as chunks land, so the
+// content digest is known the moment the last chunk is. Like the Invoker
+// the fetcher fails over on any per-replica error — but mid-transfer:
+// chunks already received survive the switch and only the missing ones are
+// requested from the next replica. A payload whose digest does not match
 // the metadata (a corrupted replica) is discarded wholesale and refetched
 // from the next replica.
 type Fetcher struct {
@@ -84,9 +111,15 @@ func NewFetcher(pool *remote.Pool, resolver ReplicaResolver, opts ...FetcherOpti
 }
 
 // Fetch retrieves the payload of art asynchronously; cb fires exactly
-// once with the digest-verified payload or the final post-failover error.
-// Safe to call from simulation callbacks.
+// once with the digest-verified payload, which cb owns, or the final
+// post-failover error. Metadata with impossible chunk geometry fails with
+// ErrVerification before anything is allocated. Safe to call from
+// simulation callbacks.
 func (f *Fetcher) Fetch(art Artifact, cb func([]byte, error)) {
+	if err := checkGeometry(art); err != nil {
+		cb(nil, err)
+		return
+	}
 	replicas := f.resolver.Replicas(art.Digest)
 	if len(replicas) == 0 {
 		cb(nil, fmt.Errorf("%w: %s (%s)", ErrNoReplica, art.Location, short(art.Digest)))
@@ -110,7 +143,9 @@ func (f *Fetcher) Fetch(art Artifact, cb func([]byte, error)) {
 		art:      art,
 		cb:       cb,
 		replicas: replicas,
-		chunks:   make([][]byte, art.Chunks),
+		payload:  make([]byte, art.Size),
+		have:     make([]bool, art.Chunks),
+		digest:   sha256.New(),
 	}
 	st.mu.Lock()
 	st.launchLocked()
@@ -127,13 +162,23 @@ type fetchState struct {
 
 	mu       sync.Mutex
 	replicas []remote.Endpoint
-	ri       int // replica being read
-	gen      int // attempt generation; callbacks from older attempts are stale
-	chunks   [][]byte
-	got      int64
-	cursor   int64 // scan position for the next missing chunk
+	ri       int    // replica being read
+	gen      int    // attempt generation; callbacks from older attempts are stale
+	payload  []byte // art.Size bytes; chunk i lands at i*ChunkSize
+	have     []bool // chunks copied into payload
+	cursor   int64  // scan position for the next missing chunk
 	inflight int
 	done     bool
+	// digest has consumed chunks [0, hashed) of payload: responses may
+	// complete in any order, the hash follows the in-order prefix — so
+	// hashed == art.Chunks exactly when every chunk is in.
+	digest hash.Hash
+	hashed int64
+}
+
+// chunkBounds returns the byte range chunk idx occupies in the payload.
+func (st *fetchState) chunkBounds(idx int64) (off, end int64) {
+	return chunkBounds(idx, st.art.ChunkSize, st.art.Size)
 }
 
 // launchLocked fills the request window against the current replica and
@@ -172,7 +217,7 @@ func (st *fetchState) launchLocked() {
 
 func (st *fetchState) nextMissingLocked() (int64, bool) {
 	for ; st.cursor < st.art.Chunks; st.cursor++ {
-		if st.chunks[st.cursor] == nil {
+		if !st.have[st.cursor] {
 			idx := st.cursor
 			st.cursor++
 			return idx, true
@@ -181,6 +226,10 @@ func (st *fetchState) nextMissingLocked() (int64, bool) {
 	return 0, false
 }
 
+// onChunk is the completion callback of one Chunk request. The chunk
+// bytes are borrowed from the connection's read buffer (remote's borrow
+// contract), so they are copied to their place in the payload here, before
+// the callback returns.
 func (st *fetchState) onChunk(gen int, idx int64, issuedAt time.Duration, resp *remote.Response, err error) {
 	if st.f.chunkHist != nil && err == nil && resp != nil && resp.Status == remote.StatusOK {
 		st.f.chunkHist.Record(st.f.now() - issuedAt)
@@ -207,34 +256,45 @@ func (st *fetchState) onChunk(gen int, idx int64, issuedAt time.Duration, resp *
 			st.art.Location, st.replicas[st.ri].Addr))
 		return
 	}
-	if st.chunks[idx] == nil {
-		st.chunks[idx] = chunk
-		st.got++
+	off, end := st.chunkBounds(idx)
+	if int64(len(chunk)) != end-off {
+		// The metadata fixes every chunk's length; a replica that answers
+		// another is skipped now rather than after a full transfer and a
+		// digest mismatch. What the others delivered is kept.
+		st.failoverLocked(fmt.Errorf("provision: fetching %s from %s: chunk %d is %d bytes, want %d",
+			st.art.Location, st.replicas[st.ri].Addr, idx, len(chunk), end-off))
+		return
+	}
+	if !st.have[idx] {
+		copy(st.payload[off:end], chunk)
+		st.have[idx] = true
 		if st.f.counters != nil {
-			st.f.counters.BytesTransferred.Add(int64(len(chunk)))
+			st.f.counters.BytesTransferred.Add(end - off)
+		}
+		for st.hashed < st.art.Chunks && st.have[st.hashed] {
+			o, e := st.chunkBounds(st.hashed)
+			st.digest.Write(st.payload[o:e])
+			st.hashed++
 		}
 	}
-	if st.got == st.art.Chunks {
-		st.assembleLocked()
+	if st.hashed == st.art.Chunks {
+		st.finishLocked()
 		return
 	}
 	st.launchLocked()
 }
 
-// assembleLocked joins the chunks and verifies the content digest; a
-// mismatch (a corrupted replica) discards everything and retries from the
-// next replica.
-func (st *fetchState) assembleLocked() {
-	payload := make([]byte, 0, st.art.Size)
-	for _, c := range st.chunks {
-		payload = append(payload, c...)
-	}
-	if PayloadDigest(payload) != st.art.Digest {
+// finishLocked checks the streamed content digest once every chunk is in;
+// a mismatch (a corrupted replica) discards everything — bytes and hash
+// state — and retries from the next replica.
+func (st *fetchState) finishLocked() {
+	if hex.EncodeToString(st.digest.Sum(nil)) != st.art.Digest {
 		if st.f.counters != nil {
 			st.f.counters.VerificationRejections.Add(1)
 		}
-		st.chunks = make([][]byte, st.art.Chunks)
-		st.got = 0
+		clear(st.have)
+		st.hashed = 0
+		st.digest.Reset()
 		st.failoverLocked(fmt.Errorf("%w: %s: corrupt payload from %s",
 			ErrVerification, st.art.Location, st.replicas[st.ri].Addr))
 		return
@@ -244,7 +304,7 @@ func (st *fetchState) assembleLocked() {
 	if st.f.counters != nil {
 		st.f.counters.ArtifactsFetched.Add(1)
 	}
-	st.cb(payload, nil)
+	st.cb(st.payload, nil)
 }
 
 // failoverLocked moves to the next replica (bumping the generation so

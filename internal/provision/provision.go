@@ -147,6 +147,13 @@ func chunkCount(size, chunkSize int64) int64 {
 	return (size + chunkSize - 1) / chunkSize
 }
 
+// chunkBounds returns the byte range chunk idx occupies in a payload of
+// size bytes cut into chunkSize-byte chunks (the last one may be shorter).
+func chunkBounds(idx, chunkSize, size int64) (off, end int64) {
+	off = idx * chunkSize
+	return off, min(off+chunkSize, size)
+}
+
 // FindBest returns the highest-version artifact among arts whose bundle
 // coordinates satisfy (symbolicName, rng); version ties break on the
 // lower digest so every caller resolves the same record. Records with an

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,6 +74,11 @@ func TestStoreChunkingRoundTrip(t *testing.T) {
 		if int64(len(chunk)) > art.ChunkSize {
 			t.Fatalf("chunk %d oversized: %d", i, len(chunk))
 		}
+		// A chunk is a view of the stored payload: an append must
+		// reallocate, never write into the next chunk.
+		if cap(chunk) != len(chunk) {
+			t.Fatalf("chunk %d view has cap %d > len %d", i, cap(chunk), len(chunk))
+		}
 		assembled = append(assembled, chunk...)
 	}
 	if !bytes.Equal(assembled, payload) {
@@ -89,6 +97,49 @@ func TestStoreChunkingRoundTrip(t *testing.T) {
 	bad[0] ^= 1
 	if err := s.Add(art, bad); !errors.Is(err, ErrVerification) {
 		t.Fatalf("tampered Add = %v", err)
+	}
+}
+
+// TestStoreCorruptChunkIsCopyOnWrite: views handed out before a
+// CorruptChunk keep their bytes (the stored payload is replaced, never
+// written), and readers racing the corruption are clean under -race.
+func TestStoreCorruptChunkIsCopyOnWrite(t *testing.T) {
+	art, payload := sampleArtifact(t, 16)
+	s := NewStore()
+	if err := s.Add(art, payload); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.Chunk(art.Digest, 1)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				for i := int64(0); i < art.Chunks; i++ {
+					// Every byte but the one being flipped always reads
+					// as published.
+					chunk, _ := s.Chunk(art.Digest, i)
+					if !bytes.Equal(chunk[1:], payload[i*16+1:i*16+int64(len(chunk))]) {
+						t.Errorf("chunk %d read torn bytes", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for n := 0; n < 51; n++ {
+		if !s.CorruptChunk(art.Digest, 1) {
+			t.Error("CorruptChunk refused a stored chunk")
+		}
+	}
+	wg.Wait()
+	if !bytes.Equal(before, payload[16:32]) {
+		t.Fatal("CorruptChunk wrote through a view handed out earlier")
+	}
+	// An odd number of flips leaves exactly that byte flipped.
+	if after, _ := s.Chunk(art.Digest, 1); after[0] != payload[16]^0xff {
+		t.Fatal("CorruptChunk did not flip the chunk's first byte")
 	}
 }
 
@@ -170,8 +221,9 @@ func TestVerifierGates(t *testing.T) {
 // repoHandler serves a RepoService over a transport without a framework:
 // the reflection dispatch is the same one the real Dispatcher uses.
 type repoHandler struct {
-	svc    *RepoService
-	served *int // Chunk requests answered
+	svc       *RepoService
+	served    *int   // Chunk requests answered
+	shortFrom *int64 // chunks from this index on are answered one byte short
 }
 
 func (h repoHandler) Serve(req *remote.Request) *remote.Response {
@@ -182,6 +234,10 @@ func (h repoHandler) Serve(req *remote.Request) *remote.Response {
 	if err != nil {
 		return &remote.Response{Corr: req.Corr, Status: remote.StatusAppError, Err: err.Error()}
 	}
+	if req.Method == "Chunk" && req.Args[1].(int64) >= *h.shortFrom {
+		chunk := results[0].([]byte)
+		results[0] = chunk[:len(chunk)-1]
+	}
 	return &remote.Response{Corr: req.Corr, Status: remote.StatusOK, Results: results}
 }
 
@@ -191,15 +247,19 @@ type fetchRig struct {
 	servers []*remote.NetsimServer
 	stores  []*Store
 	served  []int
-	fetcher *Fetcher
-	eps     []remote.Endpoint
+	// shortFrom[i] makes server i answer chunks from that index on one
+	// byte short (never, by default).
+	shortFrom []int64
+	fetcher   *Fetcher
+	eps       []remote.Endpoint
 }
 
 func newFetchRig(t *testing.T, nServers int, counters *services.ProvisionCounters) *fetchRig {
 	t.Helper()
-	rig := &fetchRig{eng: sim.New(99), served: make([]int, nServers)}
+	rig := &fetchRig{eng: sim.New(99), served: make([]int, nServers), shortFrom: make([]int64, nServers)}
 	net := netsim.NewNetwork(rig.eng)
 	for i := 0; i < nServers; i++ {
+		rig.shortFrom[i] = math.MaxInt64
 		id := fmt.Sprintf("srv%d", i+1)
 		ip := netsim.IP(fmt.Sprintf("10.0.0.%d", i+1))
 		nic := net.AttachNode(id)
@@ -208,7 +268,7 @@ func newFetchRig(t *testing.T, nServers int, counters *services.ProvisionCounter
 		}
 		store := NewStore()
 		srv := remote.NewNetsimServer(nic, netsim.Addr{IP: ip, Port: 7100},
-			repoHandler{svc: NewRepoService(store), served: &rig.served[i]})
+			repoHandler{svc: NewRepoService(store), served: &rig.served[i], shortFrom: &rig.shortFrom[i]})
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -232,9 +292,10 @@ func newFetchRig(t *testing.T, nServers int, counters *services.ProvisionCounter
 
 func TestFetcherMidTransferFailover(t *testing.T) {
 	counters := &services.ProvisionCounters{}
-	rig := newFetchRig(t, 2, counters)
+	rig := newFetchRig(t, 3, counters)
 
-	// A multi-chunk artifact held by both servers.
+	// A multi-chunk artifact held by every server; server 1 answers its
+	// chunks one byte short from chunk 3 on.
 	art, payload := sampleArtifact(t, 8)
 	if art.Chunks < 16 {
 		t.Fatalf("want a long transfer, got %d chunks", art.Chunks)
@@ -244,19 +305,28 @@ func TestFetcherMidTransferFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rig.shortFrom[0] = 3
 
 	var got []byte
 	var fetchErr error
 	done := false
 	rig.fetcher.Fetch(art, func(p []byte, err error) { got, fetchErr, done = p, err, true })
 
-	// Kill server 1 mid-transfer: in-flight chunk requests time out and
-	// the fetch resumes — not restarts — on server 2.
-	rig.eng.RunFor(2 * time.Millisecond)
-	if rig.served[0] == 0 || done {
-		t.Fatalf("transfer not mid-flight: served=%d done=%v", rig.served[0], done)
+	// Server 1's first wrong-length chunk moves the fetch to server 2 at
+	// once — not after a full transfer and a digest mismatch — keeping
+	// chunks 0–2. Then kill server 2 mid-transfer: its in-flight chunk
+	// requests time out and the fetch resumes — not restarts — on server 3.
+	for step := 0; rig.served[1] == 0 && step < 200; step++ {
+		rig.eng.RunFor(100 * time.Microsecond)
 	}
-	rig.servers[0].Stop()
+	if rig.served[1] == 0 || done {
+		t.Fatalf("transfer not mid-flight on server 2: served=%v done=%v", rig.served, done)
+	}
+	if int64(rig.served[0]) >= art.Chunks {
+		t.Fatalf("the short-chunk server was asked for %d of %d chunks — it was not skipped at once",
+			rig.served[0], art.Chunks)
+	}
+	rig.servers[1].Stop()
 	rig.eng.RunFor(time.Second)
 
 	if !done || fetchErr != nil {
@@ -265,18 +335,123 @@ func TestFetcherMidTransferFailover(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted across failover")
 	}
-	if counters.FetchRetries.Load() != 1 {
-		t.Fatalf("fetchRetries = %d, want 1", counters.FetchRetries.Load())
+	if counters.FetchRetries.Load() != 2 {
+		t.Fatalf("fetchRetries = %d, want 2", counters.FetchRetries.Load())
 	}
-	// Resume, not restart: server 2 served only the chunks server 1 had
-	// not completed.
-	if int64(rig.served[1]) >= art.Chunks {
-		t.Fatalf("server 2 served %d of %d chunks — the transfer restarted",
-			rig.served[1], art.Chunks)
+	if counters.VerificationRejections.Load() != 0 {
+		t.Fatalf("rejections = %d: a wrong-length chunk is a replica failure, not a digest mismatch",
+			counters.VerificationRejections.Load())
+	}
+	// Resume, not restart: server 3 served only the chunks servers 1 and
+	// 2 had not completed, and every byte was transferred exactly once.
+	if int64(rig.served[2]) >= art.Chunks {
+		t.Fatalf("server 3 served %d of %d chunks — the transfer restarted",
+			rig.served[2], art.Chunks)
 	}
 	if total := counters.BytesTransferred.Load(); total != art.Size {
 		t.Fatalf("bytesTransferred = %d, want exactly the payload size %d", total, art.Size)
 	}
+}
+
+// heldCalls is a transport (and its one connection) that holds every call
+// until the test completes it, in whatever order the test likes.
+type heldCalls struct {
+	reqs []*remote.Request
+	cbs  []func(*remote.Response, error)
+}
+
+func (h *heldCalls) Dial(string) (remote.Conn, error) { return h, nil }
+func (h *heldCalls) Call(req *remote.Request, cb func(*remote.Response, error)) error {
+	h.reqs, h.cbs = append(h.reqs, req), append(h.cbs, cb)
+	return nil
+}
+func (h *heldCalls) InFlight() int { return 0 }
+func (h *heldCalls) Addr() string  { return "held:1" }
+func (h *heldCalls) Close() error  { return nil }
+
+// TestFetcherAssemblesResponsesInAnyOrder: chunk responses may complete in
+// any order (TCP completes each on its own goroutine); each lands at its
+// own offset and the running digest follows the in-order prefix, so the
+// payload and the digest verdict are those of an in-order transfer.
+func TestFetcherAssemblesResponsesInAnyOrder(t *testing.T) {
+	art, payload := sampleArtifact(t, 8)
+	store := NewStore()
+	if err := store.Add(art, payload); err != nil {
+		t.Fatal(err)
+	}
+	n := int(art.Chunks)
+	inOrder, reversed := make([]int, n), make([]int, n)
+	for i := range inOrder {
+		inOrder[i], reversed[i] = i, n-1-i
+	}
+	for name, order := range map[string][]int{
+		"in order": inOrder,
+		"reversed": reversed, // the whole hash waits for the last response
+		"shuffled": rand.New(rand.NewSource(7)).Perm(n),
+	} {
+		held := &heldCalls{}
+		pool := remote.NewPool(held, remote.WithMaxConnsPerEndpoint(1), remote.WithMaxInFlight(n))
+		f := NewFetcher(pool, StaticReplicas{Eps: []remote.Endpoint{{Addr: held.Addr()}}}, WithFetchWindow(n))
+		var got []byte
+		var fetchErr error
+		f.Fetch(art, func(p []byte, err error) { got, fetchErr = p, err })
+		if len(held.cbs) != n {
+			t.Fatalf("%s: %d chunk requests in flight, want all %d", name, len(held.cbs), n)
+		}
+		for _, i := range order {
+			chunk, _ := store.Chunk(art.Digest, held.reqs[i].Args[1].(int64))
+			held.cbs[i](&remote.Response{Status: remote.StatusOK, Results: []any{chunk}}, nil)
+		}
+		if fetchErr != nil || !bytes.Equal(got, payload) || PayloadDigest(got) != art.Digest {
+			t.Fatalf("%s: fetch = %d bytes, err %v", name, len(got), fetchErr)
+		}
+	}
+}
+
+// TestFetchRejectsImpossibleGeometry: artifact metadata arrives from the
+// network, so numbers that would size an allocation are checked first —
+// no replica is asked and nothing is allocated on their strength.
+func TestFetchRejectsImpossibleGeometry(t *testing.T) {
+	good, _ := sampleArtifact(t, 8)
+	for name, mangle := range map[string]func(*Artifact){
+		"zero chunk size":     func(a *Artifact) { a.ChunkSize = 0 },
+		"negative chunk size": func(a *Artifact) { a.ChunkSize = -8 },
+		"chunk above half a frame": func(a *Artifact) {
+			a.ChunkSize = remote.MaxFrameSize/2 + 1
+			a.Chunks = 1
+		},
+		"one chunk too many": func(a *Artifact) { a.Chunks++ },
+		"one chunk too few":  func(a *Artifact) { a.Chunks-- },
+		"allocation bomb":    func(a *Artifact) { a.Chunks = 1 << 40 },
+		"size above MaxArtifactSize": func(a *Artifact) {
+			a.Size = MaxArtifactSize + 1
+			a.Chunks = chunkCount(a.Size, a.ChunkSize)
+		},
+		"negative size": func(a *Artifact) { a.Size = -1 },
+	} {
+		art := good
+		mangle(&art)
+		f := NewFetcher(remote.NewPool(nil), unaskedReplicas{t})
+		called := false
+		f.Fetch(art, func(p []byte, err error) {
+			called = true
+			if p != nil || !errors.Is(err, ErrVerification) {
+				t.Errorf("%s: fetch = %d bytes, %v; want ErrVerification", name, len(p), err)
+			}
+		})
+		if !called {
+			t.Errorf("%s: callback never fired", name)
+		}
+	}
+}
+
+// unaskedReplicas fails the test if a fetch gets as far as resolving
+// replicas.
+type unaskedReplicas struct{ t *testing.T }
+
+func (u unaskedReplicas) Replicas(string) []remote.Endpoint {
+	u.t.Error("replicas resolved for metadata that should have been rejected")
+	return nil
 }
 
 func TestFetcherCorruptReplicaFallsBack(t *testing.T) {
@@ -301,6 +476,15 @@ func TestFetcherCorruptReplicaFallsBack(t *testing.T) {
 	}
 	if counters.VerificationRejections.Load() != 1 {
 		t.Fatalf("rejections = %d, want 1", counters.VerificationRejections.Load())
+	}
+	// The mismatch discarded bytes AND hash state: server 2 re-served every
+	// chunk, and the digest that accepted its payload covers only its
+	// bytes (a running hash continued across the switch could never match).
+	if int64(rig.served[1]) != art.Chunks {
+		t.Fatalf("server 2 served %d of %d chunks after the rejection", rig.served[1], art.Chunks)
+	}
+	if total := counters.BytesTransferred.Load(); total != 2*art.Size {
+		t.Fatalf("bytesTransferred = %d, want two full transfers (%d)", total, 2*art.Size)
 	}
 
 	// Both replicas corrupt: the fetch fails verification outright.

@@ -9,12 +9,14 @@ import (
 )
 
 // Store is one node's content-addressed artifact store: payloads keyed by
-// their SHA-256 digest, split into fixed-size chunks so fetchers can
-// address pieces of them. All methods are safe for concurrent use.
+// their SHA-256 digest, served in fixed-size chunks so fetchers can
+// address pieces of them. Each payload is held once, contiguously, and is
+// never written after Add — chunks are views of it, not copies. All
+// methods are safe for concurrent use.
 type Store struct {
 	mu         sync.Mutex
 	meta       map[string]Artifact // digest → metadata (Node empty)
-	chunks     map[string][][]byte // digest → payload chunks
+	payloads   map[string][]byte   // digest → payload, immutable once stored
 	byLocation map[string]string   // location → digest
 }
 
@@ -22,7 +24,7 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		meta:       make(map[string]Artifact),
-		chunks:     make(map[string][][]byte),
+		payloads:   make(map[string][]byte),
 		byLocation: make(map[string]string),
 	}
 }
@@ -30,6 +32,7 @@ func NewStore() *Store {
 // Add stores an artifact payload under its metadata. The payload must
 // match the metadata's digest and size — Add is the last line of defense
 // against caching bytes that would fail verification on every future read.
+// The store keeps its own copy; the caller's slice stays the caller's.
 func (s *Store) Add(art Artifact, payload []byte) error {
 	if got := PayloadDigest(payload); got != art.Digest {
 		return fmt.Errorf("%w: digest mismatch storing %s (payload %s, metadata %s)",
@@ -43,20 +46,11 @@ func (s *Store) Add(art Artifact, payload []byte) error {
 		return fmt.Errorf("provision: artifact %s has no chunk size", art.Location)
 	}
 	art.Node = ""
-	split := make([][]byte, 0, art.Chunks)
-	for off := int64(0); off < int64(len(payload)); off += art.ChunkSize {
-		end := off + art.ChunkSize
-		if end > int64(len(payload)) {
-			end = int64(len(payload))
-		}
-		chunk := make([]byte, end-off)
-		copy(chunk, payload[off:end])
-		split = append(split, chunk)
-	}
+	stored := append([]byte(nil), payload...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.meta[art.Digest] = art
-	s.chunks[art.Digest] = split
+	s.payloads[art.Digest] = stored
 	s.byLocation[art.Location] = art.Digest
 	return nil
 }
@@ -69,7 +63,7 @@ func (s *Store) Remove(digest string) {
 		delete(s.byLocation, art.Location)
 	}
 	delete(s.meta, digest)
-	delete(s.chunks, digest)
+	delete(s.payloads, digest)
 }
 
 // Has reports whether the store holds digest.
@@ -106,36 +100,44 @@ func (s *Store) FindBundle(symbolicName string, rng manifest.VersionRange) (Arti
 	return FindBest(s.List(), symbolicName, rng)
 }
 
-// Chunk returns chunk index of digest.
+// Chunk returns chunk index of digest as a read-only view of the stored
+// payload: no copy is made, callers must not write through it, and its
+// capacity is clipped to its length so an append cannot reach the next
+// chunk. The view stays valid (and unchanged) after Remove or
+// CorruptChunk — those replace the stored payload, they never write it.
 func (s *Store) Chunk(digest string, index int64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	chunks, ok := s.chunks[digest]
-	if !ok || index < 0 || index >= int64(len(chunks)) {
-		return nil, false
-	}
-	out := make([]byte, len(chunks[index]))
-	copy(out, chunks[index])
-	return out, true
-}
-
-// Payload reassembles the full payload of digest.
-func (s *Store) Payload(digest string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	chunks, ok := s.chunks[digest]
+	off, end, ok := s.chunkBoundsLocked(digest, index)
 	if !ok {
 		return nil, false
 	}
-	var n int
-	for _, c := range chunks {
-		n += len(c)
+	return s.payloads[digest][off:end:end], true
+}
+
+// chunkBoundsLocked returns the byte range of chunk index of digest.
+func (s *Store) chunkBoundsLocked(digest string, index int64) (off, end int64, ok bool) {
+	payload, ok := s.payloads[digest]
+	if !ok {
+		return 0, 0, false
 	}
-	out := make([]byte, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
+	size, chunkSize := int64(len(payload)), s.meta[digest].ChunkSize
+	if index < 0 || index >= chunkCount(size, chunkSize) {
+		return 0, 0, false
 	}
-	return out, true
+	off, end = chunkBounds(index, chunkSize, size)
+	return off, end, true
+}
+
+// Payload returns a copy of the full payload of digest.
+func (s *Store) Payload(digest string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	payload, ok := s.payloads[digest]
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), payload...), true
 }
 
 // List returns stored artifact metadata sorted by location then digest.
@@ -155,17 +157,21 @@ func (s *Store) List() []Artifact {
 	return out
 }
 
-// CorruptChunk flips a byte of one stored chunk — fault injection for
-// dependability tests: a fetcher reading from this store assembles a
+// CorruptChunk flips the first byte of one stored chunk — fault injection
+// for dependability tests: a fetcher reading from this store assembles a
 // payload whose digest no longer matches, which the verifier must reject
-// and retry from another replica.
+// and retry from another replica. It is copy-on-write: the stored payload
+// is replaced by a corrupted copy, so chunk views already handed out are
+// never written under a reader.
 func (s *Store) CorruptChunk(digest string, index int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	chunks, ok := s.chunks[digest]
-	if !ok || index < 0 || index >= int64(len(chunks)) || len(chunks[index]) == 0 {
+	off, _, ok := s.chunkBoundsLocked(digest, index)
+	if !ok {
 		return false
 	}
-	chunks[index][0] ^= 0xff
+	corrupted := append([]byte(nil), s.payloads[digest]...)
+	corrupted[off] ^= 0xff
+	s.payloads[digest] = corrupted
 	return true
 }

@@ -35,6 +35,17 @@
 // the broker's window. Either way "every delivered event is a real
 // change" holds across reconnects, replays and resyncs.
 //
+// Borrow contract: a client connection decodes every response in place,
+// so the strings and byte slices of a *Response handed to a Conn.Call or
+// Pool.Invoke callback alias the connection's read buffer and are valid
+// only until that callback returns — the buffer is then recycled (and, in
+// race builds, overwritten with 0xDB first so a kept value reads as
+// poison). A callback that keeps any of them longer detaches them with
+// Response.Retain or RetainValue before it returns. The Invoker is the
+// one retention boundary: Invoker.Go, Invoker.Call and Proxy hand the
+// application values it owns. Requests a server decodes, and pushed
+// Notify requests, are always owned copies.
+//
 // Endpoint resolution and the event feed are both supplied by the
 // embedder (EndpointResolver / Publish), which the cluster backs with
 // the unified replicated directory of internal/migrate: one exact-delta
@@ -358,13 +369,21 @@ func DecodeFrame(buf []byte) (*Request, *Response, byte, error) {
 }
 
 // DecodeFrameBorrowing parses one frame like DecodeFrame, but string and
-// []byte values in the decoded body ALIAS buf instead of copying — the
-// zero-copy hot path. The decoded values are valid only while the caller
-// owns buf: anything retained past that point (a pooled buffer returned,
-// a netsim payload handed on) must first be deep-copied with RetainValue
-// or Response.Retain.
+// []byte values in the decoded body ALIAS buf instead of copying — how
+// both client transports decode responses. The decoded values are valid
+// only while the caller owns buf: anything retained past that point (a
+// pooled buffer returned, a netsim payload handed on) must first be
+// deep-copied with RetainValue or Response.Retain.
 func DecodeFrameBorrowing(buf []byte) (*Request, *Response, byte, error) {
 	return decodeFrame(buf, true)
+}
+
+// decodeClientFrame decodes a frame a client connection received, the one
+// decode both transports use: a response borrows from frame (the borrow
+// contract on Conn.Call), a pushed request — which push handlers keep — is
+// an owned copy.
+func decodeClientFrame(frame []byte) (*Request, *Response, byte, error) {
+	return decodeFrame(frame, len(frame) > 0 && frame[0] == frameResponse)
 }
 
 func decodeFrame(buf []byte, borrow bool) (*Request, *Response, byte, error) {
@@ -389,7 +408,7 @@ func decodeFrame(buf []byte, borrow bool) (*Request, *Response, byte, error) {
 
 // RetainValue deep-copies any frame-borrowed string/bytes content out of v
 // so it stays valid after the frame buffer is released — the escape hatch
-// of the zero-copy decode contract. Values that cannot alias a frame
+// of the borrow contract. Values that cannot alias a frame
 // (numbers, bools, nil) are returned unchanged.
 func RetainValue(v any) any {
 	switch vv := v.(type) {
@@ -412,22 +431,15 @@ func RetainValue(v any) any {
 // Retain deep-copies every borrowed value in the response in place and
 // returns it, detaching the response from the frame buffer it was decoded
 // from. Call it inside the completion callback — after the callback
-// returns, a zero-copy transport may recycle the buffer.
+// returns the transport recycles the buffer. A nil response (the callback
+// got a transport error) stays nil.
 func (r *Response) Retain() *Response {
+	if r == nil {
+		return nil
+	}
 	r.Err = strings.Clone(r.Err)
 	for i := range r.Results {
 		r.Results[i] = RetainValue(r.Results[i])
-	}
-	return r
-}
-
-// Retain deep-copies every borrowed value in the request in place and
-// returns it; the push-handler analogue of Response.Retain.
-func (r *Request) Retain() *Request {
-	r.Service = strings.Clone(r.Service)
-	r.Method = strings.Clone(r.Method)
-	for i := range r.Args {
-		r.Args[i] = RetainValue(r.Args[i])
 	}
 	return r
 }
@@ -436,8 +448,8 @@ func (r *Request) Retain() *Request {
 // oversized frame is allocated and dropped rather than pinning megabytes.
 const maxPooledFrame = 1 << 20
 
-// framePool recycles transport read buffers (and TCP batch assembly
-// scratch). Zero-copy decoded values alias these buffers, so a buffer is
+// framePool recycles transport read buffers (and pooled reply encode
+// buffers). Borrow-decoded values alias these buffers, so a buffer is
 // returned only after its decode results are dead — immediately after a
 // copying decode, after the completion callback of a borrowing one.
 var framePool sync.Pool
@@ -452,6 +464,7 @@ func getFrameBuf(n int) []byte {
 }
 
 func putFrameBuf(b []byte) {
+	poisonFrame(b)
 	if cap(b) == 0 || cap(b) > maxPooledFrame {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,7 +193,8 @@ func (inv *Invoker) PruneNodes(alive []string, endpoints []Endpoint) {
 }
 
 // Go invokes service.method asynchronously; cb fires exactly once with
-// the results or the final error. Safe to call from simulation callbacks.
+// the results or the final error — values cb owns and may keep. Safe to
+// call from simulation callbacks.
 func (inv *Invoker) Go(service, method string, args []any, cb func([]any, error)) {
 	eps := inv.resolver.Endpoints(service)
 	if len(eps) == 0 {
@@ -351,10 +353,13 @@ func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, 
 			next(fmt.Errorf("%w: %s", ErrUnavailable, resp.Err))
 		case resp.Status == StatusAppError:
 			finish("")
-			cb(nil, &AppError{Service: service, Method: method, Msg: resp.Err})
+			cb(nil, &AppError{Service: service, Method: method, Msg: strings.Clone(resp.Err)})
 		default:
+			// The retention boundary of the borrow contract: resp aliases
+			// a frame buffer recycled when this callback returns, and what
+			// the application is handed it may keep.
 			finish("")
-			cb(resp.Results, nil)
+			cb(resp.Retain().Results, nil)
 		}
 	})
 	if err != nil {
@@ -369,10 +374,7 @@ func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, 
 
 // Call invokes service.method and blocks for the result. Only for
 // real-time transports (TCP daemons, tests against wall clocks) — blocking
-// inside a simulation callback would deadlock the engine. Results are
-// retained before crossing goroutines: on a zero-copy transport the frame
-// buffer that decoded values borrow from is recycled once the completion
-// callback chain returns, so values handed past it must be detached.
+// inside a simulation callback would deadlock the engine.
 func (inv *Invoker) Call(service, method string, args ...any) ([]any, error) {
 	type outcome struct {
 		results []any
@@ -380,9 +382,6 @@ func (inv *Invoker) Call(service, method string, args ...any) ([]any, error) {
 	}
 	ch := make(chan outcome, 1)
 	inv.Go(service, method, args, func(results []any, err error) {
-		for i := range results {
-			results[i] = RetainValue(results[i])
-		}
 		ch <- outcome{results, err}
 	})
 	out := <-ch

@@ -31,15 +31,6 @@ func WithNetsimFrameHistogram(h *obs.Histogram) NetsimOption {
 	return func(t *NetsimTransport) { t.frameHist = h }
 }
 
-// WithNetsimZeroCopy makes dialed connections decode response string/bytes
-// values borrowing from the delivered frame instead of copying. Simulated
-// payloads are the sender's encode buffer and are never reused, so unlike
-// TCP's pooled buffers the borrowed values stay valid indefinitely — the
-// option only removes the decode copies.
-func WithNetsimZeroCopy() NetsimOption {
-	return func(t *NetsimTransport) { t.zeroCopy = true }
-}
-
 // NetsimTransport dials remote endpoints over the simulated fabric. A
 // "connection" is a bound ephemeral client port plus a hello/ack handshake
 // with the server, so connection setup costs one round trip exactly like
@@ -51,7 +42,6 @@ type NetsimTransport struct {
 	localIP     netsim.IP
 	callTimeout time.Duration
 	frameHist   *obs.Histogram
-	zeroCopy    bool
 
 	mu       sync.Mutex
 	nextPort uint16
@@ -179,11 +169,7 @@ func (c *netsimConn) onMessage(msg netsim.Message) {
 	if !ok {
 		return
 	}
-	decode := DecodeFrame
-	if c.transport.zeroCopy {
-		decode = DecodeFrameBorrowing
-	}
-	req, resp, kind, err := decode(frame)
+	req, resp, kind, err := decodeClientFrame(frame)
 	if err != nil {
 		return
 	}
@@ -192,7 +178,12 @@ func (c *netsimConn) onMessage(msg netsim.Message) {
 		c.core.setPeerFeatures(helloFeatures(frame))
 		c.core.establish()
 	case frameResponse:
+		// The response aliases the delivered payload — the server's encode
+		// buffer, handed to nobody else. Race builds poison it once the
+		// completion chain returns, so a callback that kept a borrowed
+		// value fails here exactly as it would off TCP's pooled buffers.
 		c.core.onResponse(resp)
+		poisonFrame(frame)
 	case frameRequest:
 		// Server push (dosgi.events Notify). Stays on the engine
 		// goroutine for determinism, like every other sim callback.

@@ -128,7 +128,9 @@ func NewPool(transport Transport, opts ...PoolOption) *Pool {
 
 // Invoke sends req to addr. cb fires exactly once unless Invoke returns a
 // synchronous error. Queued calls that lose their endpoint fail with
-// ErrConnClosed (retryable).
+// ErrConnClosed (retryable). As with Conn.Call, the response's strings and
+// byte slices are valid only until cb returns; Response.Retain detaches
+// them.
 func (p *Pool) Invoke(addr string, req *Request, cb func(*Response, error)) error {
 	if p.perCall {
 		conn, err := p.transport.Dial(addr)

@@ -94,17 +94,6 @@ func WithTCPFrameHistogram(h *obs.Histogram) TCPOption {
 	return func(t *TCPTransport) { t.frameHist = h }
 }
 
-// WithTCPZeroCopy makes every connection this transport dials decode
-// response string/bytes values borrowing from the (pooled) frame buffer
-// instead of copying. The buffer is recycled when the completion callback
-// returns, so results are valid only inside the callback — anything kept
-// longer must be copied out first (Response.Retain / RetainValue).
-// Invoker.Call retains its results, so blocking callers are unaffected;
-// Invoker.Go callbacks own the contract.
-func WithTCPZeroCopy() TCPOption {
-	return func(t *TCPTransport) { t.zeroCopy = true }
-}
-
 // TCPTransport dials real TCP endpoints with the same framing and
 // pipelining semantics as the netsim transport; dosgid uses it.
 type TCPTransport struct {
@@ -112,7 +101,6 @@ type TCPTransport struct {
 	callTimeout time.Duration
 	dialTimeout time.Duration
 	frameHist   *obs.Histogram
-	zeroCopy    bool
 }
 
 // NewTCPTransport builds a transport; sched drives call timeouts (pass
@@ -143,7 +131,7 @@ func (t *TCPTransport) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	c := &tcpConn{addr: addr, nc: nc, zeroCopy: t.zeroCopy}
+	c := &tcpConn{addr: addr, nc: nc}
 	// TCP's own handshake already happened; the conn starts established.
 	c.core = newConnCore(detachedScheduler{t.sched}, t.callTimeout, true)
 	c.core.sendFrame = c.send
@@ -155,10 +143,9 @@ func (t *TCPTransport) Dial(addr string) (Conn, error) {
 
 // tcpConn is one pipelined TCP connection.
 type tcpConn struct {
-	core     *connCore
-	addr     string
-	nc       net.Conn
-	zeroCopy bool
+	core *connCore
+	addr string
+	nc   net.Conn
 
 	writeMu sync.Mutex
 	pushMu  sync.Mutex
@@ -268,14 +255,7 @@ func (c *tcpConn) readLoop() {
 			putFrameBuf(frame)
 			continue
 		}
-		var req *Request
-		var resp *Response
-		var kind byte
-		if c.zeroCopy {
-			req, resp, kind, err = DecodeFrameBorrowing(frame)
-		} else {
-			req, resp, kind, err = DecodeFrame(frame)
-		}
+		req, resp, kind, err := decodeClientFrame(frame)
 		if err != nil {
 			putFrameBuf(frame)
 			continue
@@ -299,39 +279,24 @@ func (c *tcpConn) readLoop() {
 			c.pushMu.Lock()
 			hasPush := c.pushFn != nil
 			c.pushMu.Unlock()
-			if c.zeroCopy {
-				// Borrowed results alias the pooled frame: recycle it only
-				// after the completion callback chain returns. Callers
-				// keeping values longer Retain them inside the callback.
-				release := frame
-				if hasPush {
-					c.pushes.enqueue(func() {
-						c.core.onResponse(resp)
-						putFrameBuf(release)
-					})
-				} else {
-					go func() {
-						c.core.onResponse(resp)
-						putFrameBuf(release)
-					}()
-				}
-				continue
+			// The response's strings and bytes alias the pooled frame
+			// (the borrow contract on Conn.Call): it is recycled only
+			// after the completion callback chain returns.
+			complete := func() {
+				c.core.onResponse(resp)
+				putFrameBuf(frame)
 			}
-			putFrameBuf(frame)
 			if hasPush {
-				c.pushes.enqueue(func() { c.core.onResponse(resp) })
+				c.pushes.enqueue(complete)
 			} else {
-				go c.core.onResponse(resp)
+				go complete()
 			}
 		case frameRequest:
 			// Server push (dosgi.events Notify): serialized off the
 			// reader so event order is preserved per connection while a
 			// slow consumer cannot stall response reads either. Push
-			// handlers may retain the request (subscribers do), so a
-			// borrow-decoded push is detached from the buffer first.
-			if c.zeroCopy {
-				req.Retain()
-			}
+			// handlers may retain the request (subscribers do); it was
+			// decoded as an owned copy.
 			putFrameBuf(frame)
 			c.pushes.enqueue(func() {
 				c.pushMu.Lock()

@@ -39,7 +39,10 @@ const DefaultBatchDelay = 200 * time.Microsecond
 type Conn interface {
 	// Call sends req (assigning req.Corr) and invokes cb exactly once with
 	// the response or a transport error. A synchronous error means the
-	// request was never sent and cb will not fire.
+	// request was never sent and cb will not fire. The response's strings
+	// and byte slices are borrowed from the connection's read buffer and
+	// valid only until cb returns; a cb that keeps them calls
+	// Response.Retain first (the package doc has the full contract).
 	Call(req *Request, cb func(*Response, error)) error
 	// InFlight returns the number of outstanding calls.
 	InFlight() int
