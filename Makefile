@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load ab check
 
 all: check
 
@@ -88,6 +88,14 @@ bench-json:
 # no coordinated omission) to BENCH_remote.json.
 bench-load:
 	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s -mode batched -out .
+
+# The A/B procedure a performance claim is judged by (scripts/ab.sh):
+# alternating parent/change pairs of one repo-benchmark workload, e.g.
+#   make ab BASE=HEAD~1 WORKLOAD=call_small PAIRS=10
+# SECONDS defaults to BENCHMARK.json's run length; CI runs a 1-pair,
+# 3-second smoke of it.
+ab:
+	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # The tier-1 gate: formatting, static checks, build, tests — and the
 # benchmark module those do not reach.

@@ -621,6 +621,19 @@ func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc heal
 			d.broker, d.healthBroker),
 		remote.WithTCPServerClock(sched.Now))
 	d.remoteSrv = remoteSrv
+	// The listener's socket counters: framesOut/flushes is the live batch
+	// factor of the response path, framesIn/reads its read-side twin.
+	d.metrics.RegisterProvider("remote:self", func() map[string]any {
+		st := remoteSrv.Stats()
+		return map[string]any{
+			"reads":      int64(st.Reads),
+			"framesIn":   int64(st.FramesIn),
+			"flushes":    int64(st.Flushes),
+			"framesOut":  int64(st.FramesOut),
+			"yields":     int64(st.Yields),
+			"queueWaits": int64(st.QueueWaits),
+		}
+	})
 
 	transport := remote.NewTCPTransport(sched, remote.WithTCPFrameHistogram(d.plane.FrameRTT))
 	d.transport = transport

@@ -478,6 +478,39 @@ func (d *Dispatcher) serve(req *Request) (resp *Response) {
 	return &Response{Corr: req.Corr, Status: StatusOK, Results: results}
 }
 
+// dispatchPlan is what reflection dispatch needs to know about one method
+// of one service type, worked out once: resolving a method by name and
+// walking its parameter types on every call was most of the dispatch cost.
+type dispatchPlan struct {
+	index    int            // of the method in the type's method set
+	in       []reflect.Type // parameter types, receiver excluded
+	variadic bool           // the last parameter is a ...T slice
+}
+
+// dispatchPlans caches, per service type, the plans of all its exported
+// methods: reflect.Type → map[string]*dispatchPlan, immutable once stored.
+// Building the whole method set at first use keeps the cache bounded by the
+// code's own types — a peer's method names never add an entry.
+var dispatchPlans sync.Map
+
+func plansFor(t reflect.Type) map[string]*dispatchPlan {
+	if cached, ok := dispatchPlans.Load(t); ok {
+		return cached.(map[string]*dispatchPlan)
+	}
+	plans := make(map[string]*dispatchPlan, t.NumMethod())
+	for i := 0; i < t.NumMethod(); i++ {
+		m := t.Method(i)
+		mt := m.Type // of a concrete type's method: In(0) is the receiver
+		plan := &dispatchPlan{index: i, variadic: mt.IsVariadic(), in: make([]reflect.Type, mt.NumIn()-1)}
+		for p := range plan.in {
+			plan.in[p] = mt.In(p + 1)
+		}
+		plans[m.Name] = plan
+	}
+	cached, _ := dispatchPlans.LoadOrStore(t, plans)
+	return cached.(map[string]*dispatchPlan)
+}
+
 // InvokeService calls method on svc. Services implementing Invocable
 // dispatch directly; anything else dispatches by reflection over its
 // exported methods, with wire integers (int64) converted to the parameter's
@@ -486,35 +519,38 @@ func InvokeService(svc any, method string, args []any) ([]any, error) {
 	if inv, ok := svc.(Invocable); ok {
 		return inv.Invoke(method, args)
 	}
-	m := reflect.ValueOf(svc).MethodByName(method)
-	if !m.IsValid() {
+	rv := reflect.ValueOf(svc)
+	plan := plansFor(rv.Type())[method]
+	if plan == nil {
 		return nil, fmt.Errorf("%w: %s on %T", ErrNoSuchMethod, method, svc)
 	}
-	mt := m.Type()
-	if mt.IsVariadic() {
-		if len(args) < mt.NumIn()-1 {
+	fixed := len(plan.in)
+	if plan.variadic {
+		fixed--
+		if len(args) < fixed {
 			return nil, fmt.Errorf("%w: %s wants at least %d args, got %d",
-				ErrBadArguments, method, mt.NumIn()-1, len(args))
+				ErrBadArguments, method, fixed, len(args))
 		}
-	} else if len(args) != mt.NumIn() {
+	} else if len(args) != fixed {
 		return nil, fmt.Errorf("%w: %s wants %d args, got %d",
-			ErrBadArguments, method, mt.NumIn(), len(args))
+			ErrBadArguments, method, fixed, len(args))
 	}
-	in := make([]reflect.Value, len(args))
+	var few [4]reflect.Value // most calls fit: no slice allocation
+	in := few[:0]
 	for i, arg := range args {
 		var want reflect.Type
-		if mt.IsVariadic() && i >= mt.NumIn()-1 {
-			want = mt.In(mt.NumIn() - 1).Elem()
+		if i >= fixed {
+			want = plan.in[fixed].Elem()
 		} else {
-			want = mt.In(i)
+			want = plan.in[i]
 		}
 		v, err := convertArg(arg, want)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s arg %d: %v", ErrBadArguments, method, i, err)
 		}
-		in[i] = v
+		in = append(in, v)
 	}
-	out := m.Call(in)
+	out := rv.Method(plan.index).Call(in)
 	results := make([]any, 0, len(out))
 	for i, v := range out {
 		if i == len(out)-1 && v.Type() == errType {

@@ -5,6 +5,7 @@ package remote
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestKeptBorrowedValueReadsAsPoison: a completion callback that keeps a
@@ -65,5 +66,53 @@ func TestKeptBorrowedValueReadsAsPoison(t *testing.T) {
 	}
 	if len(owned) != 1 || owned[0] != "OWNED" {
 		t.Fatalf("invoker results = %v, want an owned \"OWNED\"", owned)
+	}
+}
+
+// TestTCPKeptBorrowReadsAsPoison: reading frames through a buffer did not
+// turn them into windows on it — every frame is still its own pooled
+// buffer, so over TCP too a string kept past its callback reads as poison
+// while the response that arrived in the same segment is intact.
+func TestTCPKeptBorrowReadsAsPoison(t *testing.T) {
+	conn, _, server := pipeClient(t)
+	go answerInOneWrite(t, server, 2)
+	// With a push handler, completions run in order on one goroutine, which
+	// orders the second callback's read after the first frame's recycling.
+	conn.SetPushHandler(func(*Request) {})
+
+	var kept string
+	verdict := make(chan [2]string, 1)
+	err := conn.Call(&Request{Service: "s", Method: "BORROWED"}, func(resp *Response, err error) {
+		if err != nil {
+			t.Errorf("first call: %v", err)
+			return
+		}
+		kept = resp.Results[0].(string) // the bug: no Retain
+		// Hold this frame until the reader has taken the second one out of
+		// the segment, so nothing reuses the buffer once it is recycled.
+		for deadline := time.Now().Add(5 * time.Second); conn.PendingPushes() == 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = conn.Call(&Request{Service: "s", Method: "INTACT"}, func(resp *Response, err error) {
+		if err != nil {
+			t.Errorf("second call: %v", err)
+			verdict <- [2]string{}
+			return
+		}
+		verdict <- [2]string{strings.Clone(kept), strings.Clone(resp.Results[0].(string))}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := <-verdict
+	if want := strings.Repeat("\xdb", len("BORROWED")); got[0] != want {
+		t.Fatalf("string kept past its callback reads %q, want poison", got[0])
+	}
+	if got[1] != "INTACT" {
+		t.Fatalf("neighbouring frame reads %q", got[1])
 	}
 }

@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dosgi/internal/clock"
@@ -58,6 +60,8 @@ func writeBatchFrame(w io.Writer, frames [][]byte) error {
 
 // readFrame reads one length-prefixed frame from r into a pooled buffer;
 // the caller returns it with putFrameBuf once the decoded values are dead.
+// Both ends pass a bufio.Reader (tcpReadBuffer) over the socket, so frames
+// that arrived back to back in one segment cost one read between them.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -131,6 +135,11 @@ func (t *TCPTransport) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
+	return t.newConn(addr, nc), nil
+}
+
+// newConn runs the client protocol over an established connection.
+func (t *TCPTransport) newConn(addr string, nc net.Conn) *tcpConn {
 	c := &tcpConn{addr: addr, nc: nc}
 	// TCP's own handshake already happened; the conn starts established.
 	c.core = newConnCore(detachedScheduler{t.sched}, t.callTimeout, true)
@@ -138,7 +147,7 @@ func (t *TCPTransport) Dial(addr string) (Conn, error) {
 	c.core.sendFrames = c.sendBatch
 	c.core.rtt = t.frameHist
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // tcpConn is one pipelined TCP connection.
@@ -148,13 +157,12 @@ type tcpConn struct {
 	nc   net.Conn
 
 	writeMu sync.Mutex
-	pushMu  sync.Mutex
-	pushFn  func(*Request)
+	pushFn  atomic.Pointer[func(*Request)]
 	pushes  serialQueue
 	// pushHello is set once the connection advertised featBatch for
 	// server→client Notify coalescing (sent with the first push handler,
 	// before any Subscribe can ride this connection).
-	pushHello bool
+	pushHello atomic.Bool
 }
 
 var _ PushConn = (*tcpConn)(nil)
@@ -176,13 +184,20 @@ func (c *tcpConn) EnableBatching(max int, delay time.Duration) {
 // Hello precedes any Subscribe on the wire; an old server answers a bare
 // ack and keeps pushing plain frames.
 func (c *tcpConn) SetPushHandler(fn func(*Request)) {
-	c.pushMu.Lock()
-	first := !c.pushHello
-	c.pushHello = true
-	c.pushFn = fn
-	c.pushMu.Unlock()
-	if first {
+	if fn == nil {
+		c.pushFn.Store(nil)
+	} else {
+		c.pushFn.Store(&fn)
+	}
+	if c.pushHello.CompareAndSwap(false, true) {
 		_ = c.send(encodeHelloFeatures(false, featBatch))
+	}
+}
+
+// deliverPush hands one pushed request to the push handler, if any.
+func (c *tcpConn) deliverPush(req *Request) {
+	if fn := c.pushFn.Load(); fn != nil {
+		(*fn)(req)
 	}
 }
 
@@ -221,8 +236,9 @@ func (c *tcpConn) sendBatch(frames [][]byte) error {
 }
 
 func (c *tcpConn) readLoop() {
+	br := bufio.NewReaderSize(c.nc, tcpReadBuffer)
 	for {
-		frame, err := readFrame(c.nc)
+		frame, err := readFrame(br)
 		if err != nil {
 			if c.core.shutdown(ErrConnClosed) {
 				_ = c.nc.Close()
@@ -242,14 +258,7 @@ func (c *tcpConn) readLoop() {
 						continue
 					}
 					pushed := req
-					c.pushes.enqueue(func() {
-						c.pushMu.Lock()
-						fn := c.pushFn
-						c.pushMu.Unlock()
-						if fn != nil {
-							fn(pushed)
-						}
-					})
+					c.pushes.enqueue(func() { c.deliverPush(pushed) })
 				}
 			}
 			putFrameBuf(frame)
@@ -276,9 +285,7 @@ func (c *tcpConn) readLoop() {
 			// as pushes, preserving the server's write order between a
 			// resync's Notify frames and the Subscribe response — the
 			// Subscriber's resync accounting depends on it.
-			c.pushMu.Lock()
-			hasPush := c.pushFn != nil
-			c.pushMu.Unlock()
+			hasPush := c.pushFn.Load() != nil
 			// The response's strings and bytes alias the pooled frame
 			// (the borrow contract on Conn.Call): it is recycled only
 			// after the completion callback chain returns.
@@ -298,14 +305,7 @@ func (c *tcpConn) readLoop() {
 			// handlers may retain the request (subscribers do); it was
 			// decoded as an owned copy.
 			putFrameBuf(frame)
-			c.pushes.enqueue(func() {
-				c.pushMu.Lock()
-				fn := c.pushFn
-				c.pushMu.Unlock()
-				if fn != nil {
-					fn(req)
-				}
-			})
+			c.pushes.enqueue(func() { c.deliverPush(req) })
 		default:
 			putFrameBuf(frame)
 		}
@@ -356,11 +356,13 @@ func (q *serialQueue) run() {
 
 // TCPServer serves a Handler on a TCP listener. Requests on one
 // connection dispatch concurrently and responses interleave in completion
-// order — the pipelining contract of the protocol.
+// order — the pipelining contract of the protocol. Everything a connection
+// sends goes through its connWriter.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
 	now     func() time.Duration
+	stats   tcpServerCounters
 
 	mu     sync.Mutex
 	closed bool
@@ -392,6 +394,10 @@ func ServeTCP(ln net.Listener, handler Handler, opts ...TCPServerOption) *TCPSer
 
 // Addr returns the listener address.
 func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
+
+// Stats returns the server's socket counters, summed over every
+// connection it has served.
+func (s *TCPServer) Stats() TCPServerStats { return s.stats.snapshot() }
 
 // Close stops the listener and every open connection.
 func (s *TCPServer) Close() {
@@ -443,13 +449,12 @@ const (
 	pushFlushDelay = 200 * time.Microsecond
 )
 
-// tcpPusher pushes frames to one accepted connection, sharing its write
-// mutex with the response path so frames never interleave. When the
-// client's Hello advertised featBatch, queued pushes coalesce into batch
-// frames; for older clients every push goes out plain.
+// tcpPusher pushes frames to one accepted connection through its
+// connWriter, the queue the response path uses, so frames never
+// interleave. When the client's Hello advertised featBatch, queued pushes
+// coalesce into batch frames; for older clients every push goes out plain.
 type tcpPusher struct {
-	nc      net.Conn
-	writeMu *sync.Mutex
+	w *connWriter
 
 	mu       sync.Mutex
 	batching bool
@@ -468,9 +473,7 @@ func (p *tcpPusher) Push(frame []byte) error {
 	p.mu.Lock()
 	if !p.batching {
 		p.mu.Unlock()
-		p.writeMu.Lock()
-		defer p.writeMu.Unlock()
-		return writeFrame(p.nc, frame)
+		return p.w.enqueue(frame)
 	}
 	if p.err != nil {
 		err := p.err
@@ -490,16 +493,19 @@ func (p *tcpPusher) Push(frame []byte) error {
 }
 
 func (p *tcpPusher) flush() {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
+	p.w.mu.Lock()
+	defer p.w.mu.Unlock()
+	p.w.admit()
 	p.flushLocked()
 }
 
-// flushLocked writes the queued pushes under an already-held writeMu. The
-// response path calls it before every reply so Notify frames queued ahead
-// of a response never reorder behind it — the Subscriber's resync
-// accounting depends on the server's write order between a resync's
-// Notify frames and the Subscribe response.
+// flushLocked moves the pending pushes into the connection's queue, with
+// the writer's mutex held and after admit (no wait falls between taking
+// the pushes and queueing them). The response path calls it before it
+// queues every reply, so Notify frames pushed ahead of a response never
+// reorder behind it — the Subscriber's resync accounting depends on the
+// server's write order between a resync's Notify frames and the Subscribe
+// response.
 func (p *tcpPusher) flushLocked() {
 	p.mu.Lock()
 	frames := p.pending
@@ -510,13 +516,15 @@ func (p *tcpPusher) flushLocked() {
 	}
 	p.mu.Unlock()
 	var err error
-	switch len(frames) {
-	case 0:
+	switch {
+	case len(frames) == 0:
 		return
-	case 1:
-		err = writeFrame(p.nc, frames[0])
+	case p.w.closed:
+		err = ErrConnClosed
+	case len(frames) == 1:
+		err = p.w.appendFrame(frames[0], false)
 	default:
-		err = writeBatchFrame(p.nc, frames)
+		err = p.w.appendBatch(frames)
 	}
 	if err != nil {
 		p.mu.Lock()
@@ -540,29 +548,48 @@ func (p *tcpPusher) stop() {
 
 func (s *TCPServer) serveConn(nc net.Conn) {
 	defer s.wg.Done()
-	var writeMu sync.Mutex
-	pusher := &tcpPusher{nc: nc, writeMu: &writeMu}
-	defer func() {
-		pusher.stop()
+	w := newConnWriter(nc, &s.stats)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		w.run() // returns with nc closed
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
-		_ = nc.Close()
+	}()
+	pusher := &tcpPusher{w: w}
+	var dispatch sync.WaitGroup
+	defer func() {
+		// Running handlers still queue their responses; the writer sends
+		// them, then closes the connection. A failed write or Close has
+		// already released every sender and ended the writer instead.
+		dispatch.Wait()
+		pusher.stop()
+		w.drain()
 	}()
 	reply := func(resp *Response) {
-		// Responses encode into a pooled frame buffer recycled right after
-		// the synchronous transport write — the per-reply allocation on the
-		// server hot path was the buffer itself.
+		// The response is encoded only once the queue has room, into a
+		// pooled buffer the writer recycles: a peer that stops reading
+		// blocks its handlers here, holding no frames.
+		if !w.awaitRoom() {
+			return
+		}
 		out := encodePooledResponseOrFallback(resp)
-		writeMu.Lock()
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.unreplied.Add(-1)
+		if !w.admit() {
+			putFrameBuf(out)
+			return
+		}
 		pusher.flushLocked()
-		_ = writeFrame(nc, out)
-		writeMu.Unlock()
-		putFrameBuf(out)
+		_ = w.appendFrame(out, true)
 	}
+	ph, pushes := s.handler.(PushHandler)
 	serve := func(req *Request) {
+		defer dispatch.Done()
 		var resp *Response
-		if ph, ok := s.handler.(PushHandler); ok {
+		if pushes {
 			resp = ph.ServePush(req, pusher)
 		} else {
 			resp = s.handler.Serve(req)
@@ -570,13 +597,13 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 		resp.Corr = req.Corr
 		reply(resp)
 	}
-	var dispatch sync.WaitGroup
-	defer dispatch.Wait()
+	br := bufio.NewReaderSize(countingReader{nc, &s.stats.reads}, tcpReadBuffer)
 	for {
-		frame, err := readFrame(nc)
+		frame, err := readFrame(br)
 		if err != nil {
 			return
 		}
+		s.stats.framesIn.Add(1)
 		// A batch frame (§2.1) unpacks into individual dispatches; it is
 		// peeked before DecodeFrame so pre-batching decode semantics —
 		// including "unknown kind drops the connection" on old servers —
@@ -602,12 +629,10 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 				reqs = append(reqs, req)
 			}
 			putFrameBuf(frame) // inner decodes copied; outer is dead
+			dispatch.Add(len(reqs))
+			w.unreplied.Add(int64(len(reqs)))
 			for _, req := range reqs {
-				dispatch.Add(1)
-				go func(req *Request) {
-					defer dispatch.Done()
-					serve(req)
-				}(req)
+				go serve(req)
 			}
 			continue
 		}
@@ -629,18 +654,14 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 			if clientFeats&featBatch != 0 {
 				pusher.enableBatching()
 			}
-			writeMu.Lock()
-			_ = writeFrame(nc, encodeHelloFeatures(true, featBatch))
-			writeMu.Unlock()
+			_ = w.enqueue(encodeHelloFeatures(true, featBatch))
 		case frameRequest:
 			if s.now != nil {
 				req.MarkReceived(s.now())
 			}
 			dispatch.Add(1)
-			go func(req *Request) {
-				defer dispatch.Done()
-				serve(req)
-			}(req)
+			w.unreplied.Add(1)
+			go serve(req)
 		}
 	}
 }

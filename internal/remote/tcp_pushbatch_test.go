@@ -28,8 +28,7 @@ func TestTCPPusherCoalescesNotifyBurst(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var writeMu sync.Mutex
-	p := &tcpPusher{nc: server, writeMu: &writeMu}
+	p := &tcpPusher{w: startTestWriter(t, server)}
 	p.enableBatching()
 
 	got := make(chan []byte, 1)
@@ -85,8 +84,7 @@ func TestTCPPusherMicroDeadlineFlush(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var writeMu sync.Mutex
-	p := &tcpPusher{nc: server, writeMu: &writeMu}
+	p := &tcpPusher{w: startTestWriter(t, server)}
 	p.enableBatching()
 
 	got := make(chan []byte, 1)
@@ -124,8 +122,7 @@ func TestTCPPusherPlainWithoutNegotiation(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var writeMu sync.Mutex
-	p := &tcpPusher{nc: server, writeMu: &writeMu}
+	p := &tcpPusher{w: startTestWriter(t, server)}
 
 	go func() {
 		_ = p.Push(notifyFrame(t, "svc.plain", 1))
