@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load ab check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load ab loc check
 
 all: check
 
@@ -96,6 +96,12 @@ bench-load:
 # 3-second smoke of it.
 ab:
 	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
+
+# Size of the tree (scripts/loc.sh): non-test and test Go lines under the
+# root module, the With* option-function count, the ten largest non-test
+# files — what a simplicity PR quotes before and after. Informational only.
+loc:
+	@bash scripts/loc.sh
 
 # The tier-1 gate: formatting, static checks, build, tests — and the
 # benchmark module those do not reach.

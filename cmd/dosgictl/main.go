@@ -67,13 +67,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"strings"
 	"time"
+
+	"dosgi/internal/admin"
 )
 
 func main() {
@@ -96,24 +97,13 @@ func runWithTimeout(addr, command string, timeout time.Duration) error {
 		return err
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s\n", command); err != nil {
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	last, err := admin.Exchange(conn, command, func(line string) { fmt.Println(line) })
+	if err != nil {
 		return err
 	}
-	// Responses end with a line starting with OK or ERR.
-	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	sc := bufio.NewScanner(conn)
-	// A CALL result line may carry up to a whole response frame (16 MiB);
-	// the default 64 KiB token cap would abort the response mid-stream.
-	sc.Buffer(make([]byte, 64<<10), 32<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		if strings.HasPrefix(line, "OK") {
-			return nil
-		}
-		if strings.HasPrefix(line, "ERR") {
-			return fmt.Errorf("%s", strings.TrimPrefix(line, "ERR "))
-		}
+	if strings.HasPrefix(last, "ERR") {
+		return fmt.Errorf("%s", strings.TrimPrefix(last, "ERR "))
 	}
-	return sc.Err()
+	return nil
 }

@@ -35,7 +35,7 @@ func TestConformanceDosgid(t *testing.T) {
 			if status == "" {
 				ev.Type = remote.ServiceUnregistering
 			}
-			d.applyHealth(ev)
+			d.health.Apply(ev)
 		},
 		HealthNode: d.remoteAddr,
 	})

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -10,7 +9,7 @@ import (
 
 	"dosgi/internal/module"
 	"dosgi/internal/obs"
-	"dosgi/internal/provision"
+	"dosgi/internal/services"
 )
 
 // startDaemon runs an in-process dosgid on ephemeral ports.
@@ -29,27 +28,7 @@ func startDaemon(t *testing.T, peers ...string) *daemon {
 // including the OK/ERR terminator — the same protocol dosgictl speaks.
 func admin(t *testing.T, d *daemon, command string) []string {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", d.adminLn.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s\n", command); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 32<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		lines = append(lines, line)
-		if strings.HasPrefix(line, "OK") || strings.HasPrefix(line, "ERR") {
-			return lines
-		}
-	}
-	t.Fatalf("no terminator in response %q (err=%v)", lines, sc.Err())
-	return nil
+	return adminAt(t, d.adminLn.Addr().String(), command)
 }
 
 func last(lines []string) string { return lines[len(lines)-1] }
@@ -96,7 +75,7 @@ func TestAdminExportsAndStatus(t *testing.T) {
 
 	// A service registered with service.exported=true becomes invocable
 	// while the daemon runs.
-	if _, err := d.host.SystemContext().RegisterSingle("dosgi.Extra", echoService{}, module.Properties{
+	if _, err := d.host.SystemContext().RegisterSingle("dosgi.Extra", services.Echo{}, module.Properties{
 		module.PropServiceExported:     true,
 		module.PropServiceExportedName: "extra",
 	}); err != nil {
@@ -111,7 +90,7 @@ func TestAdminExportsAndStatus(t *testing.T) {
 func TestCallFailsOverToPeerDaemon(t *testing.T) {
 	// peer exports a service the front daemon does not have.
 	peer := startDaemon(t)
-	if _, err := peer.host.SystemContext().RegisterSingle("dosgi.Math", echoService{}, module.Properties{
+	if _, err := peer.host.SystemContext().RegisterSingle("dosgi.Math", services.Echo{}, module.Properties{
 		module.PropServiceExported:     true,
 		module.PropServiceExportedName: "math",
 	}); err != nil {
@@ -210,25 +189,6 @@ func TestInstanceExportsInvocableAndObservable(t *testing.T) {
 	}
 }
 
-func TestParseCallArg(t *testing.T) {
-	cases := []struct {
-		tok  string
-		want any
-	}{
-		{"42", int64(42)},
-		{"-7", int64(-7)},
-		{"2.5", 2.5},
-		{"true", true},
-		{"hello", "hello"},
-		{`"quoted"`, "quoted"},
-	}
-	for _, tc := range cases {
-		if got := parseCallArg(tc.tok); got != tc.want {
-			t.Errorf("parseCallArg(%q) = %#v, want %#v", tc.tok, got, tc.want)
-		}
-	}
-}
-
 func TestCallQuotedMultiwordArgument(t *testing.T) {
 	d := startDaemon(t)
 	lines := admin(t, d, `CALL echo Upper "hello world"`)
@@ -239,31 +199,6 @@ func TestCallQuotedMultiwordArgument(t *testing.T) {
 	lines = admin(t, d, `CALL echo Upper "42"`)
 	if lines[0] != "= 42" || !strings.HasPrefix(last(lines), "OK") {
 		t.Fatalf("forced-string CALL = %q", lines)
-	}
-}
-
-func TestSplitCommand(t *testing.T) {
-	cases := []struct {
-		line string
-		want []string
-	}{
-		{`CALL echo Upper hello`, []string{"CALL", "echo", "Upper", "hello"}},
-		{`CALL echo Upper "hello world"`, []string{"CALL", "echo", "Upper", `"hello world"`}},
-		{`  spaced   out  `, []string{"spaced", "out"}},
-		{``, nil},
-		{`a "b c" d`, []string{"a", `"b c"`, "d"}},
-	}
-	for _, tc := range cases {
-		got := splitCommand(tc.line)
-		if len(got) != len(tc.want) {
-			t.Errorf("splitCommand(%q) = %q, want %q", tc.line, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("splitCommand(%q)[%d] = %q, want %q", tc.line, i, got[i], tc.want[i])
-			}
-		}
 	}
 }
 
@@ -301,7 +236,7 @@ func TestUnknownVerbListsSupported(t *testing.T) {
 			t.Errorf("%q → %q, want ERR unknown command %s ...", tc.line, got, tc.verb)
 			continue
 		}
-		for _, verb := range strings.Fields(supportedVerbs) {
+		for _, verb := range d.admin.Names() {
 			if !strings.Contains(got, verb) {
 				t.Errorf("%q response %q does not list supported verb %s", tc.line, got, verb)
 			}
@@ -336,43 +271,6 @@ func TestRepoSeedAndList(t *testing.T) {
 	}
 	if lines := admin(t, d, "REPO NONSENSE"); !strings.HasPrefix(last(lines), "ERR usage: REPO") {
 		t.Fatalf("REPO NONSENSE = %q", lines)
-	}
-}
-
-// TestRepoListLine table-tests the REPO LIST row format, HOLDERS column
-// included — the contract dosgictl users (and the tests above) read.
-func TestRepoListLine(t *testing.T) {
-	art := provision.Artifact{
-		Location: "app:greeter",
-		Digest:   "abcdef0123456789abcdef0123456789abcdef0123456789abcdef0123456789",
-		Size:     420, Chunks: 7, Signer: "dev",
-	}
-	small := provision.Artifact{Location: "app:lib", Digest: "0011223344556677", Size: 1, Chunks: 1, Signer: "ops"}
-	cases := []struct {
-		name    string
-		art     provision.Artifact
-		holders []string
-		want    string
-	}{
-		{
-			name: "local only", art: art, holders: []string{"local"},
-			want: "app:greeter abcdef012345 420B chunks=7 signer=dev holders=local",
-		},
-		{
-			name: "local plus one peer", art: art, holders: []string{"local", "127.0.0.1:7790"},
-			want: "app:greeter abcdef012345 420B chunks=7 signer=dev holders=local,127.0.0.1:7790",
-		},
-		{
-			name: "several peers", art: small, holders: []string{"local", "10.0.0.2:7790", "10.0.0.3:7790"},
-			want: "app:lib 001122334455 1B chunks=1 signer=ops holders=local,10.0.0.2:7790,10.0.0.3:7790",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := repoListLine(tc.art, tc.holders); got != tc.want {
-				t.Fatalf("repoListLine = %q, want %q", got, tc.want)
-			}
-		})
 	}
 }
 
@@ -533,7 +431,7 @@ func TestMetricsOneStopPull(t *testing.T) {
 // lists the trace id and assembles both halves into one response.
 func TestTraceAssemblesAcrossDaemons(t *testing.T) {
 	peer := startDaemon(t)
-	if _, err := peer.host.SystemContext().RegisterSingle("dosgi.Math", echoService{}, module.Properties{
+	if _, err := peer.host.SystemContext().RegisterSingle("dosgi.Math", services.Echo{}, module.Properties{
 		module.PropServiceExported:     true,
 		module.PropServiceExportedName: "math",
 	}); err != nil {

@@ -119,20 +119,7 @@ func (n *Node) setupRemote() error {
 
 	// Broker delivery counters (replay hits/misses, suspensions, lagging
 	// subscriptions) surface per node alongside the provisioning metrics.
-	n.cluster.metrics.RegisterProvider("events:"+n.cfg.ID, func() map[string]any {
-		st := n.broker.Stats()
-		return map[string]any{
-			"published":    int64(st.Published),
-			"pushed":       int64(st.Pushed),
-			"lagging":      int64(st.Lagging),
-			"suspends":     int64(st.Suspends),
-			"resumes":      int64(st.Resumes),
-			"replayHits":   int64(st.ReplayHits),
-			"replayMisses": int64(st.ReplayMisses),
-			"retransmits":  int64(st.Retransmits),
-			"overflowed":   int64(st.Overflowed),
-		}
-	})
+	n.cluster.metrics.RegisterProvider("events:"+n.cfg.ID, n.broker.Provider())
 
 	transport := remote.NewNetsimTransport(n.cluster.eng, n.nic, n.cfg.IP,
 		remote.WithNetsimCallTimeout(RemoteCallTimeout),

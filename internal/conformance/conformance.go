@@ -106,23 +106,10 @@ func (h *harness) dial(t *testing.T) remote.PushConn {
 // synchronous send errors (e.g. remote.ErrFrameTooLarge) included.
 func (h *harness) invokeErr(t *testing.T, conn remote.Conn, service, method string, args ...any) (*remote.Response, error) {
 	t.Helper()
-	type outcome struct {
-		resp *remote.Response
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	err := conn.Call(&remote.Request{Service: service, Method: method, Args: args},
-		func(resp *remote.Response, err error) { ch <- outcome{resp.Retain(), err} })
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case o := <-ch:
-		return o.resp, o.err
-	case <-time.After(awaitTimeout):
-		t.Fatalf("%s: %s.%s: no completion within %v", h.tgt.Name, service, method, awaitTimeout)
-		return nil, nil
-	}
+	// The transport's own call timeout bounds the wait.
+	return remote.Await(func(cb func(*remote.Response, error)) error {
+		return conn.Call(&remote.Request{Service: service, Method: method, Args: args}, cb)
+	})
 }
 
 // invoke performs one call that must complete at the transport level
@@ -337,40 +324,28 @@ func (h *harness) subscribe(t *testing.T, service string, subID int64, filter st
 	if window != 0 {
 		args = append(args, window)
 	}
-	type outcome struct {
-		resp *remote.Response
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	err := conn.Call(&remote.Request{Service: service, Method: remote.MethodSubscribe, Args: args},
-		func(resp *remote.Response, err error) {
-			sink.noteResp()
-			ch <- outcome{resp.Retain(), err}
-		})
+	resp, err := remote.Await(func(cb func(*remote.Response, error)) error {
+		return conn.Call(&remote.Request{Service: service, Method: remote.MethodSubscribe, Args: args},
+			func(resp *remote.Response, err error) {
+				sink.noteResp()
+				cb(resp, err)
+			})
+	})
 	if err != nil {
-		t.Fatalf("%s: Subscribe send: %v", h.tgt.Name, err)
+		t.Fatalf("%s: Subscribe: %v", h.tgt.Name, err)
 	}
-	var o outcome
-	select {
-	case o = <-ch:
-	case <-time.After(awaitTimeout):
-		t.Fatalf("%s: Subscribe: no response within %v", h.tgt.Name, awaitTimeout)
+	if resp.Status != remote.StatusOK {
+		t.Fatalf("%s: Subscribe: status %d (%s)", h.tgt.Name, resp.Status, resp.Err)
 	}
-	if o.err != nil {
-		t.Fatalf("%s: Subscribe: %v", h.tgt.Name, o.err)
-	}
-	if o.resp.Status != remote.StatusOK {
-		t.Fatalf("%s: Subscribe: status %d (%s)", h.tgt.Name, o.resp.Status, o.resp.Err)
-	}
-	if len(o.resp.Results) != 2 {
+	if len(resp.Results) != 2 {
 		t.Fatalf("%s: Subscribe answered %d results, want [leaseMillis, replayWindow]",
-			h.tgt.Name, len(o.resp.Results))
+			h.tgt.Name, len(resp.Results))
 	}
-	lease, ok1 := o.resp.Results[0].(int64)
-	ring, ok2 := o.resp.Results[1].(int64)
+	lease, ok1 := resp.Results[0].(int64)
+	ring, ok2 := resp.Results[1].(int64)
 	if !ok1 || !ok2 {
 		t.Fatalf("%s: Subscribe results %T/%T, want int64/int64",
-			h.tgt.Name, o.resp.Results[0], o.resp.Results[1])
+			h.tgt.Name, resp.Results[0], resp.Results[1])
 	}
 	return conn, sink, lease, ring
 }

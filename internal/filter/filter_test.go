@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,11 @@ func TestParseErrors(t *testing.T) {
 		"(a*x=b)",
 		"(a>=*)",
 		"(a<=x*y)",
+		// An attribute cannot begin with an operator character: the parser
+		// reads these as composites with a malformed operand.
+		"(&=v)",
+		"(|=v)",
+		"(!=v)",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -164,7 +170,9 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 	clean := func(s string, max int) string {
 		var b strings.Builder
 		for _, r := range s {
-			if r > 0x20 && r < 0x7f && !strings.ContainsRune("()*\\=<>~", r) {
+			// No filter syntax — and none of & | !, which at the start of
+			// an attribute turn the comparison into a composite.
+			if r > 0x20 && r < 0x7f && !strings.ContainsRune("()*\\=<>~&|!", r) {
 				b.WriteRune(r)
 			}
 			if b.Len() >= max {
@@ -193,7 +201,8 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 		}
 		return f2.String() == f.String()
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))} // same inputs every run
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

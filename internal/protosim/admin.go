@@ -1,392 +1,145 @@
 package protosim
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"dosgi/internal/admin"
 	"dosgi/internal/provision"
-	"dosgi/internal/remote"
 	"dosgi/internal/services"
 )
 
-// The simulator's admin plane speaks the same line protocol dosgid does
-// — one command per connection line, response lines terminated by a
-// final "OK ..." or "ERR ..." — so dosgictl drives a simulator with no
-// code changes. Verbs that read cluster state (STATUS, EXPORTS, CALL,
-// SUBSCRIBE, REPO, METRICS, TRACE, HEALTH, ALERTS) behave like the
-// daemon's; lifecycle verbs that need a real framework (CREATE, DEPLOY,
-// ...) answer ERR; and the simulator adds NODES plus the FAULT
-// directive family documented in docs/PROTOCOL.md annex A.
+// The simulator's admin plane is internal/admin's server over the shared
+// verb table (QUIT EXPORTS CALL SUBSCRIBE METRICS TRACE HEALTH ALERTS —
+// the code dosgid serves them with), so dosgictl drives a simulator with
+// no code changes. What the simulator adds: STATUS and REPO over its
+// synthetic state, NODES, the FAULT directive family (docs/PROTOCOL.md
+// annex A), and an ERR pointing at dosgid for the lifecycle verbs that
+// need a real framework.
 
-// simSupportedVerbs is printed on an unknown command.
-const simSupportedVerbs = "STATUS NODES EXPORTS CALL SUBSCRIBE REPO METRICS TRACE HEALTH ALERTS FAULT QUIT"
-
-// subscribeTimeout bounds how long SUBSCRIBE waits for the requested
-// event count before answering with what arrived.
-const subscribeTimeout = 30 * time.Second
-
-// serveAdmin accepts admin connections until the listener closes.
-func (s *Sim) serveAdmin() {
-	for {
-		conn, err := s.adminLn.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.adminConns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serve(conn)
+// verbs is the simulator's own half of the admin verb table.
+func (s *Sim) verbs() []admin.Verb {
+	vs := []admin.Verb{
+		{Name: "STATUS", Run: s.status},
+		{Name: "NODES", Usage: "NODES [count]", Max: 1, Run: s.nodesVerb},
+		{Name: "REPO", Usage: "REPO [LIST]", Max: 1, Run: s.repoVerb},
+		{Name: "FAULT", Usage: faultUsage, Min: 1, Max: -1, Run: s.fault},
 	}
+	for _, name := range []string{"LIST", "CREATE", "START", "STOP", "DESTROY", "BUNDLES", "DEPLOY", "LOG"} {
+		vs = append(vs, admin.Verb{Name: name, Hidden: true,
+			Run: func([]string, *admin.Reply) (string, error) {
+				return "", fmt.Errorf("%s needs a real framework; dosgi-sim serves directory state only (supported: %s)",
+					name, strings.Join(s.admin.Names(), " "))
+			}})
+	}
+	return vs
 }
 
-func (s *Sim) serve(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.adminConns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	sc := bufio.NewScanner(conn)
-	// Mirror dosgid's cap: a CALL argument may be as large as a request
-	// frame allows; the 64 KiB Scanner default would drop the connection.
-	sc.Buffer(make([]byte, 64<<10), 32<<20)
-	out := bufio.NewWriter(conn)
-	reply := func(format string, args ...any) {
-		fmt.Fprintf(out, format+"\n", args...)
-		_ = out.Flush()
-	}
-	for sc.Scan() {
-		fields := splitCommand(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		cmd := strings.ToUpper(fields[0])
-		switch cmd {
-		case "QUIT":
-			reply("OK bye")
-			return
-		case "STATUS":
-			s.mu.Lock()
-			live := 0
-			for _, n := range s.nodes {
-				if n.state == nodeLive {
-					live++
-				}
-			}
-			eps := 0
-			for _, holders := range s.endpoints {
-				eps += len(holders)
-			}
-			reply("sim seed=%d nodes=%d live=%d services=%d endpoints=%d artifacts=%d shards=%d storm=%.1f/s remote=%s",
-				s.cfg.Seed, len(s.nodes), live, len(s.serviceNames), eps,
-				len(s.arts), s.router.Shards(), s.stormRate, s.remoteAddr)
-			s.mu.Unlock()
-			reply("OK")
-		case "NODES":
-			limit := -1
-			if len(fields) == 2 {
-				v, err := strconv.Atoi(fields[1])
-				if err != nil || v <= 0 {
-					reply("ERR count must be a positive integer")
-					continue
-				}
-				limit = v
-			} else if len(fields) > 2 {
-				reply("ERR usage: NODES [count]")
-				continue
-			}
-			s.mu.Lock()
-			rows := make([]string, 0, len(s.nodes))
-			for _, n := range s.nodes {
-				if limit >= 0 && len(rows) >= limit {
-					break
-				}
-				rows = append(rows, fmt.Sprintf("%s addr=%s state=%s services=%d artifacts=%d listener=%v",
-					n.name, n.addr, n.state, len(n.services), len(n.digests), n.listener))
-			}
-			total := len(s.nodes)
-			s.mu.Unlock()
-			for _, row := range rows {
-				reply("%s", row)
-			}
-			reply("OK %d of %d node(s)", len(rows), total)
-		case "EXPORTS":
-			names := s.exportNames()
-			for _, name := range names {
-				reply("%s", name)
-			}
-			reply("OK %d export(s)", len(names))
-		case "CALL":
-			if len(fields) < 3 {
-				reply("ERR usage: CALL <service> <method> [args...]")
-				continue
-			}
-			args := make([]any, 0, len(fields)-3)
-			for _, tok := range fields[3:] {
-				args = append(args, parseCallArg(tok))
-			}
-			results, err := s.invoker.Call(fields[1], fields[2], args...)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			for _, res := range results {
-				text := fmt.Sprintf("%v", res)
-				if strings.ContainsAny(text, "\n\r") {
-					text = strconv.Quote(text)
-				}
-				reply("= %s", text)
-			}
-			reply("OK %d result(s)", len(results))
-		case "SUBSCRIBE":
-			if len(fields) < 2 || len(fields) > 5 {
-				reply("ERR usage: SUBSCRIBE <count> [filter] [addr] [window]")
-				continue
-			}
-			count, err := strconv.Atoi(fields[1])
-			if err != nil || count <= 0 {
-				reply("ERR count must be a positive integer")
-				continue
-			}
-			filter := ""
-			if len(fields) >= 3 {
-				filter = strings.Trim(fields[2], `"`)
-			}
-			addr := s.remoteAddr
-			if len(fields) >= 4 {
-				addr = fields[3]
-			}
-			window := int64(0)
-			if len(fields) == 5 {
-				w, werr := strconv.ParseInt(fields[4], 10, 64)
-				if werr != nil || w < 0 {
-					reply("ERR window must be a non-negative integer")
-					continue
-				}
-				if w == 0 {
-					window = -1
-				} else {
-					window = w
-				}
-			}
-			n, err := s.streamEvents("", "EVENT", addr, filter, count, window, reply)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK %d event(s)", n)
-		case "REPO":
-			sub := "LIST"
-			if len(fields) > 1 {
-				sub = strings.ToUpper(fields[1])
-			}
-			if sub != "LIST" {
-				reply("ERR usage: REPO [LIST]")
-				continue
-			}
-			arts := s.store.List()
-			for _, art := range arts {
-				holders := s.ArtifactHolders(art.Digest)
-				reply("%s %.12s %dB chunks=%d signer=%s holders=%s",
-					art.Location, art.Digest, art.Size, art.Chunks, art.Signer,
-					strings.Join(holders, ","))
-			}
-			reply("OK %d artifact(s)", len(arts))
-		case "METRICS":
-			if len(fields) > 2 {
-				reply("ERR usage: METRICS [provider]")
-				continue
-			}
-			var lines []any
-			if len(fields) == 2 {
-				lines = s.metricsRd.Read(fields[1])
-			} else {
-				lines = s.metricsRd.Snapshot()
-			}
-			n := 0
-			for _, l := range lines {
-				if text, ok := l.(string); ok {
-					reply("local %s", text)
-					n++
-				}
-			}
-			reply("OK %d line(s)", n)
-		case "TRACE":
-			if len(fields) > 2 {
-				reply("ERR usage: TRACE [id]")
-				continue
-			}
-			if len(fields) == 1 {
-				lines := s.metricsRd.Recent(16)
-				for _, l := range lines {
-					reply("%v", l)
-				}
-				reply("OK %d trace(s)", len(lines))
-				continue
-			}
-			tid, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-			if err != nil || tid == 0 {
-				reply("ERR trace id must be hex (run TRACE with no argument for recent ids)")
-				continue
-			}
-			spans := s.plane.Tracer.Trace(tid)
-			for _, sp := range spans {
-				reply("= %s", sp.String())
-			}
-			reply("OK %d span(s)", len(spans))
-		case "HEALTH":
-			if len(fields) > 2 {
-				reply("ERR usage: HEALTH [node]")
-				continue
-			}
-			nodeFilter := ""
-			if len(fields) == 2 {
-				nodeFilter = fields[1]
-			}
-			s.mu.Lock()
-			keys := make([]string, 0, len(s.healthView))
-			for key, ev := range s.healthView {
-				if nodeFilter == "" || ev.Node == nodeFilter {
-					keys = append(keys, key)
-				}
-			}
-			sort.Strings(keys)
-			rows := make([]string, len(keys))
-			for i, key := range keys {
-				ev := s.healthView[key]
-				rows[i] = fmt.Sprintf("%s node=%s status=%s cause=%s",
-					ev.Service, ev.Node, ev.Addr, ev.Instance)
-			}
-			s.mu.Unlock()
-			for _, row := range rows {
-				reply("%s", row)
-			}
-			reply("OK %d record(s)", len(rows))
-		case "ALERTS":
-			if len(fields) >= 2 && strings.ToUpper(fields[1]) == "FOLLOW" {
-				count := 16
-				if len(fields) == 3 {
-					v, err := strconv.Atoi(fields[2])
-					if err != nil || v <= 0 {
-						reply("ERR count must be a positive integer")
-						continue
-					}
-					count = v
-				}
-				n, err := s.streamEvents(remote.HealthServiceName, "ALERT", s.remoteAddr, "", count, 0, reply)
-				if err != nil {
-					reply("ERR %v", err)
-					continue
-				}
-				reply("OK %d alert(s)", n)
-				continue
-			}
-			if len(fields) != 1 {
-				reply("ERR usage: ALERTS [FOLLOW [count]]")
-				continue
-			}
-			s.mu.Lock()
-			recent := append([]string(nil), s.alerts...)
-			s.mu.Unlock()
-			for _, row := range recent {
-				reply("%s", row)
-			}
-			reply("OK %d alert(s)", len(recent))
-		case "FAULT":
-			s.serveFault(fields, reply)
-		case "LIST", "CREATE", "START", "STOP", "DESTROY", "BUNDLES", "DEPLOY", "LOG":
-			reply("ERR %s needs a real framework; dosgi-sim serves directory state only (supported: %s)",
-				cmd, simSupportedVerbs)
-		default:
-			reply("ERR unknown command %s (supported: %s)", cmd, simSupportedVerbs)
-		}
-	}
+func (s *Sim) status(_ []string, out *admin.Reply) (string, error) {
+	s.mu.Lock()
+	live, eps := s.liveCountsLocked()
+	row := fmt.Sprintf("sim seed=%d nodes=%d live=%d services=%d endpoints=%d artifacts=%d shards=%d storm=%.1f/s remote=%s",
+		s.cfg.Seed, len(s.nodes), live, len(s.serviceNames), eps,
+		len(s.arts), s.router.Shards(), s.stormRate, s.remoteAddr)
+	s.mu.Unlock()
+	out.Row("%s", row)
+	return "", nil
 }
 
-// serveFault dispatches the FAULT directive family (PROTOCOL.md annex A).
-func (s *Sim) serveFault(fields []string, reply func(string, ...any)) {
-	const usage = "usage: FAULT KILL|REVIVE|PARTITION|HEAL <node> | FAULT DROP <n> | FAULT ROLL | FAULT STORM <rate> | FAULT HEALTH <node> <component> <status> [cause]"
-	if len(fields) < 2 {
-		reply("ERR %s", usage)
-		return
-	}
-	switch strings.ToUpper(fields[1]) {
-	case "KILL", "REVIVE", "PARTITION", "HEAL":
-		if len(fields) != 3 {
-			reply("ERR usage: FAULT %s <node>", strings.ToUpper(fields[1]))
-			return
-		}
+func (s *Sim) nodesVerb(args []string, out *admin.Reply) (string, error) {
+	limit := -1
+	if len(args) == 1 {
 		var err error
-		switch strings.ToUpper(fields[1]) {
-		case "KILL":
-			err = s.KillNode(fields[2])
-		case "REVIVE":
-			err = s.ReviveNode(fields[2])
-		case "PARTITION":
-			err = s.PartitionNode(fields[2])
-		default:
-			err = s.HealNode(fields[2])
+		if limit, err = admin.Count(args[0]); err != nil {
+			return "", err
 		}
-		if err != nil {
-			reply("ERR %v", err)
-			return
+	}
+	s.mu.Lock()
+	rows := make([]string, 0, len(s.nodes))
+	for _, n := range s.nodes {
+		if limit >= 0 && len(rows) >= limit {
+			break
 		}
-		reply("OK %s %s", strings.ToLower(fields[1]), fields[2])
+		rows = append(rows, fmt.Sprintf("%s addr=%s state=%s services=%d artifacts=%d listener=%v",
+			n.name, n.addr, n.state, len(n.services), len(n.digests), n.listener))
+	}
+	total := len(s.nodes)
+	s.mu.Unlock()
+	for _, row := range rows {
+		out.Row("%s", row)
+	}
+	return admin.OKf("%d of %d node(s)", len(rows), total)
+}
+
+func (s *Sim) repoVerb(args []string, out *admin.Reply) (string, error) {
+	if len(args) == 1 && !strings.EqualFold(args[0], "LIST") {
+		return "", admin.ErrUsage
+	}
+	arts := s.store.List()
+	for _, art := range arts {
+		out.Row("%s", admin.RepoListLine(art, s.ArtifactHolders(art.Digest)))
+	}
+	return admin.OKf("%d artifact(s)", len(arts))
+}
+
+const faultUsage = "FAULT KILL|REVIVE|PARTITION|HEAL <node> | FAULT DROP <n> | FAULT ROLL | FAULT STORM <rate> | FAULT HEALTH <node> <component> <status> [cause]"
+
+// fault dispatches the FAULT directive family (PROTOCOL.md annex A).
+func (s *Sim) fault(args []string, _ *admin.Reply) (string, error) {
+	directive, args := strings.ToUpper(args[0]), args[1:]
+	nodeOps := map[string]func(string) error{
+		"KILL": s.KillNode, "REVIVE": s.ReviveNode, "PARTITION": s.PartitionNode, "HEAL": s.HealNode,
+	}
+	if op, ok := nodeOps[directive]; ok {
+		if len(args) != 1 {
+			return "", fmt.Errorf("usage: FAULT %s <node>", directive)
+		}
+		if err := op(args[0]); err != nil {
+			return "", err
+		}
+		return admin.OKf("%s %s", strings.ToLower(directive), args[0])
+	}
+	switch directive {
 	case "DROP":
-		if len(fields) != 3 {
-			reply("ERR usage: FAULT DROP <n>")
-			return
+		if len(args) != 1 {
+			return "", errors.New("usage: FAULT DROP <n>")
 		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil || n <= 0 {
-			reply("ERR drop count must be a positive integer")
-			return
+		n, err := admin.Count(args[0])
+		if err != nil {
+			return "", err
 		}
 		s.DropPushes(n)
-		reply("OK next %d push(es) will drop", n)
+		return admin.OKf("next %d push(es) will drop", n)
 	case "ROLL":
-		if len(fields) != 2 {
-			reply("ERR usage: FAULT ROLL")
-			return
+		if len(args) != 0 {
+			return "", errors.New("usage: FAULT ROLL")
 		}
-		n := s.RollWindows()
-		reply("OK rolled replay windows past %d suppressed event(s)", n)
+		return admin.OKf("rolled replay windows past %d suppressed event(s)", s.RollWindows())
 	case "STORM":
-		if len(fields) != 3 {
-			reply("ERR usage: FAULT STORM <eventsPerSecond>")
-			return
+		if len(args) != 1 {
+			return "", errors.New("usage: FAULT STORM <eventsPerSecond>")
 		}
-		rate, err := strconv.ParseFloat(fields[2], 64)
+		rate, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || rate < 0 {
-			reply("ERR rate must be a non-negative number")
-			return
+			return "", errors.New("rate must be a non-negative number")
 		}
 		s.SetStormRate(rate)
-		reply("OK storm at %.1f event(s)/s", rate)
+		return admin.OKf("storm at %.1f event(s)/s", rate)
 	case "HEALTH":
-		if len(fields) < 5 {
-			reply("ERR usage: FAULT HEALTH <node> <component> <status> [cause]")
-			return
+		if len(args) < 3 {
+			return "", errors.New("usage: FAULT HEALTH <node> <component> <status> [cause]")
 		}
-		cause := strings.Trim(strings.Join(fields[5:], " "), `"`)
-		status := fields[4]
+		status := args[2]
 		if strings.EqualFold(status, "CLEAR") {
 			status = ""
 		}
-		s.SetHealth(fields[2], fields[3], status, cause)
-		reply("OK health %s@%s", fields[3], fields[2])
+		s.SetHealth(args[0], args[1], status, strings.Trim(strings.Join(args[3:], " "), `"`))
+		return admin.OKf("health %s@%s", args[1], args[0])
 	default:
-		reply("ERR %s", usage)
+		return "", admin.ErrUsage
 	}
 }
 
@@ -404,87 +157,4 @@ func (s *Sim) exportNames() []string {
 	names = append(names, "echo", services.MetricsRemoteName, provision.ServiceName)
 	sort.Strings(names)
 	return names
-}
-
-// streamEvents subscribes to addr's event stream — service "" for
-// dosgi.events, remote.HealthServiceName for the alert stream — and
-// emits up to count events as "<label> ..." lines, exactly as dosgid's
-// admin plane does.
-func (s *Sim) streamEvents(service, label, addr, filter string, count int, window int64, reply func(string, ...any)) (int, error) {
-	events := make(chan remote.ServiceEvent, 64)
-	sub, err := remote.NewSubscriber(remote.SubscriberConfig{
-		Transport: s.transport,
-		Sched:     s.sched,
-		Service:   service,
-		Addrs:     []string{addr},
-		Filter:    filter,
-		Window:    window,
-		OnEvent: func(ev remote.ServiceEvent) {
-			select {
-			case events <- ev:
-			default: // an overwhelmed admin client drops, not deadlocks
-			}
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer sub.Close()
-	deadline := time.NewTimer(subscribeTimeout)
-	defer deadline.Stop()
-	received := 0
-	for received < count {
-		select {
-		case ev := <-events:
-			reply("%s %s %s node=%s addr=%s instance=%s seq=%d",
-				label, ev.Type, ev.Service, ev.Node, ev.Addr, ev.Instance, ev.Seq)
-			received++
-		case <-deadline.C:
-			return received, nil
-		}
-	}
-	return received, nil
-}
-
-// parseCallArg maps a CLI token to a wire value: int64, float64, bool,
-// then string. Double quotes force string and allow embedded spaces —
-// the same mapping dosgid's admin plane applies.
-func parseCallArg(tok string) any {
-	if v, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return v
-	}
-	if v, err := strconv.ParseFloat(tok, 64); err == nil {
-		return v
-	}
-	if v, err := strconv.ParseBool(tok); err == nil {
-		return v
-	}
-	return strings.Trim(tok, `"`)
-}
-
-// splitCommand tokenizes an admin line like strings.Fields but keeps
-// double-quoted segments — quotes included, so parseCallArg still sees
-// them — intact.
-func splitCommand(line string) []string {
-	var out []string
-	var cur strings.Builder
-	inQuote := false
-	for _, r := range line {
-		switch {
-		case r == '"':
-			inQuote = !inQuote
-			cur.WriteRune(r)
-		case !inQuote && (r == ' ' || r == '\t'):
-			if cur.Len() > 0 {
-				out = append(out, cur.String())
-				cur.Reset()
-			}
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
-	}
-	return out
 }

@@ -206,18 +206,6 @@ func (s *Sim) KillNode(name string) error {
 			Type: remote.ServiceUnregistering, Service: svc, Node: name, Addr: n.addr,
 		})
 	}
-	var healthEvs []remote.ServiceEvent
-	for _, comp := range healthComponents {
-		key := comp + "@" + name
-		prev, known := s.healthView[key]
-		if !known {
-			continue
-		}
-		delete(s.healthView, key)
-		prev.Type = remote.ServiceUnregistering
-		s.noteAlertLocked(prev)
-		healthEvs = append(healthEvs, prev)
-	}
 	s.mu.Unlock()
 
 	if srv != nil {
@@ -226,8 +214,8 @@ func (s *Sim) KillNode(name string) error {
 	for _, ev := range evs {
 		s.broker.Publish(ev)
 	}
-	for _, ev := range healthEvs {
-		s.healthBroker.Publish(ev)
+	for _, comp := range healthComponents {
+		s.SetHealth(name, comp, "", "")
 	}
 	return nil
 }
@@ -259,17 +247,6 @@ func (s *Sim) ReviveNode(name string) error {
 			Type: remote.ServiceRegistered, Service: svc, Node: name, Addr: addr,
 		})
 	}
-	var healthEvs []remote.ServiceEvent
-	for _, comp := range healthComponents {
-		ev := remote.ServiceEvent{
-			Type: remote.ServiceRegistered, Service: comp, Node: name, Addr: "OK",
-		}
-		s.healthView[comp+"@"+name] = remote.ServiceEvent{
-			Service: comp, Node: name, Addr: "OK",
-		}
-		s.noteAlertLocked(ev)
-		healthEvs = append(healthEvs, ev)
-	}
 	s.mu.Unlock()
 
 	if relisten {
@@ -280,8 +257,8 @@ func (s *Sim) ReviveNode(name string) error {
 	for _, ev := range evs {
 		s.broker.Publish(ev)
 	}
-	for _, ev := range healthEvs {
-		s.healthBroker.Publish(ev)
+	for _, comp := range healthComponents {
+		s.SetHealth(name, comp, "OK", "")
 	}
 	return nil
 }

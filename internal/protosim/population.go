@@ -96,61 +96,21 @@ func (s *Sim) buildPopulation() error {
 				ev.Addr = "DEGRADED"
 				ev.Instance = "sim: synthetic load"
 			}
-			s.healthView[comp+"@"+n.name] = ev
+			s.health.Apply(ev)
 		}
 	}
 	return nil
 }
 
 // SetHealth folds one health observation into the simulator's view with
-// the daemon's exactly-once semantics: an unchanged (status, cause) pair
-// is suppressed, a change publishes exactly one alert (REGISTERED for a
-// new component@node subject, MODIFIED for a transition), and empty
-// status withdraws the record with an UNREGISTERING alert.
+// the daemon's exactly-once semantics (admin.HealthView.Apply); an empty
+// status withdraws the record.
 func (s *Sim) SetHealth(node, component, status, cause string) {
-	key := component + "@" + node
 	ev := remote.ServiceEvent{Service: component, Node: node, Addr: status, Instance: cause}
-
-	s.mu.Lock()
-	prev, known := s.healthView[key]
 	if status == "" {
-		if !known {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.healthView, key)
-		ev = prev
 		ev.Type = remote.ServiceUnregistering
-	} else if known && prev.Addr == status && prev.Instance == cause {
-		s.mu.Unlock()
-		return
-	} else {
-		ev.Type = remote.ServiceModified
-		if !known {
-			ev.Type = remote.ServiceRegistered
-		}
-		s.healthView[key] = remote.ServiceEvent{
-			Service: component, Node: node, Addr: status, Instance: cause,
-		}
 	}
-	s.noteAlertLocked(ev)
-	s.mu.Unlock()
-
-	s.healthBroker.Publish(ev)
-}
-
-// noteAlertLocked appends one line to the bounded alert log. Callers
-// hold s.mu.
-func (s *Sim) noteAlertLocked(ev remote.ServiceEvent) {
-	line := fmt.Sprintf("%s %s@%s %s", ev.Type, ev.Service, ev.Node, ev.Addr)
-	if ev.Instance != "" {
-		line += " cause=" + ev.Instance
-	}
-	const maxAlerts = 256
-	s.alerts = append(s.alerts, line)
-	if len(s.alerts) > maxAlerts {
-		s.alerts = s.alerts[len(s.alerts)-maxAlerts:]
-	}
+	s.health.Apply(ev)
 }
 
 // randomLiveEndpointLocked picks a seeded-random live (service, node)

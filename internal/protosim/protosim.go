@@ -14,9 +14,10 @@
 // remote.EventBrokers (dosgi.events + dosgi.health) and a real
 // provision.Store that a dosgid daemon uses — only the populations
 // behind them are synthetic. The admin line protocol dosgictl speaks is
-// served beside the binary listener, so every dosgictl verb that reads
-// state (EXPORTS, CALL, SUBSCRIBE, REPO LIST, METRICS, HEALTH, ALERTS)
-// works against a simulator unchanged.
+// served beside the binary listener by the same internal/admin server
+// and shared verb handlers, so every dosgictl verb that reads state
+// (EXPORTS, CALL, SUBSCRIBE, REPO LIST, METRICS, HEALTH, ALERTS) works
+// against a simulator unchanged.
 //
 // The same move vcsim made for vSphere: clients are developed and
 // soak-tested against production-scale cluster state on a laptop, and
@@ -33,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"dosgi/internal/admin"
 	"dosgi/internal/clock"
 	"dosgi/internal/migrate"
 	"dosgi/internal/obs"
@@ -188,16 +190,16 @@ type Sim struct {
 	metrics   *services.MetricsService
 	metricsRd *services.MetricsRemote
 
-	broker       *remote.EventBroker
-	healthBroker *remote.EventBroker
-	router       migrate.ShardRouter
-	faults       *faultInjector
-	echo         simEcho
-	store        *provision.Store
+	broker *remote.EventBroker
+	health *admin.HealthView // the synthetic fleet's records + the dosgi.health broker
+	router migrate.ShardRouter
+	faults *faultInjector
+	store  *provision.Store
 
 	remoteSrv  *remote.TCPServer
 	remoteAddr string
 	adminLn    net.Listener
+	admin      *admin.Server
 
 	transport *remote.TCPTransport
 	pool      *remote.Pool
@@ -210,14 +212,11 @@ type Sim struct {
 	serviceNames []string                       // sorted
 	endpoints    map[string]map[string]struct{} // service → live holder node names
 	arts         []provision.Artifact
-	healthView   map[string]remote.ServiceEvent // "component@node" → record
-	alerts       []string
 	rng          *rand.Rand
 	stormRate    float64
 	stormCarry   float64
 	stormTimer   clock.Timer
 	chunkGate    func(node, digest string, index int64) bool
-	adminConns   map[net.Conn]struct{}
 }
 
 // New builds the populations, starts every listener and returns the
@@ -225,43 +224,36 @@ type Sim struct {
 func New(cfg Config) (*Sim, error) {
 	cfg.fill()
 	s := &Sim{
-		cfg:        cfg,
-		sched:      clock.NewReal(),
-		store:      provision.NewStore(),
-		byName:     make(map[string]*simNode),
-		endpoints:  make(map[string]map[string]struct{}),
-		healthView: make(map[string]remote.ServiceEvent),
-		adminConns: make(map[net.Conn]struct{}),
-		router:     migrate.NewShardRouter(cfg.Shards),
-		faults:     newFaultInjector(),
+		cfg:       cfg,
+		sched:     clock.NewReal(),
+		store:     provision.NewStore(),
+		byName:    make(map[string]*simNode),
+		endpoints: make(map[string]map[string]struct{}),
+		router:    migrate.NewShardRouter(cfg.Shards),
+		faults:    newFaultInjector(),
 	}
-	if err := s.buildPopulation(); err != nil {
-		s.sched.Stop()
-		return nil, err
-	}
-
 	s.plane = obs.NewPlane("sim", s.sched.Now)
 	s.metrics = services.NewMetricsService()
 	s.metricsRd = services.NewMetricsRemote(s.metrics, s.plane.Tracer.Store())
 
+	// Both brokers share the window, ring layout and lease; the health
+	// one exists before the population is built because the population's
+	// health records are folded into its view.
 	brokerOpts := []remote.BrokerOption{
-		remote.WithEventSnapshot(s.endpointSnapshot),
-		remote.WithReplayWindow(cfg.ReplayWindow),
-		remote.WithBrokerAckHistogram(s.plane.EventAckLag),
-		remote.WithReplayRingShards(s.router.Shards(), s.router.Shard),
-	}
-	healthOpts := []remote.BrokerOption{
-		remote.WithBrokerService(remote.HealthServiceName),
-		remote.WithEventSnapshot(s.healthSnapshot),
 		remote.WithReplayWindow(cfg.ReplayWindow),
 		remote.WithReplayRingShards(s.router.Shards(), s.router.Shard),
 	}
 	if cfg.Lease > 0 {
 		brokerOpts = append(brokerOpts, remote.WithEventLease(cfg.Lease))
-		healthOpts = append(healthOpts, remote.WithEventLease(cfg.Lease))
 	}
-	s.broker = remote.NewEventBroker(s.sched, brokerOpts...)
-	s.healthBroker = remote.NewEventBroker(s.sched, healthOpts...)
+	s.health = admin.NewHealthView(s.sched, brokerOpts...)
+	s.broker = remote.NewEventBroker(s.sched, append(brokerOpts,
+		remote.WithEventSnapshot(s.endpointSnapshot),
+		remote.WithBrokerAckHistogram(s.plane.EventAckLag))...)
+	if err := s.buildPopulation(); err != nil {
+		s.sched.Stop()
+		return nil, err
+	}
 
 	remoteLn, err := net.Listen("tcp", cfg.RemoteAddr)
 	if err != nil {
@@ -297,7 +289,14 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s.adminLn = adminLn
-	go s.serveAdmin()
+	shared := &admin.Backend{
+		Invoker: s.invoker, Transport: s.transport, Sched: s.sched, Self: s.remoteAddr,
+		Exports: s.exportNames,
+		Metrics: s.metricsRd, Tracer: s.plane.Tracer,
+		Health: s.health,
+	}
+	s.admin = admin.NewServer(s.verbs(), shared.Verbs())
+	go func() { _ = s.admin.Serve(adminLn) }() // returns when Close closes the listener
 
 	if cfg.StormRate > 0 {
 		s.SetStormRate(cfg.StormRate)
@@ -316,7 +315,7 @@ func (s *Sim) handlerFor(node *simNode) remote.Handler {
 	disp := remote.NewDispatcher(&simSource{s: s, node: nodeName},
 		remote.WithDispatcherTracer(s.plane.Tracer))
 	return &faultHandler{
-		inner:  remote.NewEventDispatcher(disp, s.broker, s.healthBroker),
+		inner:  remote.NewEventDispatcher(disp, s.broker, s.health.Broker()),
 		faults: s.faults,
 	}
 }
@@ -335,22 +334,27 @@ func (s *Sim) listenNode(n *simNode, addr string) error {
 	return nil
 }
 
+// liveCountsLocked counts the live nodes and the live endpoint records —
+// what STATUS and sim:cluster both report. Callers hold s.mu.
+func (s *Sim) liveCountsLocked() (live, endpoints int) {
+	for _, n := range s.nodes {
+		if n.state == nodeLive {
+			live++
+		}
+	}
+	for _, holders := range s.endpoints {
+		endpoints += len(holders)
+	}
+	return live, endpoints
+}
+
 // registerProviders wires the simulator's metrics providers.
 func (s *Sim) registerProviders() {
 	s.metrics.RegisterProvider("obs:self", s.plane.Provider())
 	s.metrics.RegisterProvider("sim:cluster", func() map[string]any {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		live := 0
-		for _, n := range s.nodes {
-			if n.state == nodeLive {
-				live++
-			}
-		}
-		eps := 0
-		for _, holders := range s.endpoints {
-			eps += len(holders)
-		}
+		live, eps := s.liveCountsLocked()
 		return map[string]any{
 			"nodes": len(s.nodes), "live": live,
 			"services": len(s.serviceNames), "endpoints": eps,
@@ -370,22 +374,8 @@ func (s *Sim) registerProviders() {
 		}
 		return out
 	})
-	s.metrics.RegisterProvider("events:sim", brokerProvider(s.broker))
-	s.metrics.RegisterProvider("health:sim", brokerProvider(s.healthBroker))
-}
-
-// brokerProvider adapts an EventBroker's stats to a metrics provider.
-func brokerProvider(b *remote.EventBroker) func() map[string]any {
-	return func() map[string]any {
-		st := b.Stats()
-		return map[string]any{
-			"published": st.Published, "pushed": st.Pushed,
-			"lagging": st.Lagging, "suspends": st.Suspends,
-			"resumes": st.Resumes, "replayHits": st.ReplayHits,
-			"replayMisses": st.ReplayMisses, "retransmits": st.Retransmits,
-			"overflowed": st.Overflowed, "subscribers": b.SubscriberCount(),
-		}
-	}
+	s.metrics.RegisterProvider("events:sim", s.broker.Provider())
+	s.metrics.RegisterProvider("health:sim", s.health.Broker().Provider())
 }
 
 // ShardOf returns the directory shard a record key routes to under the
@@ -501,18 +491,11 @@ func (s *Sim) Close() {
 			n.srv = nil
 		}
 	}
-	adminLn := s.adminLn
-	conns := make([]net.Conn, 0, len(s.adminConns))
-	for c := range s.adminConns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
 
-	if adminLn != nil {
-		_ = adminLn.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
+	if s.adminLn != nil {
+		_ = s.adminLn.Close()
+		s.admin.Close()
 	}
 	if s.pool != nil {
 		s.pool.Close()
@@ -553,24 +536,6 @@ func (s *Sim) endpointSnapshot() []remote.ServiceEvent {
 	return evs
 }
 
-// healthSnapshot feeds the health broker's resync, sorted like dosgid's.
-func (s *Sim) healthSnapshot() []remote.ServiceEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	evs := make([]remote.ServiceEvent, 0, len(s.healthView))
-	for _, ev := range s.healthView {
-		ev.Type = ""
-		evs = append(evs, ev)
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Node != evs[j].Node {
-			return evs[i].Node < evs[j].Node
-		}
-		return evs[i].Service < evs[j].Service
-	})
-	return evs
-}
-
 // lookupServiceLocked reports whether name is currently served (the
 // simulator's own exports or a synthetic service with a live replica).
 func (s *Sim) lookupServiceLocked(name string) bool {
@@ -595,7 +560,7 @@ type simSource struct {
 func (src *simSource) Lookup(name string) (any, bool) {
 	switch name {
 	case "echo":
-		return src.s.echo, true
+		return services.Echo{}, true
 	case services.MetricsRemoteName:
 		return src.s.metricsRd, true
 	case provision.ServiceName:
@@ -604,7 +569,7 @@ func (src *simSource) Lookup(name string) (any, bool) {
 	src.s.mu.Lock()
 	defer src.s.mu.Unlock()
 	if len(src.s.endpoints[name]) > 0 {
-		return src.s.echo, true
+		return services.Echo{}, true
 	}
 	return nil, false
 }

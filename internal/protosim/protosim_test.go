@@ -1,12 +1,14 @@
 package protosim
 
 import (
-	"bufio"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"dosgi/internal/admin"
 )
 
 // adminCmd sends one admin line and returns the response lines up to and
@@ -19,22 +21,12 @@ func adminCmd(t *testing.T, addr, command string) []string {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s\n", command); err != nil {
-		t.Fatal(err)
-	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var lines []string
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 32<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		lines = append(lines, line)
-		if strings.HasPrefix(line, "OK") || strings.HasPrefix(line, "ERR") {
-			return lines
-		}
+	if _, err := admin.Exchange(conn, command, func(l string) { lines = append(lines, l) }); err != nil {
+		t.Fatalf("no terminator in response to %q: %q (err=%v)", command, lines, err)
 	}
-	t.Fatalf("no terminator in response to %q: %q (err=%v)", command, lines, sc.Err())
-	return nil
+	return lines
 }
 
 func lastLine(lines []string) string { return lines[len(lines)-1] }
@@ -317,5 +309,32 @@ func TestSimShardedPopulation(t *testing.T) {
 	}
 	if counted != len(hit) {
 		t.Fatalf("sim:shards reported %d of %d shard counts: %q", counted, len(hit), lines)
+	}
+}
+
+// TestAnnexBListsSimVerbs fails when a verb of the simulator's own table,
+// or its usage string, is missing from the protocol annex.
+func TestAnnexBListsSimVerbs(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, annex, ok := strings.Cut(string(doc), "## Annex B.")
+	if !ok {
+		t.Fatal("docs/PROTOCOL.md has no Annex B")
+	}
+	sim, err := New(Config{Nodes: 4, Artifacts: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	for _, v := range sim.verbs() {
+		want := v.Usage
+		if want == "" {
+			want = v.Name
+		}
+		if !strings.Contains(annex, fmt.Sprintf("`%s`", want)) {
+			t.Errorf("annex B does not list `%s`", want)
+		}
 	}
 }

@@ -3,72 +3,9 @@ package protosim
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
-	"time"
 
 	"dosgi/internal/manifest"
 )
-
-// simEcho is the invocation target behind "echo" and every synthetic
-// service — the simulator fakes a service's existence, not its business
-// logic, so one reflective implementation answers them all. The method
-// set mirrors dosgid's echo service (Upper/Reverse/Add/Sleep) plus the
-// probe methods the conformance suite drives: Echo (variadic value
-// round-trip), Boom (handler panic containment), Weird (unencodable
-// result degradation) and Blob (response size-limit degradation).
-type simEcho struct{}
-
-// Upper returns s upper-cased.
-func (simEcho) Upper(s string) string { return strings.ToUpper(s) }
-
-// Reverse returns s reversed rune-by-rune.
-func (simEcho) Reverse(s string) string {
-	r := []rune(s)
-	for i, j := 0, len(r)-1; i < j; i, j = i+1, j-1 {
-		r[i], r[j] = r[j], r[i]
-	}
-	return string(r)
-}
-
-// Add sums two integers.
-func (simEcho) Add(a, b int64) int64 { return a + b }
-
-// Sleep blocks for ms milliseconds then reports it — the pipelining
-// probe: a Sleep issued before a fast call completes after it on one
-// connection.
-func (simEcho) Sleep(ms int64) string {
-	time.Sleep(time.Duration(ms) * time.Millisecond)
-	return fmt.Sprintf("slept %dms", ms)
-}
-
-// Echo returns its arguments unchanged — the codec round-trip probe for
-// every wire value shape (§5).
-func (simEcho) Echo(vs ...any) []any { return vs }
-
-// Boom panics — the §7 containment probe: the dispatcher must convert
-// the panic into an application error on this call's correlation id,
-// not kill the connection.
-func (simEcho) Boom() string { panic("echo: boom") }
-
-// Weird returns a value the wire codec cannot encode — the §7
-// degradation probe: the reply must be an application error, not a
-// dropped response.
-func (simEcho) Weird() map[string]string { return map[string]string{"un": "encodable"} }
-
-// Blob returns n bytes — with n past the frame limit, the §7 response
-// size probe: an executed call whose result cannot travel must degrade
-// to an application error on the same correlation id.
-func (simEcho) Blob(n int64) ([]byte, error) {
-	const maxBlob = 24 << 20
-	if n < 0 || n > maxBlob {
-		return nil, fmt.Errorf("blob size %d out of range [0, %d]", n, maxBlob)
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	return b, nil
-}
 
 // repoView serves dosgi.provision over the simulator's synthetic
 // artifact store. node "" is the primary listener's cluster-wide union;

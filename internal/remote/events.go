@@ -526,6 +526,26 @@ func (b *EventBroker) Stats() EventBrokerStats {
 	return st
 }
 
+// Provider exposes the delivery counters and the live subscription count
+// as a metrics attribute source.
+func (b *EventBroker) Provider() func() map[string]any {
+	return func() map[string]any {
+		st := b.Stats()
+		return map[string]any{
+			"published":    int64(st.Published),
+			"pushed":       int64(st.Pushed),
+			"lagging":      int64(st.Lagging),
+			"suspends":     int64(st.Suspends),
+			"resumes":      int64(st.Resumes),
+			"replayHits":   int64(st.ReplayHits),
+			"replayMisses": int64(st.ReplayMisses),
+			"retransmits":  int64(st.Retransmits),
+			"overflowed":   int64(st.Overflowed),
+			"subscribers":  int64(b.SubscriberCount()),
+		}
+	}
+}
+
 // SubscriberCount returns the live subscription count (tests, metrics).
 func (b *EventBroker) SubscriberCount() int {
 	b.mu.Lock()

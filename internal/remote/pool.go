@@ -182,6 +182,34 @@ func (p *Pool) Invoke(addr string, req *Request, cb func(*Response, error)) erro
 	return p.callOn(conn, addr, req, cb)
 }
 
+// Call is the blocking form of Invoke: it sends req to addr, waits for the
+// completion and returns the response retained, so it stays valid after
+// the transport recycles the frame. Never call it from a completion
+// callback or a scheduler callback — it would block the goroutine that
+// has to deliver the answer.
+func (p *Pool) Call(addr string, req *Request) (*Response, error) {
+	return Await(func(cb func(*Response, error)) error { return p.Invoke(addr, req, cb) })
+}
+
+// Await runs send — a Conn.Call or Pool.Invoke with its request bound —
+// and blocks until the completion callback it was handed fires,
+// returning the response retained. A synchronous send error is returned
+// as is (the callback never fires then).
+func Await(send func(cb func(*Response, error)) error) (*Response, error) {
+	type outcome struct {
+		resp *Response
+		err  error
+	}
+	ch := make(chan outcome, 1)
+	if err := send(func(resp *Response, err error) {
+		ch <- outcome{resp.Retain(), err} // read after the callback returns
+	}); err != nil {
+		return nil, err
+	}
+	o := <-ch
+	return o.resp, o.err
+}
+
 // bestLocked returns the least-loaded connection with a free in-flight
 // slot, or nil. Load is the pool's reservation count, not Conn.InFlight,
 // so selection and reservation stay atomic under p.mu.

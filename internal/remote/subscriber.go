@@ -181,7 +181,7 @@ func (s *Subscriber) Close() {
 		return
 	}
 	s.closed = true
-	conn := s.conn
+	conn, subID := s.conn, s.subID
 	s.conn = nil
 	s.connected = ""
 	if s.renew != nil {
@@ -190,6 +190,11 @@ func (s *Subscriber) Close() {
 	}
 	s.mu.Unlock()
 	if conn != nil {
+		// Best effort, written before the close: the broker forgets the
+		// subscription now instead of holding it (and counting it) until
+		// its lease runs out or a push fails.
+		_ = conn.Call(&Request{Service: s.cfg.Service, Method: MethodUnsubscribe, Args: []any{subID}},
+			func(*Response, error) {})
 		_ = conn.Close()
 	}
 }
