@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance bench bench-module bench-json bench-load ab loc check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance fuzz-smoke bench bench-module bench-json bench-load ab loc check
 
 all: check
 
@@ -63,6 +63,18 @@ test-chaos:
 # checks pins both, under the race detector.
 test-conformance:
 	$(GO) test -race -count=1 -run 'TestConformance' ./cmd/dosgid ./internal/protosim -v
+
+# A short native-fuzzing pass: every `func Fuzz` in the root module for
+# 10 s each (`go test -fuzz` takes one target per run). A failure leaves
+# its input under the package's testdata/fuzz, where `go test` replays it.
+fuzz-smoke:
+	@grep -rl --include='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build '^func Fuzz' . | sort | \
+	while read -r file; do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
+			echo "fuzz $$fn in $$(dirname "$$file")"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 10s "$$(dirname "$$file")" || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run XXX .

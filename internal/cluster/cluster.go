@@ -368,11 +368,11 @@ func (c *Cluster) ensureBaseDefinitions() {
 // directoryProvider exposes the unified replicated directory's
 // per-family counters: wire messages applied, exact deltas emitted,
 // silent (converged) resyncs, dead-holder prunes and filtered mutations
-// — one attribute set per record family, prefixed.
+// — one attribute set per record family, prefixed with the family name.
 func directoryProvider(mod *migrate.Module) func() map[string]any {
 	return func() map[string]any {
-		out := make(map[string]any, 27)
-		add := func(prefix string, st migrate.FamilyStats) {
+		out := make(map[string]any, 28)
+		for prefix, st := range mod.DirectoryStats() {
 			out[prefix+"Puts"] = st.Puts
 			out[prefix+"Removes"] = st.Removes
 			out[prefix+"Syncs"] = st.Syncs
@@ -383,9 +383,6 @@ func directoryProvider(mod *migrate.Module) func() map[string]any {
 			out[prefix+"Pruned"] = st.Pruned
 			out[prefix+"Filtered"] = st.Filtered
 		}
-		add("endpoint", mod.EndpointStats())
-		add("artifact", mod.ArtifactStats())
-		add("health", mod.HealthStats())
 		out["shards"] = int64(mod.ShardCount())
 		return out
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -165,4 +167,39 @@ func TestShardedCoordinatorsSpread(t *testing.T) {
 		t.Fatalf("all %d shard coordinators landed on one node: %v", shards, coords)
 	}
 	t.Logf("coordinator spread over %d shards: %v", shards, coords)
+}
+
+// TestDirectoryProviderAttributes pins the directory:<node> metrics
+// provider's exact attribute set at 1 and 4 shards: nine int64 counters
+// per record family, prefixed with the family name, plus the shard count.
+func TestDirectoryProviderAttributes(t *testing.T) {
+	var want []string
+	for _, family := range []string{"endpoint", "artifact", "health"} {
+		for _, counter := range []string{"Puts", "Removes", "Syncs", "Added", "Updated", "Removed", "SilentSyncs", "Pruned", "Filtered"} {
+			want = append(want, family+counter)
+		}
+	}
+	want = append(want, "shards")
+	sort.Strings(want)
+	for _, shards := range []int{1, 4} {
+		c := newShardedCluster(t, 2, shards)
+		attrs, ok := c.Metrics().Read("directory:" + c.Nodes()[0].ID())
+		if !ok {
+			t.Fatalf("shards=%d: no directory provider", shards)
+		}
+		got := make([]string, 0, len(attrs))
+		for name, v := range attrs {
+			got = append(got, name)
+			if _, ok := v.(int64); !ok {
+				t.Fatalf("shards=%d: %s = %T, want int64", shards, name, v)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: attributes\n got %v\nwant %v", shards, got, want)
+		}
+		if attrs["shards"] != int64(shards) {
+			t.Fatalf("shards attribute = %v, want %d", attrs["shards"], shards)
+		}
+	}
 }

@@ -14,9 +14,9 @@ func art(digest, node string) ArtifactInfo {
 
 func TestDirectoryArtifactRecords(t *testing.T) {
 	d := NewDirectory()
-	d.PutArtifact(art("aaa", "n2"))
-	d.PutArtifact(art("aaa", "n1"))
-	d.PutArtifact(art("bbb", "n1"))
+	d.artifacts.put(art("aaa", "n2"))
+	d.artifacts.put(art("aaa", "n1"))
+	d.artifacts.put(art("bbb", "n1"))
 
 	got := d.ArtifactReplicas("aaa")
 	want := []ArtifactInfo{art("aaa", "n1"), art("aaa", "n2")}
@@ -39,33 +39,33 @@ func TestDirectoryArtifactRecords(t *testing.T) {
 		t.Fatalf("Artifacts() = %+v", all)
 	}
 
-	d.RemoveArtifact("aaa", "n2")
+	d.artifacts.remove("aaa", "n2")
 	if got := d.ArtifactReplicas("aaa"); len(got) != 1 {
 		t.Fatalf("after RemoveArtifact = %+v", got)
 	}
-	d.RemoveArtifactsOf("n1")
+	d.artifacts.prune(map[string]bool{"n2": true}, nil)
 	if got := d.Artifacts(); len(got) != 0 {
 		t.Fatalf("after RemoveArtifactsOf = %+v", got)
 	}
 	// Removing from an empty directory is a no-op.
-	d.RemoveArtifact("ghost", "n1")
-	d.RemoveArtifactsOf("n9")
+	d.artifacts.remove("ghost", "n1")
+	d.artifacts.prune(map[string]bool{"n1": true, "n2": true}, nil)
 }
 
 func TestDirectoryReplaceArtifactsOf(t *testing.T) {
 	d := NewDirectory()
-	if existed := d.PutArtifact(art("aaa", "n1")); existed {
+	if existed := d.artifacts.put(art("aaa", "n1")); existed {
 		t.Fatal("first put reported existing")
 	}
-	if existed := d.PutArtifact(art("aaa", "n1")); !existed {
+	if existed := d.artifacts.put(art("aaa", "n1")); !existed {
 		t.Fatal("re-put did not report existing")
 	}
-	d.PutArtifact(art("bbb", "n1"))
-	d.PutArtifact(art("aaa", "n2"))
+	d.artifacts.put(art("bbb", "n1"))
+	d.artifacts.put(art("aaa", "n2"))
 
 	// The anti-entropy resync: n1 now holds only ccc; its stale aaa/bbb
 	// records vanish, other nodes' records survive. Deltas are exact.
-	added, updated, removed := d.ReplaceArtifactsOf("n1", []ArtifactInfo{art("ccc", "n1")})
+	added, updated, removed := d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")}, nil)
 	if len(added) != 1 || added[0].Digest != "ccc" {
 		t.Fatalf("added = %+v", added)
 	}
@@ -81,20 +81,20 @@ func TestDirectoryReplaceArtifactsOf(t *testing.T) {
 	}
 	// Identical replay: no deltas at all — the property that makes
 	// periodic artifact anti-entropy silent when converged.
-	added, updated, removed = d.ReplaceArtifactsOf("n1", []ArtifactInfo{art("ccc", "n1")})
+	added, updated, removed = d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")}, nil)
 	if len(added)+len(updated)+len(removed) != 0 {
 		t.Fatalf("replay deltas: +%v ~%v -%v", added, updated, removed)
 	}
 	// A content change surfaces as updated.
 	changed := art("ccc", "n1")
 	changed.Location = "app:moved"
-	_, updated, _ = d.ReplaceArtifactsOf("n1", []ArtifactInfo{changed})
+	_, updated, _ = d.artifacts.replaceOf("n1", []ArtifactInfo{changed}, nil)
 	if len(updated) != 1 || updated[0].Location != "app:moved" {
 		t.Fatalf("updated = %+v", updated)
 	}
 	// Records claiming another node are ignored (a node only speaks for
 	// itself in a sync).
-	added, updated, removed = d.ReplaceArtifactsOf("n2", []ArtifactInfo{art("ddd", "n3")})
+	added, updated, removed = d.artifacts.replaceOf("n2", []ArtifactInfo{art("ddd", "n3")}, nil)
 	if got := d.Artifacts(); len(got) != 1 || got[0].Digest != "ccc" {
 		t.Fatalf("forged sync applied: %+v", got)
 	}

@@ -96,9 +96,9 @@ type Directory struct {
 	mu        sync.Mutex
 	instances map[core.InstanceID]InstanceInfo
 	nodes     map[string]NodeInfo
-	endpoints *recordTable[EndpointInfo]  // key = service, holder = node
-	artifacts *recordTable[ArtifactInfo]  // key = digest, holder = node
-	healths   *recordTable[health.Record] // key = component, holder = node
+	endpoints *recordTable[EndpointInfo]
+	artifacts *recordTable[ArtifactInfo]
+	healths   *recordTable[health.Record]
 }
 
 // NewDirectory returns an empty directory.
@@ -106,15 +106,9 @@ func NewDirectory() *Directory {
 	return &Directory{
 		instances: make(map[core.InstanceID]InstanceInfo),
 		nodes:     make(map[string]NodeInfo),
-		endpoints: newRecordTable(
-			func(e EndpointInfo) string { return e.Service },
-			func(e EndpointInfo) string { return e.Node }),
-		artifacts: newRecordTable(
-			func(a ArtifactInfo) string { return a.Digest },
-			func(a ArtifactInfo) string { return a.Node }),
-		healths: newRecordTable(
-			func(h health.Record) string { return h.Component },
-			func(h health.Record) string { return h.Node }),
+		endpoints: newRecordTable(endpointFamily),
+		artifacts: newRecordTable(artifactFamily),
+		healths:   newRecordTable(healthFamily),
 	}
 }
 
@@ -199,31 +193,6 @@ func (d *Directory) PutEndpoint(info EndpointInfo) (existed bool) {
 	return d.endpoints.put(info)
 }
 
-// RemoveEndpoint deletes the record of service on node, returning the
-// removed record (ok=false when there was none).
-func (d *Directory) RemoveEndpoint(service, node string) (EndpointInfo, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.endpoints.remove(service, node)
-}
-
-// RemoveEndpointsOf deletes every endpoint exported by node (crash or
-// graceful leave, applied deterministically on view change) and returns
-// the removed records sorted by service.
-func (d *Directory) RemoveEndpointsOf(node string) []EndpointInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.endpoints.removeOf(node)
-}
-
-// removeEndpointsOfMatching is RemoveEndpointsOf restricted to services
-// satisfying match — the shard-scoped prune path.
-func (d *Directory) removeEndpointsOfMatching(node string, match func(string) bool) []EndpointInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.endpoints.removeOfMatching(node, match)
-}
-
 // ReplaceEndpointsOf makes infos the complete endpoint set of node,
 // dropping any stale records — the authoritative resync each node
 // broadcasts on view change, which re-converges replicas that missed
@@ -233,16 +202,7 @@ func (d *Directory) removeEndpointsOfMatching(node string, match func(string) bo
 func (d *Directory) ReplaceEndpointsOf(node string, infos []EndpointInfo) (added, updated, removed []EndpointInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.endpoints.replaceOf(node, infos)
-}
-
-// replaceEndpointsOfMatching is ReplaceEndpointsOf restricted to
-// services satisfying match — the per-shard authoritative sync, which
-// must not erase node's records owned by other shards' total orders.
-func (d *Directory) replaceEndpointsOfMatching(node string, infos []EndpointInfo, match func(string) bool) (added, updated, removed []EndpointInfo) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.endpoints.replaceOfMatching(node, infos, match)
+	return d.endpoints.replaceOf(node, infos, nil)
 }
 
 // EndpointsAt returns every endpoint record served at addr, sorted by
@@ -287,59 +247,6 @@ func (d *Directory) Endpoints() []EndpointInfo {
 	return d.endpoints.all()
 }
 
-// PutArtifact upserts an artifact-holding record, reporting whether a
-// record for (digest, node) already existed — callers turn the result
-// into Added vs Updated artifact changes.
-func (d *Directory) PutArtifact(info ArtifactInfo) (existed bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.put(info)
-}
-
-// RemoveArtifact deletes node's holding record for digest, returning the
-// removed record (ok=false when there was none).
-func (d *Directory) RemoveArtifact(digest, node string) (ArtifactInfo, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.remove(digest, node)
-}
-
-// RemoveArtifactsOf deletes every holding record of node (crash or
-// graceful leave, applied deterministically on view change) and returns
-// the removed records sorted by digest.
-func (d *Directory) RemoveArtifactsOf(node string) []ArtifactInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.removeOf(node)
-}
-
-// removeArtifactsOfMatching is RemoveArtifactsOf restricted to digests
-// satisfying match — the shard-scoped prune path.
-func (d *Directory) removeArtifactsOfMatching(node string, match func(string) bool) []ArtifactInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.removeOfMatching(node, match)
-}
-
-// ReplaceArtifactsOf makes infos the complete holding set of node — the
-// anti-entropy resync broadcast on view changes and periodic resync
-// ticks. The returned deltas are exact, matching ReplaceEndpointsOf: a
-// replayed sync of a converged holding set produces no artifact changes,
-// which is what makes periodic artifact anti-entropy safe to run.
-func (d *Directory) ReplaceArtifactsOf(node string, infos []ArtifactInfo) (added, updated, removed []ArtifactInfo) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.replaceOf(node, infos)
-}
-
-// replaceArtifactsOfMatching is ReplaceArtifactsOf restricted to
-// digests satisfying match — the per-shard authoritative sync.
-func (d *Directory) replaceArtifactsOfMatching(node string, infos []ArtifactInfo, match func(string) bool) (added, updated, removed []ArtifactInfo) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.artifacts.replaceOfMatching(node, infos, match)
-}
-
 // ArtifactReplicas returns the holding records of digest, sorted by node.
 func (d *Directory) ArtifactReplicas(digest string) []ArtifactInfo {
 	d.mu.Lock()
@@ -377,58 +284,6 @@ func (d *Directory) Artifacts() []ArtifactInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.artifacts.all()
-}
-
-// PutHealth upserts a component health record, reporting whether a
-// record for (component, node) already existed — callers turn the result
-// into Added vs Updated health changes.
-func (d *Directory) PutHealth(rec health.Record) (existed bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.put(rec)
-}
-
-// RemoveHealth deletes node's health record for component, returning the
-// removed record (ok=false when there was none).
-func (d *Directory) RemoveHealth(component, node string) (health.Record, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.remove(component, node)
-}
-
-// RemoveHealthOf deletes every health record of node (crash or graceful
-// leave, applied deterministically on view change) and returns the
-// removed records sorted by component — a dead node reports no health.
-func (d *Directory) RemoveHealthOf(node string) []health.Record {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.removeOf(node)
-}
-
-// removeHealthOfMatching is RemoveHealthOf restricted to components
-// satisfying match — the shard-scoped prune path.
-func (d *Directory) removeHealthOfMatching(node string, match func(string) bool) []health.Record {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.removeOfMatching(node, match)
-}
-
-// ReplaceHealthOf makes recs the complete health-record set of node —
-// the anti-entropy resync broadcast on view changes and resync ticks.
-// Exact deltas, like the other two families: a replayed sync of a
-// converged (and stable-caused) health set produces no changes.
-func (d *Directory) ReplaceHealthOf(node string, recs []health.Record) (added, updated, removed []health.Record) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.replaceOf(node, recs)
-}
-
-// replaceHealthOfMatching is ReplaceHealthOf restricted to components
-// satisfying match — the per-shard authoritative sync.
-func (d *Directory) replaceHealthOfMatching(node string, recs []health.Record, match func(string) bool) (added, updated, removed []health.Record) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.healths.replaceOfMatching(node, recs, match)
 }
 
 // HealthFor returns every node's record of component, sorted by node.

@@ -32,23 +32,23 @@ func TestDirectoryEndpointRecords(t *testing.T) {
 		t.Fatalf("Endpoints() = %+v", all)
 	}
 
-	if removed, ok := d.RemoveEndpoint("kv", "n2"); !ok || removed.Node != "n2" {
+	if removed, ok := d.endpoints.remove("kv", "n2"); !ok || removed.Node != "n2" {
 		t.Fatalf("RemoveEndpoint = %+v, %v", removed, ok)
 	}
 	if got := d.EndpointsFor("kv"); len(got) != 1 {
 		t.Fatalf("after RemoveEndpoint = %+v", got)
 	}
-	if removed := d.RemoveEndpointsOf("n1"); len(removed) != 2 {
+	if removed := d.endpoints.prune(map[string]bool{"n2": true}, nil); len(removed) != 2 {
 		t.Fatalf("RemoveEndpointsOf = %+v", removed)
 	}
 	if got := d.Endpoints(); len(got) != 0 {
 		t.Fatalf("after RemoveEndpointsOf = %+v", got)
 	}
 	// Removing from an empty directory is a no-op.
-	if _, ok := d.RemoveEndpoint("ghost", "n1"); ok {
+	if _, ok := d.endpoints.remove("ghost", "n1"); ok {
 		t.Fatal("ghost removal reported a record")
 	}
-	if removed := d.RemoveEndpointsOf("n9"); len(removed) != 0 {
+	if removed := d.endpoints.prune(map[string]bool{"n1": true, "n2": true}, nil); len(removed) != 0 {
 		t.Fatalf("empty RemoveEndpointsOf = %+v", removed)
 	}
 }

@@ -14,9 +14,9 @@ func hrec(component, node string, status health.Status, cause string) health.Rec
 
 func TestDirectoryHealthRecords(t *testing.T) {
 	d := NewDirectory()
-	d.PutHealth(hrec("remote", "n2", health.StatusOK, ""))
-	d.PutHealth(hrec("remote", "n1", health.StatusDegraded, "p99>5ms"))
-	d.PutHealth(hrec("resources", "n1", health.StatusOK, ""))
+	d.healths.put(hrec("remote", "n2", health.StatusOK, ""))
+	d.healths.put(hrec("remote", "n1", health.StatusDegraded, "p99>5ms"))
+	d.healths.put(hrec("resources", "n1", health.StatusOK, ""))
 
 	got := d.HealthFor("remote")
 	want := []health.Record{
@@ -34,31 +34,31 @@ func TestDirectoryHealthRecords(t *testing.T) {
 		t.Fatalf("HealthRecords() = %+v", all)
 	}
 
-	d.RemoveHealth("remote", "n2")
+	d.healths.remove("remote", "n2")
 	if got := d.HealthFor("remote"); len(got) != 1 {
 		t.Fatalf("after RemoveHealth = %+v", got)
 	}
-	d.RemoveHealthOf("n1")
+	d.healths.prune(map[string]bool{"n2": true}, nil)
 	if got := d.HealthRecords(); len(got) != 0 {
 		t.Fatalf("after RemoveHealthOf = %+v", got)
 	}
 
 	// Exact-delta resync, like the other two families.
-	d.PutHealth(hrec("remote", "n1", health.StatusOK, ""))
-	added, updated, removed := d.ReplaceHealthOf("n1", []health.Record{
+	d.healths.put(hrec("remote", "n1", health.StatusOK, ""))
+	added, updated, removed := d.healths.replaceOf("n1", []health.Record{
 		hrec("remote", "n1", health.StatusCritical, "pool"),
 		hrec("sla", "n1", health.StatusOK, ""),
-	})
+	}, nil)
 	if len(added) != 1 || added[0].Component != "sla" ||
 		len(updated) != 1 || updated[0].Status != health.StatusCritical ||
 		len(removed) != 0 {
 		t.Fatalf("resync deltas: +%v ~%v -%v", added, updated, removed)
 	}
 	// Converged replay is silent — what makes health anti-entropy safe.
-	added, updated, removed = d.ReplaceHealthOf("n1", []health.Record{
+	added, updated, removed = d.healths.replaceOf("n1", []health.Record{
 		hrec("remote", "n1", health.StatusCritical, "pool"),
 		hrec("sla", "n1", health.StatusOK, ""),
-	})
+	}, nil)
 	if len(added)+len(updated)+len(removed) != 0 {
 		t.Fatalf("replay deltas: +%v ~%v -%v", added, updated, removed)
 	}

@@ -3,7 +3,6 @@ package migrate
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -77,43 +76,6 @@ type nodeAnnounce struct{ Info NodeInfo }
 type migrationAnnounce struct {
 	Info InstanceInfo // Node already set to the target
 	From string
-}
-
-type endpointPut struct{ Info EndpointInfo }
-
-type endpointRemove struct{ Service, Node string }
-
-// endpointSync replaces a node's complete endpoint set: broadcast on every
-// view change so withdrawals lost in a partition converge after the heal.
-type endpointSync struct {
-	Node  string
-	Infos []EndpointInfo
-}
-
-type artifactPut struct{ Info ArtifactInfo }
-
-type artifactRemove struct{ Digest, Node string }
-
-// artifactSync replaces a node's complete artifact-holding set: the
-// anti-entropy resync broadcast on every view change and every resync
-// tick so repository advertisements converge after partition healing —
-// and, since the deltas are exact, after blips too short to change the
-// view.
-type artifactSync struct {
-	Node  string
-	Infos []ArtifactInfo
-}
-
-type healthPut struct{ Info health.Record }
-
-type healthRemove struct{ Component, Node string }
-
-// healthSync replaces a node's complete health-record set: the same
-// anti-entropy resync the other two families run. Causes are stable
-// rule descriptions, so a converged sync compares equal and is silent.
-type healthSync struct {
-	Node  string
-	Infos []health.Record
 }
 
 // Config wires a migration module into its node.
@@ -370,8 +332,7 @@ func (m *Module) AnnounceEndpoint(service, addr string) {
 // exports). Re-announcing an existing (service, node) record surfaces as
 // an UPDATED endpoint change — a MODIFIED service event — on every node.
 func (m *Module) AnnounceEndpointFor(service, addr, instance string) {
-	s := m.shardFor(service)
-	announceRecord(s, s.eps, EndpointInfo{Service: service, Node: m.cfg.NodeID, Addr: addr, Instance: instance})
+	m.shardFor(service).eps.announce(EndpointInfo{Service: service, Node: m.cfg.NodeID, Addr: addr, Instance: instance})
 }
 
 // WithdrawEndpoint broadcasts that this node's host framework stopped
@@ -387,15 +348,7 @@ func (m *Module) WithdrawEndpoint(service string) {
 // instance whose export name collides with a live host export — from
 // erasing the surviving owner's record cluster-wide.
 func (m *Module) WithdrawEndpointFor(service, instance string) {
-	s := m.shardFor(service)
-	s.mu.Lock()
-	info, owned := s.eps.owned[service]
-	if !owned || info.Instance != instance {
-		s.mu.Unlock()
-		return
-	}
-	withdrawRecordLocked(s, s.eps, service)
-	s.mu.Unlock()
+	m.shardFor(service).eps.withdraw(service, func(e EndpointInfo) bool { return e.Instance == instance })
 }
 
 // AnnounceArtifact records and broadcasts that this node holds a copy of
@@ -403,18 +356,12 @@ func (m *Module) WithdrawEndpointFor(service, instance string) {
 // verified fetch).
 func (m *Module) AnnounceArtifact(info ArtifactInfo) {
 	info.Node = m.cfg.NodeID
-	s := m.shardFor(info.Digest)
-	announceRecord(s, s.arts, info)
+	m.shardFor(info.Digest).arts.announce(info)
 }
 
 // WithdrawArtifact broadcasts that this node no longer holds the artifact.
 func (m *Module) WithdrawArtifact(digest string) {
-	s := m.shardFor(digest)
-	s.mu.Lock()
-	if _, owned := s.arts.owned[digest]; owned {
-		withdrawRecordLocked(s, s.arts, digest)
-	}
-	s.mu.Unlock()
+	m.shardFor(digest).arts.withdraw(digest, nil)
 }
 
 // AnnounceHealth records and broadcasts this node's health for one
@@ -422,44 +369,13 @@ func (m *Module) WithdrawArtifact(digest string) {
 // node field is stamped here: a node only ever speaks for itself.
 func (m *Module) AnnounceHealth(rec health.Record) {
 	rec.Node = m.cfg.NodeID
-	s := m.shardFor(rec.Component)
-	announceRecord(s, s.hlth, rec)
+	m.shardFor(rec.Component).hlth.announce(rec)
 }
 
 // WithdrawHealth broadcasts that this node no longer reports health for
 // component (e.g. the watched subsystem was torn down).
 func (m *Module) WithdrawHealth(component string) {
-	s := m.shardFor(component)
-	s.mu.Lock()
-	if _, owned := s.hlth.owned[component]; owned {
-		withdrawRecordLocked(s, s.hlth, component)
-	}
-	s.mu.Unlock()
-}
-
-// announceRecord records info as locally owned in its shard and
-// broadcasts the put on the shard's group. The broadcast submits under
-// the shard lock: record broadcasts must sequence in the same order the
-// local state mutates, or a concurrent anti-entropy sync whose snapshot
-// predates this change could be sequenced after it and briefly erase
-// the record cluster-wide (shard mu → member internals is a safe lock
-// order; deliveries run with both released). This holds on a real
-// clock, not just the single-threaded simulator. Per-shard locks mean
-// the ordering is pinned per shard — exactly as strong as the per-key
-// guarantee consumers rely on, since a key never changes shards.
-func announceRecord[V comparable](s *dirShard, f *recordFamily[V], info V) {
-	s.mu.Lock()
-	f.owned[f.key(info)] = info
-	s.broadcast(f.wirePut(info))
-	s.mu.Unlock()
-}
-
-// withdrawRecordLocked drops local ownership of key and broadcasts the
-// removal on the shard's group, under the shard lock for the same
-// submission-order reason as announceRecord. Callers hold s.mu.
-func withdrawRecordLocked[V comparable](s *dirShard, f *recordFamily[V], key string) {
-	delete(f.owned, key)
-	s.broadcast(f.wireRemove(key, s.nodeID))
+	m.shardFor(component).hlth.withdraw(component, nil)
 }
 
 // OnArtifactChange subscribes to replicated artifact-record changes. The
@@ -469,9 +385,7 @@ func withdrawRecordLocked[V comparable](s *dirShard, f *recordFamily[V], key str
 // index on every hook.
 func (m *Module) OnArtifactChange(fn func(ArtifactChange)) {
 	for _, s := range m.shards {
-		s.mu.Lock()
-		s.arts.hooks = append(s.arts.hooks, fn)
-		s.mu.Unlock()
+		s.arts.subscribe(fn)
 	}
 }
 
@@ -481,9 +395,7 @@ func (m *Module) OnArtifactChange(fn func(ArtifactChange)) {
 // emits duplicates after a partition heals.
 func (m *Module) OnEndpointChange(fn func(EndpointChange)) {
 	for _, s := range m.shards {
-		s.mu.Lock()
-		s.eps.hooks = append(s.eps.hooks, fn)
-		s.mu.Unlock()
+		s.eps.subscribe(fn)
 	}
 }
 
@@ -493,29 +405,37 @@ func (m *Module) OnEndpointChange(fn func(EndpointChange)) {
 // every delivered change as a real state transition or arrival.
 func (m *Module) OnHealthChange(fn func(HealthChange)) {
 	for _, s := range m.shards {
+		s.hlth.subscribe(fn)
+	}
+}
+
+// DirectoryStats returns every record family's directory counters,
+// summed across shards and keyed by family name ("endpoint", "artifact",
+// "health") — the attribute prefixes of the directory:<node> metrics.
+func (m *Module) DirectoryStats() map[string]FamilyStats {
+	out := make(map[string]FamilyStats)
+	for _, s := range m.shards {
 		s.mu.Lock()
-		s.hlth.hooks = append(s.hlth.hooks, fn)
+		for _, f := range s.fams {
+			name, st := f.counters()
+			out[name] = out[name].plus(st)
+		}
 		s.mu.Unlock()
 	}
+	return out
 }
 
 // EndpointStats returns the endpoint family's directory counters,
 // summed across shards.
-func (m *Module) EndpointStats() FamilyStats {
-	return sumStats(m.shards, func(s *dirShard) *recordFamily[EndpointInfo] { return s.eps })
-}
+func (m *Module) EndpointStats() FamilyStats { return m.DirectoryStats()[endpointFamily.name] }
 
 // ArtifactStats returns the artifact family's directory counters,
 // summed across shards.
-func (m *Module) ArtifactStats() FamilyStats {
-	return sumStats(m.shards, func(s *dirShard) *recordFamily[ArtifactInfo] { return s.arts })
-}
+func (m *Module) ArtifactStats() FamilyStats { return m.DirectoryStats()[artifactFamily.name] }
 
 // HealthStats returns the health family's directory counters, summed
 // across shards.
-func (m *Module) HealthStats() FamilyStats {
-	return sumStats(m.shards, func(s *dirShard) *recordFamily[health.Record] { return s.hlth })
-}
+func (m *Module) HealthStats() FamilyStats { return m.DirectoryStats()[healthFamily.name] }
 
 // ShardStats returns the per-shard family counters plus each shard
 // group's current membership size, in shard order.
@@ -534,149 +454,6 @@ func (m *Module) ShardStats() []ShardStats {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// sumStats aggregates one family's counters over every shard.
-func sumStats[V comparable](shards []*dirShard, fam func(*dirShard) *recordFamily[V]) FamilyStats {
-	var sum FamilyStats
-	for _, s := range shards {
-		s.mu.Lock()
-		st := fam(s).stats
-		s.mu.Unlock()
-		sum.Puts += st.Puts
-		sum.Removes += st.Removes
-		sum.Syncs += st.Syncs
-		sum.Added += st.Added
-		sum.Updated += st.Updated
-		sum.Removed += st.Removed
-		sum.SilentSyncs += st.SilentSyncs
-		sum.Pruned += st.Pruned
-		sum.Filtered += st.Filtered
-	}
-	return sum
-}
-
-// notifyRecords fans exact deltas out to the family's subscribers,
-// counting them. Hooks run with no locks held.
-func notifyRecords[V comparable](s *dirShard, f *recordFamily[V], chs ...Change[V]) {
-	if len(chs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, ch := range chs {
-		switch ch.Type {
-		case Added:
-			f.stats.Added++
-		case Updated:
-			f.stats.Updated++
-		case Removed:
-			f.stats.Removed++
-		}
-	}
-	hooks := append(make([]func(Change[V]), 0, len(f.hooks)), f.hooks...)
-	s.mu.Unlock()
-	for _, fn := range hooks {
-		for _, ch := range chs {
-			fn(ch)
-		}
-	}
-}
-
-// recordHolderLive reports whether a replicated mutation's holder is
-// still a member of the shard's current view. Mutations from departed
-// holders are dropped: a message sequenced before the holder's
-// departure but applied after it — the view-install flush path — would
-// otherwise resurrect dead records on exactly the replicas that
-// buffered it, making dead-holder pruning nondeterministic under
-// concurrent view changes. By apply time every member has the new view
-// installed, so every member drops (or keeps) the same mutations. The
-// check runs against the OWNING shard's view — shard views change
-// independently, and only the shard sequencing a key decides its fate.
-func recordHolderLive[V comparable](s *dirShard, f *recordFamily[V], holder string) bool {
-	if s.holderLive(holder) {
-		return true
-	}
-	s.mu.Lock()
-	f.stats.Filtered++
-	s.mu.Unlock()
-	return false
-}
-
-// applyRecordPut applies a replicated incremental put. A re-announcement
-// of an existing record (even with identical content) is deliberately an
-// Updated change: it is how a holder signals a MODIFIED service to
-// remote listeners.
-func applyRecordPut[V comparable](s *dirShard, f *recordFamily[V], holder string, info V, put func(V) bool) {
-	if !recordHolderLive(s, f, holder) {
-		return
-	}
-	s.mu.Lock()
-	f.stats.Puts++
-	s.mu.Unlock()
-	kind := Added
-	if put(info) {
-		kind = Updated
-	}
-	notifyRecords(s, f, Change[V]{Type: kind, Info: info})
-}
-
-// applyRecordRemove applies a replicated incremental removal.
-func applyRecordRemove[V comparable](s *dirShard, f *recordFamily[V], holder, key string, remove func(key, holder string) (V, bool)) {
-	if !recordHolderLive(s, f, holder) {
-		return
-	}
-	s.mu.Lock()
-	f.stats.Removes++
-	s.mu.Unlock()
-	if info, ok := remove(key, holder); ok {
-		notifyRecords(s, f, Change[V]{Type: Removed, Info: info})
-	}
-}
-
-// applyRecordSync applies a replicated authoritative per-holder sync,
-// emitting only the exact deltas. A converged replay is silent.
-func applyRecordSync[V comparable](s *dirShard, f *recordFamily[V], holder string, infos []V, replace func(string, []V) (added, updated, removed []V)) {
-	if !recordHolderLive(s, f, holder) {
-		return
-	}
-	added, updated, removed := replace(holder, infos)
-	s.mu.Lock()
-	f.stats.Syncs++
-	if len(added)+len(updated)+len(removed) == 0 {
-		f.stats.SilentSyncs++
-	}
-	s.mu.Unlock()
-	notifyRecords(s, f, changes(Added, added)...)
-	notifyRecords(s, f, changes(Updated, updated)...)
-	notifyRecords(s, f, changes(Removed, removed)...)
-}
-
-// pruneDeadHolders removes every record of this family whose holder left
-// the shard's view, notifying exact Removed deltas. Every replica prunes
-// the same records from the same view in the same (sorted) holder order,
-// so directories converge without a broadcast. removeOf is shard-scoped:
-// only keys the shard owns are touched, so one shard's view change never
-// disturbs records sequenced by another shard's group.
-func pruneDeadHolders[V comparable](s *dirShard, f *recordFamily[V], holderOf func(V) string,
-	all func() []V, removeOf func(string) []V, memberSet map[string]bool) {
-	dead := make(map[string]bool)
-	for _, v := range all() {
-		if !memberSet[holderOf(v)] {
-			dead[holderOf(v)] = true
-		}
-	}
-	holders := make([]string, 0, len(dead))
-	for node := range dead {
-		holders = append(holders, node)
-	}
-	sort.Strings(holders)
-	for _, node := range holders {
-		removed := removeOf(node)
-		s.mu.Lock()
-		f.stats.Pruned += int64(len(removed))
-		s.mu.Unlock()
-		notifyRecords(s, f, changes(Removed, removed)...)
-	}
 }
 
 // onView reacts to main-group membership changes: (re-)announcement and

@@ -16,10 +16,10 @@
 //     path) cannot resurrect a dead holder's records on some replicas;
 //   - per-family counters for the cluster metrics plane.
 //
-// The migration module instantiates the engine three times; the family structs
-// below carry the per-family wiring (key extraction, wire-message
-// constructors, owned-set) while module.go owns the lock, the broadcast
-// submission order and the gcs plumbing.
+// Each family is declared once (family[V]: name, key, holder). The
+// Directory's recordTable and every shard's recordFamily are built from
+// that declaration; a shard drives its families through familyEngine, and
+// the three wire messages carry the family's tag.
 
 package migrate
 
@@ -90,18 +90,60 @@ const (
 	EndpointRemoved = Removed
 )
 
-// recordTable is the storage half of the engine: one family's records
-// keyed (key → holder → record). It is not self-locking — the Directory
-// guards both tables with its single mutex so cross-family reads stay
-// consistent.
-type recordTable[V comparable] struct {
+// family declares one record family: its name (the attribute prefix
+// under the directory:<node> metrics provider), the record key and the
+// node holding the record.
+type family[V comparable] struct {
+	name   string
 	key    func(V) string
 	holder func(V) string
-	recs   map[string]map[string]V
 }
 
-func newRecordTable[V comparable](key, holder func(V) string) *recordTable[V] {
-	return &recordTable[V]{key: key, holder: holder, recs: make(map[string]map[string]V)}
+// The directory's record families. Health causes are stable rule
+// descriptions, so a converged health sync compares equal and is silent.
+var (
+	endpointFamily = &family[EndpointInfo]{name: "endpoint",
+		key:    func(e EndpointInfo) string { return e.Service },
+		holder: func(e EndpointInfo) string { return e.Node }}
+	artifactFamily = &family[ArtifactInfo]{name: "artifact",
+		key:    func(a ArtifactInfo) string { return a.Digest },
+		holder: func(a ArtifactInfo) string { return a.Node }}
+	healthFamily = &family[health.Record]{name: "health",
+		key:    func(h health.Record) string { return h.Component },
+		holder: func(h health.Record) string { return h.Node }}
+)
+
+// Record wire messages, broadcast with Total ordering on the owning
+// shard's group and tagged with the family's index in dirShard.fams.
+// put/remove are incremental; sync replaces a holder's complete record
+// set within the shard's keys (view changes and anti-entropy ticks).
+type (
+	recordPut struct {
+		Family int
+		Info   any // the family's V
+	}
+	recordRemove struct {
+		Family    int
+		Key, Node string
+	}
+	recordSync struct {
+		Family int
+		Node   string
+		Infos  any // the family's []V
+	}
+)
+
+// recordTable is the storage half of the engine: one family's records
+// keyed (key → holder → record). It is not self-locking — the Directory
+// guards every table with its single mutex so cross-family reads stay
+// consistent.
+type recordTable[V comparable] struct {
+	*family[V]
+	recs map[string]map[string]V
+}
+
+func newRecordTable[V comparable](f *family[V]) *recordTable[V] {
+	return &recordTable[V]{family: f, recs: make(map[string]map[string]V)}
 }
 
 // put upserts a record, reporting whether a record for (key, holder)
@@ -129,52 +171,45 @@ func (t *recordTable[V]) remove(key, holder string) (V, bool) {
 	return v, ok
 }
 
-// removeOf deletes every record of holder (crash or graceful leave,
-// applied deterministically on view change) and returns the removed
-// records sorted by key.
-func (t *recordTable[V]) removeOf(holder string) []V {
-	return t.removeOfMatching(holder, nil)
-}
-
-// removeOfMatching deletes holder's records whose keys satisfy match
-// (nil matches everything) — the shard-scoped prune: a holder departing
-// one shard's view loses only that shard's records.
-func (t *recordTable[V]) removeOfMatching(holder string, match func(string) bool) []V {
+// prune deletes every record, among keys satisfying match (nil matches
+// everything), whose holder is not in live — the view-change dead-holder
+// prune, scoped so a holder departing one shard's view loses only that
+// shard's records — and returns them sorted by holder then key.
+func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []V {
 	var removed []V
 	for key, byHolder := range t.recs {
 		if match != nil && !match(key) {
 			continue
 		}
-		if v, ok := byHolder[holder]; ok {
-			removed = append(removed, v)
-			delete(byHolder, holder)
+		for holder, v := range byHolder {
+			if !live[holder] {
+				removed = append(removed, v)
+				delete(byHolder, holder)
+			}
 		}
 		if len(byHolder) == 0 {
 			delete(t.recs, key)
 		}
 	}
-	t.sortByKey(removed)
+	sort.Slice(removed, func(i, j int) bool {
+		if hi, hj := t.holder(removed[i]), t.holder(removed[j]); hi != hj {
+			return hi < hj
+		}
+		return t.key(removed[i]) < t.key(removed[j])
+	})
 	return removed
 }
 
-// replaceOf makes vs the complete record set of holder, dropping any
-// stale records — the authoritative resync each node broadcasts on view
-// change and anti-entropy ticks. The returned deltas are exact (an
-// unchanged record appears in neither list), so a replayed sync of a
-// converged directory produces no events. Records claiming another
-// holder are ignored: a node only speaks for itself in a sync.
-func (t *recordTable[V]) replaceOf(holder string, vs []V) (added, updated, removed []V) {
-	return t.replaceOfMatching(holder, vs, nil)
-}
-
-// replaceOfMatching is replaceOf restricted to keys satisfying match
-// (nil matches everything): vs becomes holder's complete record set
-// WITHIN the matched key subset, and records outside it are untouched.
-// This is what makes per-shard syncs safe — a shard's authoritative
-// replacement must not erase the holder's records living in other
-// shards' total orders. Incoming records outside the subset are ignored
-// for the same reason: a shard only speaks for its own keys.
-func (t *recordTable[V]) replaceOfMatching(holder string, vs []V, match func(string) bool) (added, updated, removed []V) {
+// replaceOf makes vs the complete record set of holder within the keys
+// satisfying match (nil matches everything), dropping any stale records —
+// the authoritative resync each node broadcasts on view change and
+// anti-entropy ticks. The returned deltas are exact (an unchanged record
+// appears in neither list), so a replayed sync of a converged directory
+// produces no events. Records claiming another holder are ignored: a node
+// only speaks for itself in a sync. Records outside the match subset are
+// neither applied nor erased, which is what makes per-shard syncs safe —
+// a shard only speaks for its own keys.
+func (t *recordTable[V]) replaceOf(holder string, vs []V, match func(string) bool) (added, updated, removed []V) {
 	prev := make(map[string]V)
 	for key, byHolder := range t.recs {
 		if match != nil && !match(key) {
@@ -264,39 +299,219 @@ type FamilyStats struct {
 	Filtered int64
 }
 
-// recordFamily is the module-side half of the engine for one family:
-// the records this node itself owns (re-broadcast on every view change
-// and anti-entropy tick), the exact-delta subscriber hooks, wire-message
-// constructors and the family's counters. Guarded by the module's lock.
+func (a FamilyStats) plus(b FamilyStats) FamilyStats {
+	a.Puts += b.Puts
+	a.Removes += b.Removes
+	a.Syncs += b.Syncs
+	a.Added += b.Added
+	a.Updated += b.Updated
+	a.Removed += b.Removed
+	a.SilentSyncs += b.SilentSyncs
+	a.Pruned += b.Pruned
+	a.Filtered += b.Filtered
+	return a
+}
+
+// familyEngine is one record family as its shard drives it, whatever the
+// record type. syncMsg and counters run under the shard lock.
+type familyEngine interface {
+	applyPut(info any)
+	applyRemove(key, holder string)
+	applySync(holder string, infos any)
+	prune(live map[string]bool)
+	syncMsg() recordSync
+	counters() (name string, st FamilyStats)
+}
+
+// recordFamily is the shard-side half of the engine for one family: the
+// records this node owns (re-broadcast by every sync), the exact-delta
+// hooks and the counters, guarded by the shard lock, over the
+// Directory's table for the family, guarded by the Directory's lock.
 type recordFamily[V comparable] struct {
-	key   func(V) string
+	tag   int // index in s.fams: the family's wire tag
+	s     *dirShard
+	dir   *Directory
+	t     *recordTable[V]
 	owned map[string]V
 	hooks []func(Change[V])
 	stats FamilyStats
-
-	// Wire-message constructors: put/remove are the incremental
-	// mutations, sync the authoritative per-holder replacement.
-	wirePut    func(V) any
-	wireRemove func(key, node string) any
-	wireSync   func(node string, infos []V) any
 }
 
-// localSet snapshots the owned records sorted by key. Callers hold the
-// module lock.
-func (f *recordFamily[V]) localSet() []V {
+// addFamily builds s's engine half of the family stored in t and
+// registers it in s.fams.
+func addFamily[V comparable](s *dirShard, t *recordTable[V]) *recordFamily[V] {
+	f := &recordFamily[V]{tag: len(s.fams), s: s, dir: s.m.dir, t: t, owned: make(map[string]V)}
+	s.fams = append(s.fams, f)
+	return f
+}
+
+// announce records info as locally owned and broadcasts the put on the
+// shard's group. The broadcast submits under the shard lock: record
+// broadcasts must sequence in the same order the local state mutates, or
+// a concurrent anti-entropy sync whose snapshot predates this change
+// could be sequenced after it and briefly erase the record cluster-wide
+// (shard mu → member internals is a safe lock order; deliveries run with
+// both released). This holds on a real clock, not just the
+// single-threaded simulator. Per-shard locks mean the ordering is pinned
+// per shard — exactly as strong as the per-key guarantee consumers rely
+// on, since a key never changes shards.
+func (f *recordFamily[V]) announce(info V) {
+	f.s.mu.Lock()
+	f.owned[f.t.key(info)] = info
+	f.s.broadcast(recordPut{Family: f.tag, Info: info})
+	f.s.mu.Unlock()
+}
+
+// withdraw drops local ownership of key, if this node owns a record of
+// it that mine (nil: any) accepts, and broadcasts the removal under the
+// shard lock for the same submission-order reason as announce.
+func (f *recordFamily[V]) withdraw(key string, mine func(V) bool) {
+	f.s.mu.Lock()
+	defer f.s.mu.Unlock()
+	if v, owned := f.owned[key]; owned && (mine == nil || mine(v)) {
+		delete(f.owned, key)
+		f.s.broadcast(recordRemove{Family: f.tag, Key: key, Node: f.s.nodeID})
+	}
+}
+
+// subscribe adds a subscriber to the family's exact deltas.
+func (f *recordFamily[V]) subscribe(fn func(Change[V])) {
+	f.s.mu.Lock()
+	f.hooks = append(f.hooks, fn)
+	f.s.mu.Unlock()
+}
+
+// syncMsg snapshots the owned records, sorted by key, as this node's
+// authoritative sync.
+func (f *recordFamily[V]) syncMsg() recordSync {
 	infos := make([]V, 0, len(f.owned))
 	for _, v := range f.owned {
 		infos = append(infos, v)
 	}
-	sort.Slice(infos, func(i, j int) bool { return f.key(infos[i]) < f.key(infos[j]) })
-	return infos
+	f.t.sortByKey(infos)
+	return recordSync{Family: f.tag, Node: f.s.nodeID, Infos: infos}
 }
 
-// changes maps one delta list of one kind onto change events.
-func changes[V comparable](kind ChangeType, infos []V) []Change[V] {
-	out := make([]Change[V], len(infos))
-	for i, v := range infos {
-		out[i] = Change[V]{Type: kind, Info: v}
+func (f *recordFamily[V]) counters() (string, FamilyStats) { return f.t.name, f.stats }
+
+// notify fans exact deltas out to the family's subscribers, counting
+// them. Hooks run with no locks held.
+func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
+	if len(infos) == 0 {
+		return
 	}
-	return out
+	f.s.mu.Lock()
+	switch kind {
+	case Added:
+		f.stats.Added += int64(len(infos))
+	case Updated:
+		f.stats.Updated += int64(len(infos))
+	case Removed:
+		f.stats.Removed += int64(len(infos))
+	}
+	hooks := append(make([]func(Change[V]), 0, len(f.hooks)), f.hooks...)
+	f.s.mu.Unlock()
+	for _, fn := range hooks {
+		for _, v := range infos {
+			fn(Change[V]{Type: kind, Info: v})
+		}
+	}
+}
+
+// admit reports whether a replicated mutation's holder is still a member
+// of the shard's current view, counting the mutation in applied when it
+// is and as Filtered when it is not. Mutations from departed holders are
+// dropped: a message sequenced before the holder's departure but applied
+// after it — the view-install flush path — would otherwise resurrect
+// dead records on exactly the replicas that buffered it, making
+// dead-holder pruning nondeterministic under concurrent view changes. By
+// apply time every member has the new view installed, so every member
+// drops (or keeps) the same mutations. The check runs against the OWNING
+// shard's view — shard views change independently, and only the shard
+// sequencing a key decides its fate.
+func (f *recordFamily[V]) admit(holder string, applied *int64) bool {
+	live := f.s.holderLive(holder)
+	f.s.mu.Lock()
+	if live {
+		*applied++
+	} else {
+		f.stats.Filtered++
+	}
+	f.s.mu.Unlock()
+	return live
+}
+
+// applyPut applies a replicated incremental put. A re-announcement of an
+// existing record (even with identical content) is deliberately an
+// Updated change: it is how a holder signals a MODIFIED service to
+// remote listeners.
+func (f *recordFamily[V]) applyPut(info any) {
+	v := info.(V)
+	if !f.admit(f.t.holder(v), &f.stats.Puts) {
+		return
+	}
+	f.dir.mu.Lock()
+	existed := f.t.put(v)
+	f.dir.mu.Unlock()
+	kind := Added
+	if existed {
+		kind = Updated
+	}
+	f.notify(kind, v)
+}
+
+// applyRemove applies a replicated incremental removal.
+func (f *recordFamily[V]) applyRemove(key, holder string) {
+	if !f.admit(holder, &f.stats.Removes) {
+		return
+	}
+	f.dir.mu.Lock()
+	v, ok := f.t.remove(key, holder)
+	f.dir.mu.Unlock()
+	if ok {
+		f.notify(Removed, v)
+	}
+}
+
+// applySync applies a replicated authoritative per-holder sync, scoped
+// to the shard's keys, emitting only the exact deltas. A converged
+// replay is silent.
+func (f *recordFamily[V]) applySync(holder string, infos any) {
+	if !f.admit(holder, &f.stats.Syncs) {
+		return
+	}
+	f.dir.mu.Lock()
+	added, updated, removed := f.t.replaceOf(holder, infos.([]V), f.s.match)
+	f.dir.mu.Unlock()
+	if len(added)+len(updated)+len(removed) == 0 {
+		f.s.mu.Lock()
+		f.stats.SilentSyncs++
+		f.s.mu.Unlock()
+	}
+	f.notify(Added, added...)
+	f.notify(Updated, updated...)
+	f.notify(Removed, removed...)
+}
+
+// prune removes, in one pass over the shard's keys, every record whose
+// holder left the shard's view, then notifies the exact Removed deltas
+// holder by holder in (holder, key) order. Every replica prunes the same
+// records from the same view in the same order, so directories converge
+// without a broadcast, and one shard's view change never disturbs
+// records sequenced by another shard's group.
+func (f *recordFamily[V]) prune(live map[string]bool) {
+	f.dir.mu.Lock()
+	removed := f.t.prune(live, f.s.match)
+	f.dir.mu.Unlock()
+	for len(removed) > 0 {
+		n := 1
+		for n < len(removed) && f.t.holder(removed[n]) == f.t.holder(removed[0]) {
+			n++
+		}
+		f.s.mu.Lock()
+		f.stats.Pruned += int64(n)
+		f.s.mu.Unlock()
+		f.notify(Removed, removed[:n]...)
+		removed = removed[n:]
+	}
 }

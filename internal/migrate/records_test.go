@@ -86,12 +86,12 @@ func TestDeadHolderMutationsFiltered(t *testing.T) {
 	mod := tc.nodes["node00"].mod
 
 	ghostArt := art("ghost-digest", "node99")
-	mod.shards[0].onDeliver(gcs.Message{Body: artifactPut{Info: ghostArt}})
-	mod.shards[0].onDeliver(gcs.Message{Body: artifactSync{Node: "node99", Infos: []ArtifactInfo{ghostArt}}})
+	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].arts.tag, Info: ghostArt}})
+	mod.shards[0].onDeliver(gcs.Message{Body: recordSync{Family: mod.shards[0].arts.tag, Node: "node99", Infos: []ArtifactInfo{ghostArt}}})
 	if got := mod.Directory().Artifacts(); len(got) != 0 {
 		t.Fatalf("dead holder's artifact records applied: %+v", got)
 	}
-	mod.shards[0].onDeliver(gcs.Message{Body: endpointPut{Info: EndpointInfo{Service: "svc", Node: "node99", Addr: "x:1"}}})
+	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].eps.tag, Info: EndpointInfo{Service: "svc", Node: "node99", Addr: "x:1"}}})
 	if got := mod.Directory().Endpoints(); len(got) != 0 {
 		t.Fatalf("dead holder's endpoint record applied: %+v", got)
 	}
@@ -103,7 +103,7 @@ func TestDeadHolderMutationsFiltered(t *testing.T) {
 	}
 	// Mutations from live members still apply.
 	liveArt := art("live-digest", "node01")
-	mod.shards[0].onDeliver(gcs.Message{Body: artifactPut{Info: liveArt}})
+	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].arts.tag, Info: liveArt}})
 	if got := mod.Directory().ArtifactReplicas("live-digest"); len(got) != 1 {
 		t.Fatalf("live holder's record dropped: %+v", got)
 	}

@@ -72,9 +72,9 @@ func rendezvousScore(key string, shard int) uint64 {
 // member carrying this shard's broadcasts, the per-shard lock that pins
 // broadcast submission order to local mutation order (the same
 // invariant the single-group engine held module-wide, now held per
-// shard), and this shard's slice of the three record families. match
-// reports whether a key belongs to this shard (nil on the single-shard
-// layout: every key does).
+// shard), and this shard's slice of every record family. match reports
+// whether a key belongs to this shard (nil on the single-shard layout:
+// every key does).
 type dirShard struct {
 	id     int
 	nodeID string
@@ -86,6 +86,9 @@ type dirShard struct {
 	announced   bool
 	resyncTimer clock.Timer
 
+	// fams holds every family in wire-tag order; eps, arts and hlth are
+	// the same families, typed for the module's per-family API.
+	fams []familyEngine
 	eps  *recordFamily[EndpointInfo]
 	arts *recordFamily[ArtifactInfo]
 	hlth *recordFamily[health.Record]
@@ -93,34 +96,11 @@ type dirShard struct {
 
 // newDirShard builds one shard with fresh record families.
 func newDirShard(m *Module, id int, member *gcs.Member, match func(string) bool) *dirShard {
-	return &dirShard{
-		id:     id,
-		nodeID: m.cfg.NodeID,
-		m:      m,
-		member: member,
-		match:  match,
-		eps: &recordFamily[EndpointInfo]{
-			key:        func(e EndpointInfo) string { return e.Service },
-			owned:      make(map[string]EndpointInfo),
-			wirePut:    func(e EndpointInfo) any { return endpointPut{Info: e} },
-			wireRemove: func(service, node string) any { return endpointRemove{Service: service, Node: node} },
-			wireSync:   func(node string, infos []EndpointInfo) any { return endpointSync{Node: node, Infos: infos} },
-		},
-		arts: &recordFamily[ArtifactInfo]{
-			key:        func(a ArtifactInfo) string { return a.Digest },
-			owned:      make(map[string]ArtifactInfo),
-			wirePut:    func(a ArtifactInfo) any { return artifactPut{Info: a} },
-			wireRemove: func(digest, node string) any { return artifactRemove{Digest: digest, Node: node} },
-			wireSync:   func(node string, infos []ArtifactInfo) any { return artifactSync{Node: node, Infos: infos} },
-		},
-		hlth: &recordFamily[health.Record]{
-			key:        func(h health.Record) string { return h.Component },
-			owned:      make(map[string]health.Record),
-			wirePut:    func(h health.Record) any { return healthPut{Info: h} },
-			wireRemove: func(component, node string) any { return healthRemove{Component: component, Node: node} },
-			wireSync:   func(node string, infos []health.Record) any { return healthSync{Node: node, Infos: infos} },
-		},
-	}
+	s := &dirShard{id: id, nodeID: m.cfg.NodeID, m: m, member: member, match: match}
+	s.eps = addFamily(s, m.dir.endpoints)
+	s.arts = addFamily(s, m.dir.artifacts)
+	s.hlth = addFamily(s, m.dir.healths)
+	return s
 }
 
 // broadcast sends a totally-ordered message on this shard's group,
@@ -165,57 +145,28 @@ func (s *dirShard) onView(v gcs.View) {
 	// Snapshot and broadcast under the shard lock: a sync submitted
 	// after a concurrent announce/withdraw must reflect it, or per-shard
 	// total-order sequencing could apply the stale snapshot last.
-	s.broadcast(s.eps.wireSync(s.nodeID, s.eps.localSet()))
-	s.broadcast(s.arts.wireSync(s.nodeID, s.arts.localSet()))
-	s.broadcast(s.hlth.wireSync(s.nodeID, s.hlth.localSet()))
+	for _, f := range s.fams {
+		s.broadcast(f.syncMsg())
+	}
 	s.mu.Unlock()
 
-	memberSet := viewNodeSet(v)
-	d := s.m.dir
-	pruneDeadHolders(s, s.eps, func(e EndpointInfo) string { return e.Node },
-		d.Endpoints, func(node string) []EndpointInfo {
-			return d.removeEndpointsOfMatching(node, s.match)
-		}, memberSet)
-	pruneDeadHolders(s, s.arts, func(a ArtifactInfo) string { return a.Node },
-		d.Artifacts, func(node string) []ArtifactInfo {
-			return d.removeArtifactsOfMatching(node, s.match)
-		}, memberSet)
-	pruneDeadHolders(s, s.hlth, func(h health.Record) string { return h.Node },
-		d.HealthRecords, func(node string) []health.Record {
-			return d.removeHealthOfMatching(node, s.match)
-		}, memberSet)
+	live := viewNodeSet(v)
+	for _, f := range s.fams {
+		f.prune(live)
+	}
 }
 
 // onDeliver applies this shard's replicated record mutations. Instance,
-// node and migration traffic stays on the main group; only the three
-// record families ride shard groups.
+// node and migration traffic stays on the main group; only the record
+// families ride shard groups.
 func (s *dirShard) onDeliver(msg gcs.Message) {
-	d := s.m.dir
 	switch body := msg.Body.(type) {
-	case endpointPut:
-		applyRecordPut(s, s.eps, body.Info.Node, body.Info, d.PutEndpoint)
-	case endpointRemove:
-		applyRecordRemove(s, s.eps, body.Node, body.Service, d.RemoveEndpoint)
-	case endpointSync:
-		applyRecordSync(s, s.eps, body.Node, body.Infos, func(node string, infos []EndpointInfo) ([]EndpointInfo, []EndpointInfo, []EndpointInfo) {
-			return d.replaceEndpointsOfMatching(node, infos, s.match)
-		})
-	case artifactPut:
-		applyRecordPut(s, s.arts, body.Info.Node, body.Info, d.PutArtifact)
-	case artifactRemove:
-		applyRecordRemove(s, s.arts, body.Node, body.Digest, d.RemoveArtifact)
-	case artifactSync:
-		applyRecordSync(s, s.arts, body.Node, body.Infos, func(node string, infos []ArtifactInfo) ([]ArtifactInfo, []ArtifactInfo, []ArtifactInfo) {
-			return d.replaceArtifactsOfMatching(node, infos, s.match)
-		})
-	case healthPut:
-		applyRecordPut(s, s.hlth, body.Info.Node, body.Info, d.PutHealth)
-	case healthRemove:
-		applyRecordRemove(s, s.hlth, body.Node, body.Component, d.RemoveHealth)
-	case healthSync:
-		applyRecordSync(s, s.hlth, body.Node, body.Infos, func(node string, recs []health.Record) ([]health.Record, []health.Record, []health.Record) {
-			return d.replaceHealthOfMatching(node, recs, s.match)
-		})
+	case recordPut:
+		s.fams[body.Family].applyPut(body.Info)
+	case recordRemove:
+		s.fams[body.Family].applyRemove(body.Key, body.Node)
+	case recordSync:
+		s.fams[body.Family].applySync(body.Node, body.Infos)
 	}
 }
 
@@ -229,9 +180,9 @@ func (s *dirShard) antiEntropy() {
 	if !s.announced {
 		return
 	}
-	s.broadcast(s.eps.wireSync(s.nodeID, s.eps.localSet()))
-	s.broadcast(s.arts.wireSync(s.nodeID, s.arts.localSet()))
-	s.broadcast(s.hlth.wireSync(s.nodeID, s.hlth.localSet()))
+	for _, f := range s.fams {
+		s.broadcast(f.syncMsg())
+	}
 }
 
 // ShardStats is one shard's view of the three family counters plus the

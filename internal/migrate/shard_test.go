@@ -259,7 +259,7 @@ func TestShardSyncScoping(t *testing.T) {
 	if outShard == 0 {
 		t.Skip("all test keys landed in shard 0; adjust key set")
 	}
-	mod.shards[victimShard].onDeliver(gcs.Message{Body: artifactSync{Node: "node01", Infos: nil}})
+	mod.shards[victimShard].onDeliver(gcs.Message{Body: recordSync{Family: mod.shards[victimShard].arts.tag, Node: "node01", Infos: []ArtifactInfo(nil)}})
 	if got := len(mod.Directory().Artifacts()); got != outShard {
 		t.Fatalf("shard-0 sync erased other shards' records: %d left, want %d", got, outShard)
 	}
@@ -273,8 +273,8 @@ func TestShardSyncScoping(t *testing.T) {
 			break
 		}
 	}
-	mod.shards[victimShard].onDeliver(gcs.Message{Body: artifactSync{
-		Node: "node01", Infos: []ArtifactInfo{art(foreign, "node01"), art("smuggled", "node01")}}})
+	mod.shards[victimShard].onDeliver(gcs.Message{Body: recordSync{
+		Family: mod.shards[victimShard].arts.tag, Node: "node01", Infos: []ArtifactInfo{art(foreign, "node01"), art("smuggled", "node01")}}})
 	if mod.ShardOf("smuggled") != victimShard {
 		// Whatever shard owns "smuggled", shard 0's sync must not have
 		// applied it.
