@@ -506,6 +506,7 @@ func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc heal
 			"framesOut":  int64(st.FramesOut),
 			"yields":     int64(st.Yields),
 			"queueWaits": int64(st.QueueWaits),
+			"queuedPeak": int64(st.QueuedPeak),
 		}
 	})
 

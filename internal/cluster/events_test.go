@@ -21,6 +21,12 @@ func (s *tickerService) Tick(n int64) string {
 // tickerDefinition is a bundle whose activator exports svc.ticker from
 // whatever (virtual) framework it starts in.
 func tickerDefinition() *module.Definition {
+	return tickerDefinitionAs(func(string) string { return "svc.ticker" })
+}
+
+// tickerDefinitionAs is tickerDefinition exporting under the name
+// exported(instance) instead.
+func tickerDefinitionAs(exported func(instance string) string) *module.Definition {
 	return &module.Definition{
 		ManifestText: `Bundle-SymbolicName: app.ticker
 Bundle-Version: 1.0.0
@@ -35,7 +41,7 @@ Bundle-Activator: app.ticker.Activator
 					var err error
 					reg, err = ctx.RegisterSingle("app.Ticker", svc, module.Properties{
 						module.PropServiceExported:     true,
-						module.PropServiceExportedName: "svc.ticker",
+						module.PropServiceExportedName: exported(svc.instance),
 					})
 					return err
 				},

@@ -236,7 +236,6 @@ func (m *Manager) create(desc Descriptor, snap *module.Snapshot, opts ...vosgi.O
 	}
 	m.instances[desc.ID] = inst
 	m.mu.Unlock()
-	m.persist()
 	m.emit(Event{Type: EventCreated, Instance: inst})
 	return inst, nil
 }
@@ -309,7 +308,6 @@ func (m *Manager) Start(id InstanceID) error {
 	inst.mu.Lock()
 	inst.state = InstanceRunning
 	inst.mu.Unlock()
-	m.persist()
 	m.emit(Event{Type: EventStarted, Instance: inst})
 	return nil
 }
@@ -340,7 +338,6 @@ func (m *Manager) Stop(id InstanceID) error {
 	inst.mu.Lock()
 	inst.state = InstanceStopped
 	inst.mu.Unlock()
-	m.persist()
 	m.emit(Event{Type: EventStopped, Instance: inst})
 	return nil
 }
@@ -364,7 +361,6 @@ func (m *Manager) Destroy(id InstanceID) error {
 	m.mu.Lock()
 	delete(m.instances, id)
 	m.mu.Unlock()
-	m.persist()
 	m.emit(Event{Type: EventDestroyed, Instance: inst})
 	return nil
 }
@@ -392,24 +388,16 @@ type persistedInstance struct {
 	Checkpoint
 }
 
-// persist stores every instance's checkpoint in the host framework's
+// PersistNow stores every instance's checkpoint in the host framework's
 // extension area, so host framework persistence (per the OSGi spec)
-// carries the whole customer population.
-func (m *Manager) persist() {
-	m.mu.Lock()
-	ids := make([]InstanceID, 0, len(m.instances))
-	for id := range m.instances {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	out := make([]persistedInstance, 0, len(ids))
-	for _, id := range ids {
-		inst, ok := m.Get(id)
-		if !ok {
-			continue
-		}
+// carries the whole customer population. It is the only writer of the
+// extension — lifecycle methods do not refresh it, so deploying k
+// instances is not O(k²) — so call it before snapshotting the host
+// framework.
+func (m *Manager) PersistNow() {
+	insts := m.List()
+	out := make([]persistedInstance, 0, len(insts))
+	for _, inst := range insts {
 		inst.mu.Lock()
 		out = append(out, persistedInstance{Checkpoint{
 			Descriptor: inst.desc,
@@ -424,10 +412,6 @@ func (m *Manager) persist() {
 	}
 	m.host.SetExtension(extensionKey, data)
 }
-
-// PersistNow refreshes the persisted registry (call before snapshotting
-// the host framework).
-func (m *Manager) PersistNow() { m.persist() }
 
 // LoadPersisted recreates instances recorded in the host framework's
 // extension area (after a host restart from snapshot). Instances that were

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"dosgi/internal/module"
@@ -301,6 +303,38 @@ func TestPersistAndLoadThroughHostSnapshot(t *testing.T) {
 	}
 	if inst.State() != InstanceRunning {
 		t.Fatalf("state = %v, want RUNNING (was running at snapshot)", inst.State())
+	}
+}
+
+// TestCreateStartCostIndependentOfPopulation: bringing up one more
+// instance costs about the same however many the node already runs — the
+// lifecycle path does not re-encode the whole population. At k = 32 a
+// per-event re-encode costs the last instance 3.3 times the first.
+func TestCreateStartCostIndependentOfPopulation(t *testing.T) {
+	mgr := NewManager(newHost(t), Hooks{})
+	var first, last uint64
+	const k = 32
+	for i := 1; i <= k; i++ {
+		id := InstanceID(fmt.Sprintf("tenant-%02d", i))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := mgr.Create(tenantDescriptor(id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Start(id); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		switch cost := after.TotalAlloc - before.TotalAlloc; i {
+		case 1:
+			first = cost
+		case k:
+			last = cost
+		}
+	}
+	t.Logf("Create+Start allocates %d B for instance 1, %d B for instance %d", first, last, k)
+	if last > 2*first {
+		t.Fatalf("instance %d cost %d B to create and start, more than twice instance 1's %d B", k, last, first)
 	}
 }
 

@@ -4,10 +4,10 @@
 // chunk fetches), a compact distributed trace context carried inside the
 // dosgi.remote request header, and a per-node lock-light ring-buffer span
 // store the admin plane assembles cross-node traces from. Everything in
-// this package is safe for concurrent use and allocation-free on the
-// record path, so both transports — the single-threaded deterministic
-// simulator and the multi-goroutine TCP daemon — can instrument their
-// inner loops without perturbing what they measure.
+// this package is safe for concurrent use and allocation-free once the
+// span ring is full, so both transports — the single-threaded
+// deterministic simulator and the multi-goroutine TCP daemon — can
+// instrument their inner loops without perturbing what they measure.
 package obs
 
 import (

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +142,95 @@ func TestSpanStoreRingAndQuery(t *testing.T) {
 	}
 	if got := st.ByTrace(0); got != nil {
 		t.Fatalf("trace 0 must be empty, got %+v", got)
+	}
+}
+
+// eagerRing is the reference model of SpanStore: a ring allocated at full
+// capacity up front, slot next % cap, queries over the first min(next, cap)
+// slots.
+type eagerRing struct {
+	ring []Span
+	next int
+}
+
+func (r *eagerRing) add(sp Span) {
+	r.ring[r.next%len(r.ring)] = sp
+	r.next++
+}
+
+func (r *eagerRing) held() []Span { return r.ring[:min(r.next, len(r.ring))] }
+
+// TestSpanStoreMatchesEagerRing pins the grow-on-demand ring to the eager
+// one it replaced: below, at and past capacity, Len, All and ByTrace
+// answer the same, and the oldest spans are evicted in order — within one
+// growth chunk, at exactly one, and across several with a short last one.
+func TestSpanStoreMatchesEagerRing(t *testing.T) {
+	for _, capacity := range []int{8, spanChunk, 2*spanChunk + 5} {
+		for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, capacity + 5, 3*capacity + 2} {
+			testSpanStoreAgainstEager(t, capacity, n)
+		}
+	}
+}
+
+func testSpanStoreAgainstEager(t *testing.T, capacity, n int) {
+	t.Helper()
+	st := NewSpanStore(capacity)
+	ref := &eagerRing{ring: make([]Span, capacity)}
+	for i := 1; i <= n; i++ {
+		// Starts repeat so the span-id tie-break is exercised too.
+		sp := Span{TraceID: uint64(i%3 + 1), SpanID: uint64(i), Start: time.Duration(i / 2)}
+		st.Add(sp)
+		ref.add(sp)
+	}
+	want := append([]Span{}, ref.held()...)
+	SortSpans(want)
+	if st.Len() != len(want) {
+		t.Fatalf("cap=%d n=%d: len = %d, want %d", capacity, n, st.Len(), len(want))
+	}
+	if got := st.All(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cap=%d n=%d: All = %+v, want %+v", capacity, n, got, want)
+	}
+	if evicted := n - len(want); len(want) > 0 && want[0].SpanID != uint64(evicted+1) {
+		t.Fatalf("cap=%d n=%d: oldest retained span %d, want %d", capacity, n, want[0].SpanID, evicted+1)
+	}
+	for trace := uint64(1); trace <= 3; trace++ {
+		var wantTrace []Span
+		for _, sp := range want {
+			if sp.TraceID == trace {
+				wantTrace = append(wantTrace, sp)
+			}
+		}
+		if got := st.ByTrace(trace); !reflect.DeepEqual(got, wantTrace) {
+			t.Fatalf("cap=%d n=%d trace %d: ByTrace = %+v, want %+v", capacity, n, trace, got, wantTrace)
+		}
+	}
+}
+
+// TestSpanStoreAddAllocationFreeWhenFull: recording into a full ring
+// overwrites a slot and allocates nothing.
+func TestSpanStoreAddAllocationFreeWhenFull(t *testing.T) {
+	st := NewSpanStore(64)
+	sp := Span{TraceID: 1, SpanID: 1, Node: "n", Service: "s", Method: "m"}
+	for i := 0; i < 64; i++ {
+		st.Add(sp)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st.Add(sp) }); allocs != 0 {
+		t.Fatalf("Add into a full ring allocates %.1f times", allocs)
+	}
+}
+
+// TestNewPlaneCostsItsHistograms: a fresh plane is its five histograms
+// (about 38 KiB) and an empty span ring, not DefaultSpanCapacity spans
+// allocated up front (about 1.3 MiB).
+func TestNewPlaneCostsItsHistograms(t *testing.T) {
+	now := func() time.Duration { return 0 }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPlane("node-a", now)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewPlane allocated %d KiB, want < 64 KiB", got>>10)
 	}
 }
 

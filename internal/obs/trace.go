@@ -90,15 +90,23 @@ func (s Span) String() string {
 	return out
 }
 
-// SpanStore is the per-node flight recorder: a fixed-capacity ring of
-// recent spans under one short-critical-section mutex — recording is O(1)
-// with no allocation, and queries scan the ring without blocking writers
-// for longer than a copy.
+// SpanStore is the per-node flight recorder: a bounded ring of recent
+// spans under one short-critical-section mutex. The ring grows on demand
+// up to its capacity, a chunk of spanChunk slots at a time, so a node pays
+// for the spans it records, not for the ones it might, and growing never
+// copies what was recorded. Recording is O(1) and allocation-free once the
+// ring is full, and queries scan the ring without blocking writers for
+// longer than a copy.
 type SpanStore struct {
-	mu   sync.Mutex
-	ring []Span
-	next uint64 // total spans ever recorded; next slot = next % cap
+	mu       sync.Mutex
+	capacity int
+	chunks   [][]Span // spanChunk slots each (the last may be shorter)
+	next     uint64   // total spans ever recorded; next slot = next % capacity
 }
+
+// spanChunk is how many slots the ring grows by: one small allocation
+// (about 10 KiB) instead of a doubling copy through large ones.
+const spanChunk = 64
 
 // DefaultSpanCapacity is the per-node span-ring depth.
 const DefaultSpanCapacity = 8192
@@ -109,25 +117,29 @@ func NewSpanStore(capacity int) *SpanStore {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanStore{ring: make([]Span, capacity)}
+	return &SpanStore{capacity: capacity}
 }
 
 // Add records one span, evicting the oldest when the ring is full.
 func (s *SpanStore) Add(sp Span) {
 	s.mu.Lock()
-	s.ring[s.next%uint64(len(s.ring))] = sp
+	i := int(s.next % uint64(s.capacity))
+	if i/spanChunk == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]Span, min(spanChunk, s.capacity-i)))
+	}
+	s.chunks[i/spanChunk][i%spanChunk] = sp
 	s.next++
 	s.mu.Unlock()
 }
+
+// held is how many spans the ring holds. mu is held.
+func (s *SpanStore) held() int { return int(min(s.next, uint64(s.capacity))) }
 
 // Len returns how many spans the ring currently holds.
 func (s *SpanStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.next < uint64(len(s.ring)) {
-		return int(s.next)
-	}
-	return len(s.ring)
+	return s.held()
 }
 
 // ByTrace returns the retained spans of one trace, ordered by start time
@@ -137,14 +149,10 @@ func (s *SpanStore) ByTrace(traceID uint64) []Span {
 		return nil
 	}
 	s.mu.Lock()
-	n := s.next
-	if n > uint64(len(s.ring)) {
-		n = uint64(len(s.ring))
-	}
 	var out []Span
-	for i := uint64(0); i < n; i++ {
-		if s.ring[i].TraceID == traceID {
-			out = append(out, s.ring[i])
+	for i := 0; i < s.held(); i++ {
+		if sp := &s.chunks[i/spanChunk][i%spanChunk]; sp.TraceID == traceID {
+			out = append(out, *sp)
 		}
 	}
 	s.mu.Unlock()
@@ -155,13 +163,9 @@ func (s *SpanStore) ByTrace(traceID uint64) []Span {
 // All returns every retained span (tests, dump verbs).
 func (s *SpanStore) All() []Span {
 	s.mu.Lock()
-	n := s.next
-	if n > uint64(len(s.ring)) {
-		n = uint64(len(s.ring))
-	}
-	out := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, s.ring[i])
+	out := make([]Span, 0, s.held())
+	for _, c := range s.chunks {
+		out = append(out, c[:min(len(c), cap(out)-len(out))]...)
 	}
 	s.mu.Unlock()
 	SortSpans(out)

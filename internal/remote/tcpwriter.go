@@ -52,12 +52,13 @@ type TCPServerStats struct {
 	FramesOut  uint64 // wire frames written (responses, acks, pushes)
 	Yields     uint64 // flushes that first yielded to runnable handlers
 	QueueWaits uint64 // senders that found a connection's queue full
+	QueuedPeak uint64 // most bytes ever queued on one connection
 }
 
 // tcpServerCounters is the live form of TCPServerStats, shared by every
 // connection of one server.
 type tcpServerCounters struct {
-	reads, framesIn, flushes, framesOut, yields, queueWaits atomic.Uint64
+	reads, framesIn, flushes, framesOut, yields, queueWaits, queuedPeak atomic.Uint64
 	// framesByRef counts frames written by reference instead of through
 	// the contiguous buffer (tests pin the bulk path on it).
 	framesByRef atomic.Uint64
@@ -71,6 +72,7 @@ func (c *tcpServerCounters) snapshot() TCPServerStats {
 		FramesOut:  c.framesOut.Load(),
 		Yields:     c.yields.Load(),
 		QueueWaits: c.queueWaits.Load(),
+		QueuedPeak: c.queuedPeak.Load(),
 	}
 }
 
@@ -195,8 +197,7 @@ func (w *connWriter) appendFrame(frame []byte, pooled bool) error {
 		w.queued += len(frame)
 		w.stats.framesByRef.Add(1)
 	}
-	w.stats.framesOut.Add(1)
-	w.work.Signal()
+	w.queuedFrame()
 	return nil
 }
 
@@ -206,9 +207,21 @@ func (w *connWriter) appendBatch(frames [][]byte) error {
 	if err := writeBatchFrame(w, frames); err != nil {
 		return err // too large: rejected before anything was queued
 	}
-	w.stats.framesOut.Add(1)
-	w.work.Signal()
+	w.queuedFrame()
 	return nil
+}
+
+// queuedFrame counts one frame just queued, raises the queued-bytes
+// high-water mark and wakes the writer. mu is held.
+func (w *connWriter) queuedFrame() {
+	w.stats.framesOut.Add(1)
+	for q := uint64(w.queued); ; {
+		peak := w.stats.queuedPeak.Load()
+		if q <= peak || w.stats.queuedPeak.CompareAndSwap(peak, q) {
+			break
+		}
+	}
+	w.work.Signal()
 }
 
 // enqueue queues one frame the writer does not own (a push, the

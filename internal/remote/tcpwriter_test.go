@@ -247,8 +247,9 @@ func TestWriterLargeFrameByReference(t *testing.T) {
 }
 
 // TestWriterBoundedAgainstStalledReader: a peer that sends 10k requests
-// and never reads a response pins about the queue cap, not its backlog;
-// Close still returns and every goroutine ends.
+// and never reads a response pins about the queue cap, not its backlog —
+// the queued bytes never pass the cap by more than one frame; Close still
+// returns and every goroutine ends.
 func TestWriterBoundedAgainstStalledReader(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	payload := bytes.Repeat([]byte{0x5A}, 32<<10)
@@ -263,9 +264,6 @@ func TestWriterBoundedAgainstStalledReader(t *testing.T) {
 	}
 	defer nc.Close()
 	_ = nc.(*net.TCPConn).SetReadBuffer(64 << 10)
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 
 	const n = 10_000 // x 32 KiB = 320 MB of responses nobody reads
 	for i := 0; i < n; i++ {
@@ -277,16 +275,20 @@ func TestWriterBoundedAgainstStalledReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	largest, err := EncodeResponse(&Response{Corr: n, Status: StatusOK, Results: []any{payload}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxFrame := 4 + len(largest) // length prefix + the largest response
 	waitFor(t, "the queue to fill", func() bool {
 		st := server.Stats()
 		return st.FramesIn == n && st.QueueWaits > 0
 	})
-	var stalled runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&stalled)
-	if grown := int64(stalled.HeapAlloc) - int64(before.HeapAlloc); grown > 32<<20 {
-		t.Fatalf("heap grew %d MiB behind a stalled reader; the queue cap is %d MiB",
-			grown>>20, writerQueueCap>>20)
+	peak := server.Stats().QueuedPeak
+	t.Logf("queued-bytes high-water mark: %d", peak)
+	if peak > writerQueueCap+uint64(maxFrame) {
+		t.Fatalf("%d bytes queued behind a stalled reader; the cap is %d plus one %d-byte frame",
+			peak, writerQueueCap, maxFrame)
 	}
 
 	closed := make(chan struct{})
