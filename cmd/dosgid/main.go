@@ -178,13 +178,6 @@ when health.component == "remote" && health.level >= 2 { demote() }
 when health.component == "remote" && health.level < 2 { restore() }
 `
 
-// serviceSources is the dispatch-side lookup order: host-framework
-// exports first, then every started instance's exports (host wins name
-// collisions). remote.NewCompositeSource composes it per lookup.
-func (d *daemon) serviceSources() []remote.ServiceSource {
-	return append([]remote.ServiceSource{d.exporter}, d.instExp.Sources()...)
-}
-
 // exportNames lists every exported service: host exports plainly,
 // instance exports annotated with their owning instance.
 func (d *daemon) exportNames() []string {
@@ -479,7 +472,7 @@ func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc heal
 	// other counter.
 	d.metrics.RegisterProvider("events:self", d.broker.Provider())
 	d.metrics.RegisterProvider("alerts:self", d.health.Broker().Provider())
-	d.services = remote.NewCompositeSource(d.serviceSources)
+	d.services = remote.NewCompositeSource(d.exporter, d.instExp)
 	exporter.OnChange(func(ev remote.ExportEvent) { d.publishExportEvent(ev, "") })
 	mgr.OnEvent(func(ev core.Event) {
 		switch ev.Type {
@@ -500,13 +493,14 @@ func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc heal
 	d.metrics.RegisterProvider("remote:self", func() map[string]any {
 		st := remoteSrv.Stats()
 		return map[string]any{
-			"reads":      int64(st.Reads),
-			"framesIn":   int64(st.FramesIn),
-			"flushes":    int64(st.Flushes),
-			"framesOut":  int64(st.FramesOut),
-			"yields":     int64(st.Yields),
-			"queueWaits": int64(st.QueueWaits),
-			"queuedPeak": int64(st.QueuedPeak),
+			"reads":          int64(st.Reads),
+			"framesIn":       int64(st.FramesIn),
+			"flushes":        int64(st.Flushes),
+			"framesOut":      int64(st.FramesOut),
+			"yields":         int64(st.Yields),
+			"queueWaits":     int64(st.QueueWaits),
+			"queuedPeak":     int64(st.QueuedPeak),
+			"workersStarted": int64(st.WorkersStarted),
 		}
 	})
 

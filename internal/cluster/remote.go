@@ -61,13 +61,6 @@ func (r directoryResolver) Endpoints(service string) []remote.Endpoint {
 	return eps
 }
 
-// serviceSources snapshots the node's dispatch-side lookup order:
-// host-framework exports first, then every virtual instance's exports in
-// instance-id order — one listener serves the whole node.
-func (n *Node) serviceSources() []remote.ServiceSource {
-	return append([]remote.ServiceSource{n.exporter}, n.instExp.Sources()...)
-}
-
 // remoteAddr is the node's remote-services listener address.
 func remoteAddr(ip netsim.IP) string {
 	return fmt.Sprintf("%s:%d", ip, RemotePort)
@@ -108,7 +101,7 @@ func (n *Node) setupRemote() error {
 	server := remote.NewNetsimServer(n.nic,
 		netsim.Addr{IP: n.cfg.IP, Port: RemotePort},
 		remote.NewEventDispatcher(
-			remote.NewDispatcher(remote.NewCompositeSource(n.serviceSources),
+			remote.NewDispatcher(remote.NewCompositeSource(n.exporter, n.instExp),
 				remote.WithDispatcherTracer(n.obsPlane.Tracer)), n.broker, n.newHealthBroker()),
 		remote.WithNetsimServerClock(n.cluster.eng.Now))
 	if err := server.Start(); err != nil {

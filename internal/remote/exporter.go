@@ -298,22 +298,27 @@ type ServiceSource interface {
 	Lookup(name string) (any, bool)
 }
 
-// CompositeSource resolves through a dynamic, ordered list of sources —
-// first hit wins. Nodes use it to serve host-framework exports and every
-// virtual instance's exports behind one listener; snapshot is called per
-// lookup so sources may come and go with instance lifecycle.
+// CompositeSource serves a node's host-framework exports and every
+// virtual instance's exports behind one listener: a lookup consults the
+// host first (it wins name collisions), then the instances in instance-id
+// order. Instances come and go with their lifecycle; a lookup sees the
+// set's current exporters and allocates nothing.
 type CompositeSource struct {
-	snapshot func() []ServiceSource
+	host      ServiceSource
+	instances *ExporterSet
 }
 
-// NewCompositeSource builds a composite over snapshot.
-func NewCompositeSource(snapshot func() []ServiceSource) *CompositeSource {
-	return &CompositeSource{snapshot: snapshot}
+// NewCompositeSource builds a composite over host and instances.
+func NewCompositeSource(host ServiceSource, instances *ExporterSet) *CompositeSource {
+	return &CompositeSource{host: host, instances: instances}
 }
 
 // Lookup implements ServiceSource.
 func (c *CompositeSource) Lookup(name string) (any, bool) {
-	for _, src := range c.snapshot() {
+	if svc, ok := c.host.Lookup(name); ok {
+		return svc, true
+	}
+	for _, src := range c.instances.Sources() {
 		if svc, ok := src.Lookup(name); ok {
 			return svc, true
 		}

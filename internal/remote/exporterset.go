@@ -3,6 +3,7 @@ package remote
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dosgi/internal/module"
 )
@@ -23,11 +24,38 @@ type KeyedExporter struct {
 type ExporterSet struct {
 	mu   sync.Mutex
 	exps map[string]*Exporter
+	// view is the key-ordered form of exps, rebuilt under mu on every
+	// change and never modified after it is stored, so the dispatch path
+	// reads it without a lock or a copy.
+	view atomic.Pointer[exporterView]
+}
+
+type exporterView struct {
+	keyed   []KeyedExporter
+	sources []ServiceSource
 }
 
 // NewExporterSet returns an empty set.
 func NewExporterSet() *ExporterSet {
-	return &ExporterSet{exps: make(map[string]*Exporter)}
+	s := &ExporterSet{exps: make(map[string]*Exporter)}
+	s.view.Store(&exporterView{})
+	return s
+}
+
+// publishLocked rebuilds the key-ordered view. mu is held.
+func (s *ExporterSet) publishLocked() {
+	v := &exporterView{
+		keyed:   make([]KeyedExporter, 0, len(s.exps)),
+		sources: make([]ServiceSource, len(s.exps)),
+	}
+	for key, exp := range s.exps {
+		v.keyed = append(v.keyed, KeyedExporter{Key: key, Exp: exp})
+	}
+	sort.Slice(v.keyed, func(i, j int) bool { return v.keyed[i].Key < v.keyed[j].Key })
+	for i, ke := range v.keyed {
+		v.sources[i] = ke.Exp
+	}
+	s.view.Store(v)
 }
 
 // Attach builds an exporter over ctx under key, wiring onChange before
@@ -56,6 +84,7 @@ func (s *ExporterSet) Attach(key string, ctx *module.Context, onChange func(Expo
 		return
 	}
 	s.exps[key] = exp
+	s.publishLocked()
 	s.mu.Unlock()
 	if stillWanted != nil && !stillWanted() {
 		s.Detach(key)
@@ -67,35 +96,24 @@ func (s *ExporterSet) Attach(key string, ctx *module.Context, onChange func(Expo
 func (s *ExporterSet) Detach(key string) {
 	s.mu.Lock()
 	exp, ok := s.exps[key]
-	delete(s.exps, key)
+	if ok {
+		delete(s.exps, key)
+		s.publishLocked()
+	}
 	s.mu.Unlock()
 	if ok {
 		exp.Close()
 	}
 }
 
-// Snapshot returns the (key, exporter) pairs sorted by key.
-func (s *ExporterSet) Snapshot() []KeyedExporter {
-	s.mu.Lock()
-	out := make([]KeyedExporter, 0, len(s.exps))
-	for key, exp := range s.exps {
-		out = append(out, KeyedExporter{Key: key, Exp: exp})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+// Snapshot returns the (key, exporter) pairs sorted by key. The slice is
+// shared: callers must not modify it.
+func (s *ExporterSet) Snapshot() []KeyedExporter { return s.view.Load().keyed }
 
-// Sources returns the exporters as ServiceSources in key order —
-// appended after a host exporter to form a node's composite lookup.
-func (s *ExporterSet) Sources() []ServiceSource {
-	snap := s.Snapshot()
-	out := make([]ServiceSource, len(snap))
-	for i, ke := range snap {
-		out[i] = ke.Exp
-	}
-	return out
-}
+// Sources returns the exporters as ServiceSources in key order, without
+// copying — a CompositeSource consults them after the host exporter on
+// every lookup. The slice is shared: callers must not modify it.
+func (s *ExporterSet) Sources() []ServiceSource { return s.view.Load().sources }
 
 // CloseAll detaches everything (node teardown).
 func (s *ExporterSet) CloseAll() {
@@ -105,6 +123,7 @@ func (s *ExporterSet) CloseAll() {
 		exps = append(exps, exp)
 		delete(s.exps, key)
 	}
+	s.publishLocked()
 	s.mu.Unlock()
 	for _, exp := range exps {
 		exp.Close()

@@ -14,20 +14,6 @@ import (
 	"dosgi/internal/obs"
 )
 
-// writeFrame writes a length-prefixed frame to w in one vectored write
-// (writev on a TCP conn — header and payload never split across two
-// syscalls). Callers serialize.
-func writeFrame(w io.Writer, frame []byte) error {
-	if len(frame) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	bufs := net.Buffers{hdr[:], frame}
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
 // writeBatchFrame writes frames wrapped as one §2.1 batch frame without
 // copying the bodies into a contiguous buffer: the outer length prefix,
 // batch header and per-frame length prefixes interleave with the frame
@@ -157,8 +143,15 @@ type tcpConn struct {
 	nc   net.Conn
 
 	writeMu sync.Mutex
-	pushFn  atomic.Pointer[func(*Request)]
-	pushes  serialQueue
+	// wbuf holds request frames, each behind its length prefix, that send
+	// queued while completing was non-zero. Guarded by writeMu.
+	wbuf []byte
+	// completing counts response completions the read loop has started
+	// that have not begun to run. The one that brings it to zero writes
+	// wbuf before its callback runs.
+	completing atomic.Int64
+	pushFn     atomic.Pointer[func(*Request)]
+	pushes     serialQueue
 	// pushHello is set once the connection advertised featBatch for
 	// server→client Notify coalescing (sent with the first push handler,
 	// before any Subscribe can ride this connection).
@@ -221,17 +214,71 @@ func (c *tcpConn) Close() error {
 	return nil
 }
 
+// send writes one request frame — or, while a response completion is
+// about to run, queues it for that completion to write with the requests
+// of the completions before it: the callbacks of one burst of responses
+// issue their next calls in one write. Nothing waits for the queue to
+// fill. A frame queued here is written by a goroutine that is already
+// runnable and runs no user code first, and a call made with no
+// completion pending, a large frame and a queue reaching writerInlineMax
+// are written at once.
 func (c *tcpConn) send(frame []byte) error {
+	if len(frame) > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return writeFrame(c.nc, frame)
+	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf, uint32(len(frame)))
+	if len(frame) > writerInlineMax {
+		return c.flushLocked(frame)
+	}
+	c.wbuf = append(c.wbuf, frame...)
+	if c.completing.Load() > 0 && len(c.wbuf) < writerInlineMax {
+		return nil
+	}
+	return c.flushLocked(nil)
+}
+
+// flushLocked writes the queued frames, then tail (a large frame, by
+// reference) in the same vectored write. writeMu is held. A failed write
+// closes the socket, so the read loop fails every pending call — those
+// whose frames were queued here too — with ErrConnClosed.
+func (c *tcpConn) flushLocked(tail []byte) error {
+	var err error
+	switch {
+	case tail != nil:
+		bufs := net.Buffers{c.wbuf, tail}
+		_, err = bufs.WriteTo(c.nc)
+	case len(c.wbuf) > 0:
+		_, err = c.nc.Write(c.wbuf)
+	}
+	c.wbuf = c.wbuf[:0]
+	if err != nil {
+		_ = c.nc.Close()
+	}
+	return err
+}
+
+// startCompletion runs first in every response completion of a
+// connection without a push handler. The last one pending writes what
+// send queued, before its callback can block.
+func (c *tcpConn) startCompletion() {
+	if c.completing.Add(-1) > 0 {
+		return
+	}
+	c.writeMu.Lock()
+	_ = c.flushLocked(nil) // a failure closed the socket; the read loop reports it
+	c.writeMu.Unlock()
 }
 
 // sendBatch flushes one coalesced request window as a single vectored
-// write (connCore.sendFrames).
+// write (connCore.sendFrames), behind any frames send queued.
 func (c *tcpConn) sendBatch(frames [][]byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	if err := c.flushLocked(nil); err != nil {
+		return err
+	}
 	return writeBatchFrame(c.nc, frames)
 }
 
@@ -280,11 +327,15 @@ func (c *tcpConn) readLoop() {
 			// block up to the dial timeout, which must not stall
 			// response reads for the other calls pipelined on this
 			// connection. Pool connections (no push handler) complete on
-			// their own goroutines; push-enabled connections (event
+			// their own goroutines, counted in completing from here until
+			// they start, so the calls their callbacks issue share one
+			// write (send). Push-enabled connections (event
 			// subscriptions) complete through the same serialized queue
 			// as pushes, preserving the server's write order between a
 			// resync's Notify frames and the Subscribe response — the
-			// Subscriber's resync accounting depends on it.
+			// Subscriber's resync accounting depends on it. A completion
+			// there can wait behind a slow push handler, so it is not
+			// counted and their requests are written at once.
 			hasPush := c.pushFn.Load() != nil
 			// The response's strings and bytes alias the pooled frame
 			// (the borrow contract on Conn.Call): it is recycled only
@@ -296,7 +347,11 @@ func (c *tcpConn) readLoop() {
 			if hasPush {
 				c.pushes.enqueue(complete)
 			} else {
-				go complete()
+				c.completing.Add(1)
+				go func() {
+					c.startCompletion()
+					complete()
+				}()
 			}
 		case frameRequest:
 			// Server push (dosgi.events Notify): serialized off the
@@ -369,6 +424,11 @@ type TCPServer struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 }
+
+// serverKeepIdle is how many dispatch workers one connection keeps parked
+// between requests: the in-flight window of one default pool connection.
+// A deeper burst starts more workers, which exit after replying.
+const serverKeepIdle = DefaultMaxInFlight
 
 // TCPServerOption configures a TCPServer.
 type TCPServerOption func(*TCPServer)
@@ -558,12 +618,15 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 		s.mu.Unlock()
 	}()
 	pusher := &tcpPusher{w: w}
-	var dispatch sync.WaitGroup
+	var dispatch, workers sync.WaitGroup
+	work := make(chan *Request) // to a parked dispatch worker
 	defer func() {
 		// Running handlers still queue their responses; the writer sends
 		// them, then closes the connection. A failed write or Close has
 		// already released every sender and ended the writer instead.
 		dispatch.Wait()
+		close(work) // the read loop, its only sender, is done: parked workers exit
+		workers.Wait()
 		pusher.stop()
 		w.drain()
 	}()
@@ -596,6 +659,35 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 		}
 		resp.Corr = req.Corr
 		reply(resp)
+	}
+	// Dispatch workers outlive one request. A fresh goroutine starts at the
+	// minimum stack, which reflective dispatch outgrows: a goroutine per
+	// request would copy its stack on every request, while a reused worker
+	// keeps the stack it grew. A request goes to a worker parked on work when one is
+	// waiting and starts a new one otherwise, so a blocked handler never
+	// delays another request. A worker that has replied parks again, unless
+	// serverKeepIdle others already are.
+	var parked atomic.Int32
+	worker := func(req *Request) {
+		defer workers.Done()
+		for ok := true; ok; {
+			serve(req)
+			if parked.Add(1) > serverKeepIdle {
+				parked.Add(-1)
+				return
+			}
+			req, ok = <-work
+			parked.Add(-1)
+		}
+	}
+	dispatchReq := func(req *Request) {
+		select {
+		case work <- req:
+		default:
+			s.stats.workersStarted.Add(1)
+			workers.Add(1)
+			go worker(req)
+		}
 	}
 	br := bufio.NewReaderSize(countingReader{nc, &s.stats.reads}, tcpReadBuffer)
 	for {
@@ -632,7 +724,7 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 			dispatch.Add(len(reqs))
 			w.unreplied.Add(int64(len(reqs)))
 			for _, req := range reqs {
-				go serve(req)
+				dispatchReq(req)
 			}
 			continue
 		}
@@ -661,7 +753,7 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 			}
 			dispatch.Add(1)
 			w.unreplied.Add(1)
-			go serve(req)
+			dispatchReq(req)
 		}
 	}
 }

@@ -44,21 +44,25 @@ const (
 
 // TCPServerStats counts a TCPServer's socket traffic since it started.
 // FramesOut/Flushes is the live batch factor of the response path (1 when
-// every response is written alone), FramesIn/Reads its read-side twin.
+// every response is written alone), FramesIn/Reads its read-side twin;
+// WorkersStarted grows with connections and with bursts deeper than the
+// workers a connection keeps parked, not with the request count.
 type TCPServerStats struct {
-	Reads      uint64 // read calls on accepted sockets
-	FramesIn   uint64 // wire frames received (a §2.1 batch counts once)
-	Flushes    uint64 // writes: one per drained queue
-	FramesOut  uint64 // wire frames written (responses, acks, pushes)
-	Yields     uint64 // flushes that first yielded to runnable handlers
-	QueueWaits uint64 // senders that found a connection's queue full
-	QueuedPeak uint64 // most bytes ever queued on one connection
+	Reads          uint64 // read calls on accepted sockets
+	FramesIn       uint64 // wire frames received (a §2.1 batch counts once)
+	Flushes        uint64 // writes: one per drained queue
+	FramesOut      uint64 // wire frames written (responses, acks, pushes)
+	Yields         uint64 // flushes that first yielded to runnable handlers
+	QueueWaits     uint64 // senders that found a connection's queue full
+	QueuedPeak     uint64 // most bytes ever queued on one connection
+	WorkersStarted uint64 // dispatch goroutines started (parked ones are reused)
 }
 
 // tcpServerCounters is the live form of TCPServerStats, shared by every
 // connection of one server.
 type tcpServerCounters struct {
 	reads, framesIn, flushes, framesOut, yields, queueWaits, queuedPeak atomic.Uint64
+	workersStarted                                                      atomic.Uint64
 	// framesByRef counts frames written by reference instead of through
 	// the contiguous buffer (tests pin the bulk path on it).
 	framesByRef atomic.Uint64
@@ -66,13 +70,14 @@ type tcpServerCounters struct {
 
 func (c *tcpServerCounters) snapshot() TCPServerStats {
 	return TCPServerStats{
-		Reads:      c.reads.Load(),
-		FramesIn:   c.framesIn.Load(),
-		Flushes:    c.flushes.Load(),
-		FramesOut:  c.framesOut.Load(),
-		Yields:     c.yields.Load(),
-		QueueWaits: c.queueWaits.Load(),
-		QueuedPeak: c.queuedPeak.Load(),
+		Reads:          c.reads.Load(),
+		FramesIn:       c.framesIn.Load(),
+		Flushes:        c.flushes.Load(),
+		FramesOut:      c.framesOut.Load(),
+		Yields:         c.yields.Load(),
+		QueueWaits:     c.queueWaits.Load(),
+		QueuedPeak:     c.queuedPeak.Load(),
+		WorkersStarted: c.workersStarted.Load(),
 	}
 }
 
@@ -114,11 +119,14 @@ type refFrame struct {
 // conditional one writes ~4.9 responses per flush and gave +57 %
 // throughput (10/10 alternating pairs) with p50 and p99 unmoved.
 //
-// The client side deliberately has no such writer: the same yield there
-// costs artifact_fetch 4-9 % throughput, because the yielded chunk
-// requests queue behind runnable 64 KiB hash completions while the holder
-// idles. Client writes stay prompt until hashing leaves the completion
-// path (ROADMAP direction 3, "hash once").
+// The client side has no writer goroutine and never yields: the same
+// yield there cost artifact_fetch 4-9 % throughput, because the yielded
+// chunk requests queued behind runnable 64 KiB hash completions while the
+// holder idled. It coalesces on an event it can see instead (tcpConn.send):
+// while the read loop has started response completions that have not run
+// yet, requests queue, and the last of those completions writes them
+// before its callback. A lone call, and every request of a push-enabled
+// connection, is written at once.
 type connWriter struct {
 	nc    net.Conn
 	stats *tcpServerCounters
