@@ -200,6 +200,20 @@ func (m *Member) View() View {
 	return m.view.clone()
 }
 
+// HasNode reports whether the current view holds a member running on node,
+// compared on the plain node id (NodeOf), so ranked ids match too. Unlike
+// View it copies nothing.
+func (m *Member) HasNode(node string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, id := range m.view.Members {
+		if NodeOf(id) == node {
+			return true
+		}
+	}
+	return false
+}
+
 // ViewChanges returns the number of views installed so far.
 func (m *Member) ViewChanges() int {
 	m.mu.Lock()

@@ -223,8 +223,8 @@ func (d *Directory) EndpointsAt(addr string) []EndpointInfo {
 func (d *Directory) AddrInUse(addr string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, byNode := range d.endpoints.recs {
-		for _, info := range byNode {
+	for _, infos := range d.endpoints.recs {
+		for _, info := range infos {
 			if info.Addr == addr {
 				return true
 			}

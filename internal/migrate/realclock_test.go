@@ -3,6 +3,7 @@ package migrate
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,4 +181,39 @@ func TestRealClockBroadcastOrdering(t *testing.T) {
 	if artAfter.Syncs <= artBefore.Syncs || artAfter.SilentSyncs <= artBefore.SilentSyncs {
 		t.Fatalf("anti-entropy not running silently: before %+v after %+v", artBefore, artAfter)
 	}
+}
+
+// TestRealClockSubscribeDuringDeliveries: subscribing while another
+// node's churn is being applied on concurrent goroutines is race-free
+// (the hook list is copy-on-write), and every subscriber sees the deltas
+// applied after it subscribed — here, the final announcement.
+func TestRealClockSubscribeDuringDeliveries(t *testing.T) {
+	_, nodes := newRealClockPair(t, 10*time.Millisecond)
+	a, b := nodes[0], nodes[1]
+	const hooks = 64
+	var seen [hooks]atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			a.mod.AnnounceEndpointFor(fmt.Sprintf("svc.%02d", i%16), fmt.Sprintf("ip-node00:%d", 7100+i), "")
+		}
+	}()
+	for i := 0; i < hooks; i++ {
+		b.mod.OnEndpointChange(func(ch EndpointChange) {
+			if ch.Info.Service == "final" {
+				seen[i].Store(true)
+			}
+		})
+	}
+	<-done
+	a.mod.AnnounceEndpointFor("final", "ip-node00:7100", "")
+	waitFor(t, 10*time.Second, "every subscriber to see the final record", func() bool {
+		for i := range seen {
+			if !seen[i].Load() {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -5,8 +5,11 @@
 // Everything a family needs to stay convergent and observable is
 // defined once here:
 //
-//   - storage keyed (record key → holder node → record) with total-order
-//     put/remove and authoritative per-holder sync;
+//   - storage of each record key's few records as one slice sorted by
+//     holder node, beside an index of every holder's keys, with
+//     total-order put/remove and authoritative per-holder sync — a
+//     lookup is one probe, and a holder's sync or prune touches only
+//     that holder's records;
 //   - exact delta computation — an unchanged record replayed by a resync
 //     appears in no delta list, so a converged anti-entropy replay is
 //     silent and subscribers never see spurious events;
@@ -24,7 +27,8 @@
 package migrate
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"dosgi/internal/health"
 )
@@ -133,70 +137,103 @@ type (
 	}
 )
 
-// recordTable is the storage half of the engine: one family's records
-// keyed (key → holder → record). It is not self-locking — the Directory
+// recordTable is the storage half of the engine: one family's records,
+// each key's few records in a slice sorted by holder, plus the index of
+// every holder's keys that per-holder syncs and dead-holder prunes walk
+// instead of the whole table. It is not self-locking — the Directory
 // guards every table with its single mutex so cross-family reads stay
 // consistent.
 type recordTable[V comparable] struct {
 	*family[V]
-	recs map[string]map[string]V
+	recs map[string][]V                 // key → records, sorted by holder
+	held map[string]map[string]struct{} // holder → keys it has a record of
 }
 
 func newRecordTable[V comparable](f *family[V]) *recordTable[V] {
-	return &recordTable[V]{family: f, recs: make(map[string]map[string]V)}
+	return &recordTable[V]{family: f, recs: make(map[string][]V), held: make(map[string]map[string]struct{})}
+}
+
+// find returns the index of holder's record in rs (sorted by holder) and
+// whether it is there; when it is not, the index is where it belongs.
+func (t *recordTable[V]) find(rs []V, holder string) (int, bool) {
+	for i, v := range rs {
+		if h := t.holder(v); h >= holder {
+			return i, h == holder
+		}
+	}
+	return len(rs), false
 }
 
 // put upserts a record, reporting whether a record for (key, holder)
 // already existed — callers turn the result into Added vs Updated.
 func (t *recordTable[V]) put(v V) (existed bool) {
-	byHolder := t.recs[t.key(v)]
-	if byHolder == nil {
-		byHolder = make(map[string]V)
-		t.recs[t.key(v)] = byHolder
+	key, holder := t.key(v), t.holder(v)
+	rs := t.recs[key]
+	i, existed := t.find(rs, holder)
+	if existed {
+		rs[i] = v
+		return true
 	}
-	_, existed = byHolder[t.holder(v)]
-	byHolder[t.holder(v)] = v
-	return existed
+	t.recs[key] = slices.Insert(rs, i, v)
+	keys := t.held[holder]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		t.held[holder] = keys
+	}
+	keys[key] = struct{}{}
+	return false
 }
 
 // remove deletes holder's record for key, returning the removed record
 // (ok=false when there was none).
 func (t *recordTable[V]) remove(key, holder string) (V, bool) {
-	byHolder := t.recs[key]
-	v, ok := byHolder[holder]
-	delete(byHolder, holder)
-	if len(byHolder) == 0 {
-		delete(t.recs, key)
+	rs := t.recs[key]
+	i, ok := t.find(rs, holder)
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	return v, ok
+	v := rs[i]
+	if len(rs) == 1 {
+		delete(t.recs, key)
+	} else {
+		t.recs[key] = slices.Delete(rs, i, i+1)
+	}
+	keys := t.held[holder]
+	delete(keys, key)
+	if len(keys) == 0 {
+		delete(t.held, holder)
+	}
+	return v, true
 }
 
 // prune deletes every record, among keys satisfying match (nil matches
 // everything), whose holder is not in live — the view-change dead-holder
 // prune, scoped so a holder departing one shard's view loses only that
-// shard's records — and returns them sorted by holder then key.
+// shard's records — and returns them sorted by holder then key. Only the
+// dead holders' keys are visited.
 func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []V {
-	var removed []V
-	for key, byHolder := range t.recs {
-		if match != nil && !match(key) {
-			continue
-		}
-		for holder, v := range byHolder {
-			if !live[holder] {
-				removed = append(removed, v)
-				delete(byHolder, holder)
-			}
-		}
-		if len(byHolder) == 0 {
-			delete(t.recs, key)
+	var dead []string
+	for holder := range t.held {
+		if !live[holder] {
+			dead = append(dead, holder)
 		}
 	}
-	sort.Slice(removed, func(i, j int) bool {
-		if hi, hj := t.holder(removed[i]), t.holder(removed[j]); hi != hj {
-			return hi < hj
+	slices.Sort(dead)
+	var removed []V
+	for _, holder := range dead {
+		var keys []string
+		for key := range t.held[holder] {
+			if match == nil || match(key) {
+				keys = append(keys, key)
+			}
 		}
-		return t.key(removed[i]) < t.key(removed[j])
-	})
+		slices.Sort(keys)
+		for _, key := range keys {
+			v, _ := t.remove(key, holder)
+			removed = append(removed, v)
+		}
+	}
 	return removed
 }
 
@@ -210,37 +247,44 @@ func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []
 // neither applied nor erased, which is what makes per-shard syncs safe —
 // a shard only speaks for its own keys.
 func (t *recordTable[V]) replaceOf(holder string, vs []V, match func(string) bool) (added, updated, removed []V) {
-	prev := make(map[string]V)
-	for key, byHolder := range t.recs {
-		if match != nil && !match(key) {
-			continue
-		}
-		if v, ok := byHolder[holder]; ok {
-			prev[key] = v
+	// prev holds holder's records in scope, each marked once vs names it;
+	// the unmarked ones are stale.
+	type prevRec struct {
+		v     V
+		named bool
+	}
+	own := t.held[holder]
+	prev := make(map[string]prevRec, len(own))
+	for key := range own {
+		if match == nil || match(key) {
+			rs := t.recs[key]
+			i, _ := t.find(rs, holder)
+			prev[key] = prevRec{v: rs[i]}
 		}
 	}
-	next := make(map[string]bool, len(vs))
 	for _, v := range vs {
-		if t.holder(v) != holder {
-			continue
-		}
-		if match != nil && !match(t.key(v)) {
-			continue
-		}
 		key := t.key(v)
-		next[key] = true
-		old, existed := prev[key]
+		if t.holder(v) != holder || (match != nil && !match(key)) {
+			continue
+		}
+		p, existed := prev[key]
 		switch {
 		case !existed:
 			added = append(added, v)
-		case old != v:
+		case p.v != v:
 			updated = append(updated, v)
+		}
+		if existed && !p.named {
+			prev[key] = prevRec{v: p.v, named: true}
+			if p.v == v {
+				continue // first mention of an unchanged record: the table holds it
+			}
 		}
 		t.put(v)
 	}
-	for key, old := range prev {
-		if !next[key] {
-			removed = append(removed, old)
+	for key, p := range prev {
+		if !p.named {
+			removed = append(removed, p.v)
 			t.remove(key, holder)
 		}
 	}
@@ -252,33 +296,31 @@ func (t *recordTable[V]) replaceOf(holder string, vs []V, match func(string) boo
 
 // forKey returns the records of key, sorted by holder.
 func (t *recordTable[V]) forKey(key string) []V {
-	out := make([]V, 0, len(t.recs[key]))
-	for _, v := range t.recs[key] {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return t.holder(out[i]) < t.holder(out[j]) })
-	return out
+	rs := t.recs[key]
+	return append(make([]V, 0, len(rs)), rs...)
 }
 
 // all returns every record, sorted by key then holder.
 func (t *recordTable[V]) all() []V {
-	var out []V
-	for _, byHolder := range t.recs {
-		for _, v := range byHolder {
-			out = append(out, v)
-		}
+	if len(t.recs) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if t.key(out[i]) != t.key(out[j]) {
-			return t.key(out[i]) < t.key(out[j])
-		}
-		return t.holder(out[i]) < t.holder(out[j])
-	})
+	keys := make([]string, 0, len(t.recs))
+	n := 0
+	for key, rs := range t.recs {
+		keys = append(keys, key)
+		n += len(rs)
+	}
+	slices.Sort(keys)
+	out := make([]V, 0, n)
+	for _, key := range keys {
+		out = append(out, t.recs[key]...)
+	}
 	return out
 }
 
 func (t *recordTable[V]) sortByKey(vs []V) {
-	sort.Slice(vs, func(i, j int) bool { return t.key(vs[i]) < t.key(vs[j]) })
+	slices.SortFunc(vs, func(a, b V) int { return strings.Compare(t.key(a), t.key(b)) })
 }
 
 // FamilyStats counts one record family's replicated-directory activity
@@ -374,10 +416,12 @@ func (f *recordFamily[V]) withdraw(key string, mine func(V) bool) {
 	}
 }
 
-// subscribe adds a subscriber to the family's exact deltas.
+// subscribe adds a subscriber to the family's exact deltas. hooks is
+// copy-on-write: subscribe installs a new slice, so a slice notify read
+// stays valid while its hooks run.
 func (f *recordFamily[V]) subscribe(fn func(Change[V])) {
 	f.s.mu.Lock()
-	f.hooks = append(f.hooks, fn)
+	f.hooks = append(f.hooks[:len(f.hooks):len(f.hooks)], fn)
 	f.s.mu.Unlock()
 }
 
@@ -409,7 +453,7 @@ func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
 	case Removed:
 		f.stats.Removed += int64(len(infos))
 	}
-	hooks := append(make([]func(Change[V]), 0, len(f.hooks)), f.hooks...)
+	hooks := f.hooks
 	f.s.mu.Unlock()
 	for _, fn := range hooks {
 		for _, v := range infos {
@@ -428,9 +472,11 @@ func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
 // apply time every member has the new view installed, so every member
 // drops (or keeps) the same mutations. The check runs against the OWNING
 // shard's view — shard views change independently, and only the shard
-// sequencing a key decides its fate.
+// sequencing a key decides its fate. Shard groups may run under ranked
+// member ids (see gcs.RankedID), so membership is compared on the plain
+// node id.
 func (f *recordFamily[V]) admit(holder string, applied *int64) bool {
-	live := f.s.holderLive(holder)
+	live := f.s.member.HasNode(holder)
 	f.s.mu.Lock()
 	if live {
 		*applied++

@@ -110,19 +110,6 @@ func (s *dirShard) broadcast(body any) {
 	_ = s.member.Broadcast(body, gcs.Total)
 }
 
-// holderLive reports whether a record holder is a member of this
-// shard's current view. Shard groups may run under ranked member ids
-// (one group per shard, coordinators spread by rank — see gcs.RankedID),
-// so view membership is compared on the plain node id.
-func (s *dirShard) holderLive(holder string) bool {
-	for _, id := range s.member.View().Members {
-		if gcs.NodeOf(id) == holder {
-			return true
-		}
-	}
-	return false
-}
-
 // viewNodeSet maps a shard view's member ids (possibly ranked) to the
 // plain node-id set used for dead-holder pruning.
 func viewNodeSet(v gcs.View) map[string]bool {
