@@ -15,8 +15,11 @@ import (
 	"time"
 
 	"dosgi/internal/experiments"
+	"dosgi/internal/gcs"
 	"dosgi/internal/migrate"
 	"dosgi/internal/module"
+	"dosgi/internal/netsim"
+	"dosgi/internal/sim"
 )
 
 func BenchmarkE1ArchitectureComparison(b *testing.B) {
@@ -129,6 +132,64 @@ func BenchmarkE9GCSCharacteristics(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows[len(rows)-1].ViewChangeTime.Milliseconds()), "viewchange16-ms")
 	b.ReportMetric(float64(rows[len(rows)-1].BroadcastTime.Milliseconds()), "broadcast16-ms")
+}
+
+// BenchmarkTotalOrder measures the GCS total-order broadcast path on its
+// own: a 3-member group on sim.Engine, senders rotating, one op = one
+// broadcast delivered on all three members, so ns/op, B/op and allocs/op
+// are per delivered message. Every 256 broadcasts the engine runs one
+// heartbeat interval, whose acks keep the coordinator's retransmission
+// log pruned. dedup_entries is the members' dedup state after the run
+// (one record per sender plus any id runs held above a gap, summed); it
+// must not grow with b.N.
+func BenchmarkTotalOrder(b *testing.B) {
+	eng := sim.New(1)
+	net := netsim.NewNetwork(eng, netsim.WithLatency(time.Millisecond))
+	dir := gcs.NewDirectory()
+	members := make([]*gcs.Member, 3)
+	delivered := 0
+	for i := range members {
+		id := fmt.Sprintf("node%02d", i)
+		ip := netsim.IP("ip-" + id)
+		nic := net.AttachNode(id)
+		if err := net.AssignIP(ip, id); err != nil {
+			b.Fatal(err)
+		}
+		m, err := gcs.NewMember(eng, gcs.Config{NodeID: id, Addr: netsim.Addr{IP: ip, Port: 7000}, NIC: nic, Directory: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.OnDeliver(func(gcs.Message) { delivered++ })
+		members[i] = m
+	}
+	for _, m := range members {
+		if err := m.Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.RunFor(2 * time.Second)
+	var body any = "op"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent := 0; sent < b.N; {
+		for i := 0; i < 256 && sent < b.N; i++ {
+			if err := members[sent%len(members)].Broadcast(body, gcs.Total); err != nil {
+				b.Fatal(err)
+			}
+			sent++
+		}
+		eng.RunFor(50 * time.Millisecond)
+	}
+	b.StopTimer()
+	if delivered != len(members)*b.N {
+		b.Fatalf("%d deliveries for %d broadcasts to %d members", delivered, b.N, len(members))
+	}
+	entries := 0
+	for _, m := range members {
+		st := m.Stats()
+		entries += st.DedupSenders + st.DedupHeld
+	}
+	b.ReportMetric(float64(entries), "dedup_entries")
 }
 
 // BenchmarkE10RemoteInvocation measures the remote service invocation

@@ -391,16 +391,18 @@ func directoryProvider(mod *migrate.Module) func() map[string]any {
 func (c *Cluster) nodeProvider(n *Node) func() map[string]any {
 	return func() map[string]any {
 		cpuUsed, cpuTotal, memUsed, memTotal := n.mon.NodeUsage()
-		sent, recv := n.DirectoryMsgCounts()
+		gst := n.directoryGCSStats()
 		return map[string]any{
-			"powered":     n.Powered(),
-			"cpuUsed":     int64(cpuUsed),
-			"cpuTotal":    int64(cpuTotal),
-			"memUsed":     memUsed,
-			"memTotal":    memTotal,
-			"tenants":     len(n.Instances()),
-			"dirMsgsSent": sent,
-			"dirMsgsRecv": recv,
+			"powered":      n.Powered(),
+			"cpuUsed":      int64(cpuUsed),
+			"cpuTotal":     int64(cpuTotal),
+			"memUsed":      memUsed,
+			"memTotal":     memTotal,
+			"tenants":      len(n.Instances()),
+			"dirMsgsSent":  gst.MsgsSent,
+			"dirMsgsRecv":  gst.MsgsReceived,
+			"gcsTotalLog":  int64(gst.TotalLogSize),
+			"gcsDedupHeld": int64(gst.DedupHeld),
 		}
 	}
 }

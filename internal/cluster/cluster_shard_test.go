@@ -203,3 +203,29 @@ func TestDirectoryProviderAttributes(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeProviderSumsGCSState pins the node provider's group
+// communication attributes: message counts and total-order state sizes
+// summed over the main member and every shard member.
+func TestNodeProviderSumsGCSState(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		c := newShardedCluster(t, 3, shards)
+		for _, n := range c.Nodes() {
+			var want gcs.MemberStats
+			for _, m := range append([]*gcs.Member{n.Member()}, n.ShardMembers()...) {
+				st := m.Stats()
+				want.MsgsSent += st.MsgsSent
+				want.TotalLogSize += st.TotalLogSize
+				want.DedupHeld += st.DedupHeld
+			}
+			attrs, ok := c.Metrics().Read("node:" + n.ID())
+			if !ok {
+				t.Fatalf("shards=%d: no node provider for %s", shards, n.ID())
+			}
+			if attrs["dirMsgsSent"] != want.MsgsSent || attrs["gcsTotalLog"] != int64(want.TotalLogSize) ||
+				attrs["gcsDedupHeld"] != int64(want.DedupHeld) {
+				t.Fatalf("shards=%d %s: attrs %v, want sums %+v", shards, n.ID(), attrs, want)
+			}
+		}
+	}
+}

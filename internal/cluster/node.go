@@ -148,14 +148,23 @@ func (n *Node) ShardMembers() []*gcs.Member { return n.shardMembers }
 // member plus all shard members. E13 aggregates these per node to show
 // sub-linear per-node broadcast volume as shards are added.
 func (n *Node) DirectoryMsgCounts() (sent, received int64) {
-	st := n.member.Stats()
-	sent, received = st.MsgsSent, st.MsgsReceived
-	for _, sm := range n.shardMembers {
-		sst := sm.Stats()
-		sent += sst.MsgsSent
-		received += sst.MsgsReceived
+	st := n.directoryGCSStats()
+	return st.MsgsSent, st.MsgsReceived
+}
+
+// directoryGCSStats sums the message counters and the total-order state
+// sizes (retransmission log, dedup runs held above a gap) over the main
+// member and every shard member; the other fields are left zero.
+func (n *Node) directoryGCSStats() gcs.MemberStats {
+	var sum gcs.MemberStats
+	for _, m := range append([]*gcs.Member{n.member}, n.shardMembers...) {
+		st := m.Stats()
+		sum.MsgsSent += st.MsgsSent
+		sum.MsgsReceived += st.MsgsReceived
+		sum.TotalLogSize += st.TotalLogSize
+		sum.DedupHeld += st.DedupHeld
 	}
-	return sent, received
+	return sum
 }
 
 // Migration returns the node's migration module.

@@ -13,6 +13,15 @@
 //     the property that makes decentralized redeployment decisions
 //     replica-consistent (ablation A4).
 //
+// Duplicate suppression is keyed by (node id, local id): every member
+// keeps one delivered-id record per sender, a floor below which all ids
+// were delivered plus the runs held above a gap, so its cost does not
+// grow with history. It assumes one incarnation per node id. A member
+// restarted under the same id numbers its broadcasts from 1 again, and
+// its peers would suppress those first broadcasts as duplicates. Nothing
+// restarts a member today; whatever adds a restart must give the new
+// incarnation a fresh id or carry its local sequence across.
+//
 // The implementation favours reproducing the *interface and behaviour* the
 // paper's modules consume over Byzantine-grade robustness: concurrent
 // partitions produce independent sub-views (split brain) exactly as a 2008

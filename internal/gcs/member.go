@@ -92,6 +92,9 @@ type Member struct {
 	view     View
 	lastSeen map[string]time.Duration
 
+	// onView and onMsg are copy-on-write: a register installs a new
+	// slice, so a slice read under mu stays valid while its handlers run
+	// with mu released.
 	onView []func(View)
 	onMsg  []func(Message)
 
@@ -110,7 +113,9 @@ type Member struct {
 	globalSeq int64 // coordinator: last assigned sequence
 	totalNext int64 // next global sequence to deliver
 	totalBuf  map[int64]totalMsg
-	seen      map[string]map[int64]bool
+	// delivered dedups total-order messages on (sender, local id): a
+	// resubmission after coordinator failover may be sequenced twice.
+	delivered deliveredSet
 	// totalLog retains the coordinator's sequenced messages of the
 	// current epoch to serve gap retransmission requests. It is pruned
 	// exactly: ackSeqs collects each member's delivery watermark
@@ -145,7 +150,14 @@ type Member struct {
 // failure detector cannot see.
 type MemberStats struct {
 	ViewChanges  int
-	TotalLogSize int   // retransmission-log entries currently held
+	TotalLogSize int // retransmission-log entries currently held
+	// DedupSenders and DedupHeld size the total-order dedup state: one
+	// delivered-id record per sender heard from, plus the id runs held
+	// above a gap in those records, summed over senders. DedupHeld is 0
+	// in steady state; it stays up after this member missed a stretch of
+	// some sender's stream (late join, exclusion), one run per stretch.
+	DedupSenders int
+	DedupHeld    int
 	LogOverflows int   // forced view changes raised by the MaxTotalLog cap
 	MsgsSent     int64 // wire messages transmitted by this member
 	MsgsReceived int64 // wire messages handled by this member
@@ -158,6 +170,8 @@ func (m *Member) Stats() MemberStats {
 	return MemberStats{
 		ViewChanges:  m.viewChanges,
 		TotalLogSize: len(m.totalLog),
+		DedupSenders: len(m.delivered),
+		DedupHeld:    m.delivered.held(),
 		LogOverflows: m.logOverflows,
 		MsgsSent:     m.msgsSent.Load(),
 		MsgsReceived: m.msgsReceived.Load(),
@@ -182,7 +196,7 @@ func NewMember(sched clock.Scheduler, cfg Config) (*Member, error) {
 		fifoBuf:     make(map[string]map[int64]fifoMsg),
 		pending:     make(map[int64]any),
 		totalBuf:    make(map[int64]totalMsg),
-		seen:        make(map[string]map[int64]bool),
+		delivered:   make(deliveredSet),
 		totalLog:    make(map[int64]totalMsg),
 		totalLogMin: 1,
 		ackSeqs:     make(map[string]int64),
@@ -232,14 +246,14 @@ func (m *Member) IsCoordinator() bool {
 func (m *Member) OnViewChange(fn func(View)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.onView = append(m.onView, fn)
+	m.onView = append(m.onView[:len(m.onView):len(m.onView)], fn)
 }
 
 // OnDeliver registers a broadcast delivery handler. Register before Start.
 func (m *Member) OnDeliver(fn func(Message)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.onMsg = append(m.onMsg, fn)
+	m.onMsg = append(m.onMsg[:len(m.onMsg):len(m.onMsg)], fn)
 }
 
 // Start binds the endpoint, contacts the group and joins. If no existing
@@ -506,7 +520,10 @@ func (m *Member) installView(v View) {
 	}
 	// Flush the old epoch's buffered total-order messages in sequence
 	// order, then reset the stream: sequence numbers are scoped per view
-	// epoch and restart at 1 under the new coordinator.
+	// epoch and restart at 1 under the new coordinator. Consuming them
+	// marks them delivered before resubmissions are computed, so a flushed
+	// own message is not sent to the new coordinator again, and a
+	// resubmission sequenced twice is flushed once.
 	var flush []totalMsg
 	if len(m.totalBuf) > 0 {
 		keys := make([]int64, 0, len(m.totalBuf))
@@ -515,20 +532,9 @@ func (m *Member) installView(v View) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			flush = append(flush, m.totalBuf[k])
+			flush = m.consumeTotalLocked(m.totalBuf[k], flush)
 		}
 		m.totalBuf = make(map[int64]totalMsg)
-	}
-	// Mark flushed messages delivered before computing resubmissions so a
-	// flushed own message is not sent to the new coordinator again.
-	for _, tm := range flush {
-		if m.seen[tm.From] == nil {
-			m.seen[tm.From] = make(map[int64]bool)
-		}
-		m.seen[tm.From][tm.LocalID] = true
-		if tm.From == m.cfg.NodeID {
-			delete(m.pending, tm.LocalID)
-		}
 	}
 	m.totalNext = 1
 	m.globalSeq = 0
@@ -544,8 +550,7 @@ func (m *Member) installView(v View) {
 		resend[id] = body
 	}
 	coord := v.Coordinator()
-	handlers := append(make([]func(View), 0, len(m.onView)), m.onView...)
-	deliver := append(make([]func(Message), 0, len(m.onMsg)), m.onMsg...)
+	handlers, deliver := m.onView, m.onMsg
 	installed := m.view.clone()
 	m.mu.Unlock()
 
@@ -699,7 +704,7 @@ func (m *Member) handleFIFO(p fifoMsg) {
 		next++
 	}
 	m.fifoNext[p.From] = next
-	deliver := append(make([]func(Message), 0, len(m.onMsg)), m.onMsg...)
+	deliver := m.onMsg
 	m.mu.Unlock()
 	for _, msg := range ready {
 		ev := Message{From: msg.From, Ordering: FIFO, Seq: msg.Seq, Body: msg.Body}
@@ -715,7 +720,7 @@ func (m *Member) handleOrderReq(p orderReq) {
 		m.mu.Unlock()
 		return
 	}
-	if m.seen[p.From][p.LocalID] {
+	if m.delivered.has(p.From, p.LocalID) {
 		m.mu.Unlock()
 		return // already delivered (resubmission after failover)
 	}
@@ -726,7 +731,9 @@ func (m *Member) handleOrderReq(p orderReq) {
 	// view (heartbeats go only to peers), so without this the log of a
 	// lone survivor would grow for the lifetime of the epoch.
 	m.pruneTotalLogLocked()
-	members := append([]string(nil), m.view.Members...)
+	// Views are replaced on install, never mutated: the slice stays
+	// valid after mu is released.
+	members := m.view.Members
 	// The exact prune just ran; a log still past the cap means some
 	// member's watermark is pinned while its heartbeats keep it alive —
 	// the one-directional fault. Raise the alarm and force a view change
@@ -760,8 +767,9 @@ func (m *Member) handleOrderReq(p orderReq) {
 		}
 	}
 	m.mu.Unlock()
+	var wire any = tm // boxed once: receivers only read it
 	for _, id := range members {
-		m.sendTo(id, tm)
+		m.sendTo(id, wire)
 	}
 	if survivors != nil {
 		m.issueView(survivors, overflowViewID, oldMembers)
@@ -846,27 +854,26 @@ func (m *Member) handleTotal(p totalMsg) {
 	}
 	// Every sequence slot must be consumed even when its content turns out
 	// to be a duplicate (a resubmission sequenced twice); otherwise the
-	// stream wedges at the duplicate's slot.
-	m.totalBuf[p.Seq] = p
-	var ready []totalMsg
+	// stream wedges at the duplicate's slot. The message for the next slot
+	// is consumed directly when nothing is buffered — the steady state;
+	// anything else waits in totalBuf until the slots below it fill.
+	var one [1]totalMsg
+	ready := one[:0]
 	next := m.totalNext
-	for {
-		q, ok := m.totalBuf[next]
-		if !ok {
-			break
-		}
-		delete(m.totalBuf, next)
-		if m.seen[q.From] == nil {
-			m.seen[q.From] = make(map[int64]bool)
-		}
-		if !m.seen[q.From][q.LocalID] {
-			m.seen[q.From][q.LocalID] = true
-			ready = append(ready, q)
-		}
-		if q.From == m.cfg.NodeID {
-			delete(m.pending, q.LocalID)
-		}
+	if p.Seq == next && len(m.totalBuf) == 0 {
+		ready = m.consumeTotalLocked(p, ready)
 		next++
+	} else {
+		m.totalBuf[p.Seq] = p
+		for {
+			q, ok := m.totalBuf[next]
+			if !ok {
+				break
+			}
+			delete(m.totalBuf, next)
+			ready = m.consumeTotalLocked(q, ready)
+			next++
+		}
 	}
 	m.totalNext = next
 	if m.globalSeq < next-1 {
@@ -890,7 +897,7 @@ func (m *Member) handleTotal(p totalMsg) {
 		}
 	}
 	coord := m.view.Coordinator()
-	deliver := append(make([]func(Message), 0, len(m.onMsg)), m.onMsg...)
+	deliver := m.onMsg
 	m.mu.Unlock()
 	if nack != nil && coord != m.cfg.NodeID {
 		m.sendTo(coord, *nack)
@@ -898,6 +905,19 @@ func (m *Member) handleTotal(p totalMsg) {
 	for _, r := range ready {
 		m.deliverTotal(r, deliver)
 	}
+}
+
+// consumeTotalLocked takes one sequenced message off the stream: it joins
+// ready unless its (sender, local id) was already delivered, and an own
+// message stops being pending either way.
+func (m *Member) consumeTotalLocked(q totalMsg, ready []totalMsg) []totalMsg {
+	if m.delivered.mark(q.From, q.LocalID) {
+		ready = append(ready, q)
+	}
+	if q.From == m.cfg.NodeID {
+		delete(m.pending, q.LocalID)
+	}
+	return ready
 }
 
 func (m *Member) deliverTotal(tm totalMsg, deliver []func(Message)) {
