@@ -99,7 +99,7 @@ bench-json:
 # honest open-loop percentile point (latency from the intended start, so
 # no coordinated omission) to BENCH_remote.json.
 bench-load:
-	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s -mode batched -out .
+	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s -mode pipelined -out .
 
 # The A/B procedure a performance claim is judged by (scripts/ab.sh):
 # alternating parent/change pairs of one repo-benchmark workload, e.g.

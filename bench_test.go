@@ -194,9 +194,9 @@ func BenchmarkTotalOrder(b *testing.B) {
 
 // BenchmarkE10RemoteInvocation measures the remote service invocation
 // layer: wall-clock throughput and tail latency of pipelined pooled
-// connections against the one-connection-per-call baseline and the
-// batched pipelined mode (per-call latencies recorded with time.Since at
-// nanosecond resolution — not simulated time, which quantizes).
+// connections against the one-connection-per-call baseline (per-call
+// latencies recorded with time.Since at nanosecond resolution — not
+// simulated time, which quantizes).
 func BenchmarkE10RemoteInvocation(b *testing.B) {
 	var rows []experiments.E10Row
 	for i := 0; i < b.N; i++ {
@@ -210,13 +210,9 @@ func BenchmarkE10RemoteInvocation(b *testing.B) {
 	b.ReportMetric(float64(rows[0].P99.Microseconds()), "pipelined-p99-us")
 	b.ReportMetric(rows[1].Throughput, "percall-rps")
 	b.ReportMetric(float64(rows[1].P99.Microseconds()), "percall-p99-us")
-	b.ReportMetric(rows[2].Throughput, "batched-rps")
-	b.ReportMetric(float64(rows[2].P99.Microseconds()), "batched-p99-us")
-	b.ReportMetric(float64(rows[2].P999.Microseconds()), "batched-p999-us")
 	// The exact columns: netsim messages per call, identical every run.
 	b.ReportMetric(float64(rows[0].Messages)/float64(rows[0].Calls), "pipelined-msgs/call")
 	b.ReportMetric(float64(rows[1].Messages)/float64(rows[1].Calls), "percall-msgs/call")
-	b.ReportMetric(float64(rows[2].Messages)/float64(rows[2].Calls), "batched-msgs/call")
 }
 
 // BenchmarkE11ArtifactTransfer measures chunked artifact provisioning

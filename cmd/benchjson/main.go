@@ -3,7 +3,7 @@
 // sharding — and writes one JSON file per experiment into the output
 // directory:
 //
-//	BENCH_remote.json     E10: pipelined pool vs conn-per-call vs batched
+//	BENCH_remote.json     E10: pipelined pool vs conn-per-call
 //	BENCH_provision.json  E11: transfer throughput across chunk sizes
 //	BENCH_events.json     E12: fast/slow subscribers, flow control off/on
 //	BENCH_directory.json  E13: convergence + per-node broadcast load,

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	dosgi-load -sim -rate 20000 -duration 5s -mode batched -out .
+//	dosgi-load -sim -rate 20000 -duration 5s -mode pipelined -out .
 //	dosgi-load -addr 127.0.0.1:7790 -service echo -method Add 2 3
 //
 // With -addr it targets a running daemon (dosgid's -remote listener or
@@ -72,11 +72,9 @@ func main() {
 	rate := flag.Float64("rate", 5000, "offered rate in operations/second")
 	duration := flag.Duration("duration", 5*time.Second, "offered-load duration (ops = rate × duration)")
 	workers := flag.Int("workers", 4, "pacer goroutines (the offered schedule is split across them)")
-	mode := flag.String("mode", "pipelined", "pipelined | conn-per-call | batched")
-	window := flag.Int("window", 64, "max in-flight requests per endpoint (pipelined/batched)")
-	conns := flag.Int("conns", 1, "pooled connections per endpoint (pipelined/batched)")
-	batch := flag.Int("batch", 16, "batch window in requests (batched mode)")
-	batchDelay := flag.Duration("batch-delay", 0, "batch micro-deadline (0 = protocol default)")
+	mode := flag.String("mode", "pipelined", "pipelined | conn-per-call")
+	window := flag.Int("window", 64, "max in-flight requests per endpoint (pipelined)")
+	conns := flag.Int("conns", 1, "pooled connections per endpoint (pipelined)")
 	tokens := flag.Bool("tokens", true, "attach idempotency tokens so timeout retries stay effectively-once")
 	service := flag.String("service", "echo", `service to invoke ("echo" on both dosgid and dosgi-sim)`)
 	method := flag.String("method", "Add", "method to invoke")
@@ -122,12 +120,6 @@ func main() {
 		}
 	case "conn-per-call":
 		poolOpts = []remote.PoolOption{remote.WithPerCallConns()}
-	case "batched":
-		poolOpts = []remote.PoolOption{
-			remote.WithMaxConnsPerEndpoint(*conns),
-			remote.WithMaxInFlight(*window),
-			remote.WithBatching(*batch, *batchDelay),
-		}
 	default:
 		log.Fatalf("dosgi-load: unknown -mode %q", *mode)
 	}
@@ -141,8 +133,8 @@ func main() {
 	}
 	invoker := remote.NewInvoker(pool, resolver, invOpts...)
 
-	// Warm the path (dial + hello/ack + feature negotiation) before the
-	// clock starts, so the first bucket measures steady state, not setup.
+	// Warm the path (dial) before the clock starts, so the first bucket
+	// measures steady state, not setup.
 	if _, err := invoker.Call(*service, *method, args...); err != nil {
 		log.Fatalf("dosgi-load: warm-up call failed: %v", err)
 	}
@@ -212,7 +204,7 @@ func main() {
 		path := filepath.Join(*out, "BENCH_remote.json")
 		params := map[string]any{
 			"rate": *rate, "durationNs": duration.Nanoseconds(), "workers": *workers,
-			"mode": *mode, "window": *window, "conns": *conns, "batch": *batch,
+			"mode": *mode, "window": *window, "conns": *conns,
 			"tokens":  *tokens,
 			"service": *service, "method": *method, "sim": *simMode,
 		}

@@ -13,14 +13,14 @@ import (
 
 // ---------------------------------------------------------------------------
 // E10 — remote service invocation: pipelined pooled connections vs one
-// connection per call vs pipelined with §2.1 request batching.
+// connection per call.
 //
 // A provider framework exports a service over the netsim transport; a
 // client drives a closed loop of `window` outstanding invocations. The
 // pipelined mode multiplexes them over a single pooled connection
 // (correlation ids); the per-call mode dials a fresh connection — one
 // hello/ack handshake round trip — for every invocation, the pre-R-OSGi
-// baseline; the batched mode adds request coalescing on top of pipelining.
+// baseline.
 //
 // Measurement is WALL-CLOCK, not simulated time: the deterministic
 // simulator delivers every message after an identical virtual latency, so
@@ -34,8 +34,8 @@ import (
 // E10Row reports one invocation mode. Messages is the one column the
 // simulator repeats exactly — netsim messages delivered for the whole run:
 // a pooled connection pays one hello + ack and then a request and a
-// response per call, a connection per call pays the handshake every time,
-// and batching sends fewer request frames than calls. The timing columns
+// response per call, and a connection per call pays the handshake every
+// time. The timing columns
 // are wall clock and vary run to run.
 type E10Row struct {
 	Mode       string
@@ -54,15 +54,11 @@ type e10Service struct{}
 func (e10Service) Work(x int64) int64 { return x * 2 }
 
 // E10RemoteInvocation runs `calls` invocations with `window` outstanding
-// in every mode: pipelined, conn-per-call, pipelined-batched (the order
-// is part of the row contract — consumers index it).
+// in every mode: pipelined, then conn-per-call (the order is part of the
+// row contract — consumers index it).
 func E10RemoteInvocation(calls, window int) ([]E10Row, error) {
 	if calls <= 0 || window <= 0 {
 		return nil, fmt.Errorf("experiments: e10 needs positive calls and window")
-	}
-	batch := window
-	if batch > 16 {
-		batch = 16
 	}
 	modes := []struct {
 		name string
@@ -73,11 +69,6 @@ func E10RemoteInvocation(calls, window int) ([]E10Row, error) {
 			remote.WithMaxInFlight(window),
 		}},
 		{"conn-per-call", []remote.PoolOption{remote.WithPerCallConns()}},
-		{"pipelined-batched", []remote.PoolOption{
-			remote.WithMaxConnsPerEndpoint(1),
-			remote.WithMaxInFlight(window),
-			remote.WithBatching(batch, 0),
-		}},
 	}
 	var rows []E10Row
 	for _, mode := range modes {

@@ -35,6 +35,14 @@
 // the broker's window. Either way "every delivered event is a real
 // change" holds across reconnects, replays and resyncs.
 //
+// Call timeouts: a call attempt fails with ErrTimeout (retryable) at
+// exactly its issue time plus its connection's call timeout, on the wall
+// clock and on the simulator alike. The cost is one timer per connection,
+// not per call: the timeout is fixed per connection, so deadlines never
+// decrease in correlation-id order, and the one timer always waits for
+// the oldest pending call. Timed-out calls, and the calls a closed
+// connection fails, complete in issue order.
+//
 // Borrow contract: a client connection decodes every response in place,
 // so the strings and byte slices of a *Response handed to a Conn.Call or
 // Pool.Invoke callback alias the connection's read buffer and are valid

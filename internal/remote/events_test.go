@@ -369,26 +369,6 @@ func TestEventBrokerRejectsSubscribeWithoutPush(t *testing.T) {
 	}
 }
 
-func TestEventResolverFollowsEvents(t *testing.T) {
-	r := NewEventResolver()
-	r.Apply(ServiceEvent{Type: ServiceRegistered, Service: "kv", Node: "n2", Addr: "10.0.0.2:7100"})
-	r.Apply(ServiceEvent{Type: ServiceRegistered, Service: "kv", Node: "n1", Addr: "10.0.0.1:7100"})
-	eps := r.Endpoints("kv")
-	if len(eps) != 2 || eps[0].Node != "n1" || eps[1].Node != "n2" {
-		t.Fatalf("Endpoints = %+v", eps)
-	}
-	// MODIFIED refreshes in place.
-	r.Apply(ServiceEvent{Type: ServiceModified, Service: "kv", Node: "n1", Addr: "10.0.0.9:7100"})
-	if eps := r.Endpoints("kv"); eps[0].Addr != "10.0.0.9:7100" {
-		t.Fatalf("after modify = %+v", eps)
-	}
-	r.Apply(ServiceEvent{Type: ServiceUnregistering, Service: "kv", Node: "n1"})
-	r.Apply(ServiceEvent{Type: ServiceUnregistering, Service: "kv", Node: "n2"})
-	if eps := r.Endpoints("kv"); len(eps) != 0 {
-		t.Fatalf("after unregister = %+v", eps)
-	}
-}
-
 // TestTCPEventSubscription drives the dosgi.events verbs over real TCP:
 // subscribe, resync, live push, unsubscribe.
 func TestTCPEventSubscription(t *testing.T) {

@@ -123,16 +123,7 @@ type netsimConn struct {
 	pushFn func(*Request)
 }
 
-var (
-	_ PushConn  = (*netsimConn)(nil)
-	_ BatchConn = (*netsimConn)(nil)
-)
-
-// EnableBatching implements BatchConn. The dial-time hello already probes
-// the server; coalescing starts when its ack advertises featBatch.
-func (c *netsimConn) EnableBatching(max int, delay time.Duration) {
-	c.core.enableBatching(max, delay)
-}
+var _ PushConn = (*netsimConn)(nil)
 
 func (c *netsimConn) Call(req *Request, cb func(*Response, error)) error {
 	return c.core.call(req, cb)
@@ -175,7 +166,6 @@ func (c *netsimConn) onMessage(msg netsim.Message) {
 	}
 	switch kind {
 	case frameHelloAck:
-		c.core.setPeerFeatures(helloFeatures(frame))
 		c.core.establish()
 	case frameResponse:
 		// The response aliases the delivered payload — the server's encode

@@ -35,21 +35,6 @@ func WithMaxInFlight(n int) PoolOption {
 	}
 }
 
-// WithBatching opts every pooled connection into §2.1 request batching:
-// up to max queued requests coalesce into one vectored flush per conn,
-// held at most delay (DefaultBatchDelay when <= 0). The capability is
-// negotiated at handshake, so against peers that never advertise it the
-// option is inert and frames go out one by one. Per-call pools ignore it
-// (one request per connection — nothing to coalesce).
-func WithBatching(max int, delay time.Duration) PoolOption {
-	return func(p *Pool) {
-		if max > 1 {
-			p.batchMax = max
-			p.batchDelay = delay
-		}
-	}
-}
-
 // WithPerCallConns disables pooling: every invocation dials a fresh
 // connection and closes it on completion. This is the one-connection-per-
 // call baseline experiment E10 compares pipelining against.
@@ -78,8 +63,6 @@ type Pool struct {
 	maxConns    int
 	maxInFlight int
 	perCall     bool
-	batchMax    int
-	batchDelay  time.Duration
 	now         func() time.Duration
 	waitHist    *obs.Histogram
 
@@ -256,11 +239,6 @@ func (p *Pool) route(addr string) (Conn, error) {
 		p.dialing[addr]++
 		p.mu.Unlock()
 		conn, err := p.transport.Dial(addr)
-		if err == nil && p.batchMax > 1 {
-			if bc, ok := conn.(BatchConn); ok {
-				bc.EnableBatching(p.batchMax, p.batchDelay)
-			}
-		}
 		p.mu.Lock()
 		p.dialing[addr]--
 		if p.dialing[addr] == 0 {

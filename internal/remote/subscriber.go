@@ -2,7 +2,6 @@ package remote
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -542,60 +541,4 @@ func (s *Subscriber) requestReplay(pc PushConn, from uint64) {
 func sameReplica(a, b ServiceEvent) bool {
 	return a.Service == b.Service && a.Node == b.Node &&
 		a.Addr == b.Addr && a.Instance == b.Instance
-}
-
-// EventResolver is an EndpointResolver fed by the remote event stream:
-// REGISTERED/MODIFIED events add or refresh replicas, UNREGISTERING
-// removes them — the importer's replica sets refresh eagerly on events
-// instead of lazily on call errors. Daemons without a replicated
-// directory point their Invoker at one of these and wire a Subscriber's
-// OnEvent to Apply.
-type EventResolver struct {
-	mu sync.Mutex
-	m  map[string]map[string]Endpoint // service → node → endpoint
-}
-
-// NewEventResolver returns an empty resolver.
-func NewEventResolver() *EventResolver {
-	return &EventResolver{m: make(map[string]map[string]Endpoint)}
-}
-
-// Apply folds one event into the table.
-func (r *EventResolver) Apply(ev ServiceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch ev.Type {
-	case ServiceRegistered, ServiceModified:
-		byNode := r.m[ev.Service]
-		if byNode == nil {
-			byNode = make(map[string]Endpoint)
-			r.m[ev.Service] = byNode
-		}
-		byNode[ev.Node] = Endpoint{Node: ev.Node, Addr: ev.Addr}
-	case ServiceUnregistering:
-		byNode := r.m[ev.Service]
-		delete(byNode, ev.Node)
-		if len(byNode) == 0 {
-			delete(r.m, ev.Service)
-		}
-	}
-}
-
-// Endpoints implements EndpointResolver (replicas sorted by node id so
-// every caller walks the same failover order).
-func (r *EventResolver) Endpoints(service string) []Endpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	byNode := r.m[service]
-	out := make([]Endpoint, 0, len(byNode))
-	for _, ep := range byNode {
-		out = append(out, ep)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
 }

@@ -126,11 +126,10 @@ func (t *TCPTransport) Dial(addr string) (Conn, error) {
 
 // newConn runs the client protocol over an established connection.
 func (t *TCPTransport) newConn(addr string, nc net.Conn) *tcpConn {
-	c := &tcpConn{addr: addr, nc: nc}
+	c := &tcpConn{addr: addr, nc: nc, work: make(chan completion)}
 	// TCP's own handshake already happened; the conn starts established.
 	c.core = newConnCore(detachedScheduler{t.sched}, t.callTimeout, true)
 	c.core.sendFrame = c.send
-	c.core.sendFrames = c.sendBatch
 	c.core.rtt = t.frameHist
 	go c.readLoop()
 	return c
@@ -150,8 +149,15 @@ type tcpConn struct {
 	// that have not begun to run. The one that brings it to zero writes
 	// wbuf before its callback runs.
 	completing atomic.Int64
-	pushFn     atomic.Pointer[func(*Request)]
-	pushes     serialQueue
+	// work hands a response completion to a completion worker parked on
+	// it; parked counts the parked workers, workersStarted every worker
+	// ever started. The read loop is the only sender and closes work when
+	// it exits, which releases them.
+	work           chan completion
+	parked         atomic.Int32
+	workersStarted atomic.Int64
+	pushFn         atomic.Pointer[func(*Request)]
+	pushes         serialQueue
 	// pushHello is set once the connection advertised featBatch for
 	// server→client Notify coalescing (sent with the first push handler,
 	// before any Subscribe can ride this connection).
@@ -159,17 +165,6 @@ type tcpConn struct {
 }
 
 var _ PushConn = (*tcpConn)(nil)
-var _ BatchConn = (*tcpConn)(nil)
-
-// EnableBatching implements BatchConn: it opts the connection into request
-// coalescing and probes the peer with a feature-bearing Hello. Coalescing
-// starts when the HelloAck advertises batch support; an old peer answers a
-// bare ack and the connection keeps sending plain frames — graceful
-// degradation, not an error.
-func (c *tcpConn) EnableBatching(max int, delay time.Duration) {
-	c.core.enableBatching(max, delay)
-	_ = c.send(encodeHelloFeatures(false, featBatch))
-}
 
 // SetPushHandler implements PushConn. The first handler also advertises
 // featBatch to the server: this connection will carry Subscribe verbs, so
@@ -271,18 +266,40 @@ func (c *tcpConn) startCompletion() {
 	c.writeMu.Unlock()
 }
 
-// sendBatch flushes one coalesced request window as a single vectored
-// write (connCore.sendFrames), behind any frames send queued.
-func (c *tcpConn) sendBatch(frames [][]byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.flushLocked(nil); err != nil {
-		return err
+// completion is one response for a completion worker to complete; the
+// response borrows from frame, which is recycled once its callback chain
+// returns (the borrow contract on Conn.Call).
+type completion struct {
+	resp  *Response
+	frame []byte
+}
+
+// complete completes one response's call and recycles its frame.
+func (c *tcpConn) complete(job completion) {
+	c.core.onResponse(job.resp)
+	putFrameBuf(job.frame)
+}
+
+// completionWorker completes responses of a connection without a push
+// handler: the one it was started for, then each the read loop hands it
+// while it is parked. A fresh goroutine starts at the minimum stack, which
+// the callback chain outgrows; a reused worker keeps the stack it grew. A
+// worker that finds DefaultMaxInFlight others parked exits instead.
+func (c *tcpConn) completionWorker(job completion) {
+	for ok := true; ok; {
+		c.startCompletion()
+		c.complete(job)
+		if c.parked.Add(1) > DefaultMaxInFlight {
+			c.parked.Add(-1)
+			return
+		}
+		job, ok = <-c.work
+		c.parked.Add(-1)
 	}
-	return writeBatchFrame(c.nc, frames)
 }
 
 func (c *tcpConn) readLoop() {
+	defer close(c.work) // the only sender is done: parked workers exit
 	br := bufio.NewReaderSize(c.nc, tcpReadBuffer)
 	for {
 		frame, err := readFrame(br)
@@ -318,7 +335,6 @@ func (c *tcpConn) readLoop() {
 		}
 		switch kind {
 		case frameHelloAck:
-			c.core.setPeerFeatures(helloFeatures(frame))
 			putFrameBuf(frame)
 			c.core.establish()
 		case frameResponse:
@@ -326,32 +342,29 @@ func (c *tcpConn) readLoop() {
 			// continuation may dial (pool drain, invoker failover) and
 			// block up to the dial timeout, which must not stall
 			// response reads for the other calls pipelined on this
-			// connection. Pool connections (no push handler) complete on
-			// their own goroutines, counted in completing from here until
-			// they start, so the calls their callbacks issue share one
-			// write (send). Push-enabled connections (event
-			// subscriptions) complete through the same serialized queue
-			// as pushes, preserving the server's write order between a
-			// resync's Notify frames and the Subscribe response — the
+			// connection. Pool connections (no push handler) hand each
+			// completion to a parked completion worker, or start one when
+			// none is parked, so a blocked callback delays no other
+			// completion. It is counted in completing from here until it
+			// starts, so the calls the callbacks issue share one write
+			// (send). Push-enabled connections (event subscriptions)
+			// complete through the same serialized queue as pushes,
+			// preserving the server's write order between a resync's
+			// Notify frames and the Subscribe response — the
 			// Subscriber's resync accounting depends on it. A completion
 			// there can wait behind a slow push handler, so it is not
 			// counted and their requests are written at once.
-			hasPush := c.pushFn.Load() != nil
-			// The response's strings and bytes alias the pooled frame
-			// (the borrow contract on Conn.Call): it is recycled only
-			// after the completion callback chain returns.
-			complete := func() {
-				c.core.onResponse(resp)
-				putFrameBuf(frame)
+			job := completion{resp: resp, frame: frame}
+			if c.pushFn.Load() != nil {
+				c.pushes.enqueue(func() { c.complete(job) })
+				continue
 			}
-			if hasPush {
-				c.pushes.enqueue(complete)
-			} else {
-				c.completing.Add(1)
-				go func() {
-					c.startCompletion()
-					complete()
-				}()
+			c.completing.Add(1)
+			select {
+			case c.work <- job:
+			default:
+				c.workersStarted.Add(1)
+				go c.completionWorker(job)
 			}
 		case frameRequest:
 			// Server push (dosgi.events Notify): serialized off the

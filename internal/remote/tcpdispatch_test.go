@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,49 +270,6 @@ func TestClientFailedFlushFailsPendingRetryably(t *testing.T) {
 	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
-// TestSendBatchKeepsQueuedFramesAhead: frames send queued go on the wire
-// before a batch window written after them.
-func TestSendBatchKeepsQueuedFramesAhead(t *testing.T) {
-	conn, _, server := pipeClient(t)
-	frame := func(corr uint64) []byte {
-		f, err := EncodeRequest(&Request{Corr: corr, Service: "s", Method: "M"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	wire := make(chan [][]byte, 1)
-	go func() {
-		var frames [][]byte
-		for len(frames) < 2 {
-			f, err := readFrame(server)
-			if err != nil {
-				break
-			}
-			frames = append(frames, f)
-		}
-		wire <- frames
-	}()
-	conn.completing.Add(1) // a completion is about to run: send queues
-	if err := conn.send(frame(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.sendBatch([][]byte{frame(2), frame(3)}); err != nil {
-		t.Fatal(err)
-	}
-	conn.completing.Add(-1)
-	var frames [][]byte
-	select {
-	case frames = <-wire:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the queued request never reached the wire")
-	}
-	if len(frames) != 2 || frames[0][0] != frameRequest || binary.BigEndian.Uint64(frames[0][1:9]) != 1 ||
-		frames[1][0] != frameBatch {
-		t.Fatalf("wire order %x, want the queued request 1, then the batch", frames)
-	}
-}
-
 // TestServerSequentialCallsReuseOneWorker: calls one after another on one
 // connection run on a single dispatch worker.
 func TestServerSequentialCallsReuseOneWorker(t *testing.T) {
@@ -341,30 +299,47 @@ func TestServerSequentialCallsReuseOneWorker(t *testing.T) {
 
 // TestServerBlockedHandlersDelayNoOne: 64 handlers blocked at once on one
 // connection all run — a new worker starts whenever none is parked — and
-// afterwards at most serverKeepIdle stay parked, and are reused.
+// afterwards at most serverKeepIdle stay parked, and are reused. The
+// client is a raw socket that starts no goroutines, so the process
+// goroutine count is the server's alone.
 func TestServerBlockedHandlersDelayNoOne(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	h := &gateHandler{release: make(chan struct{})}
 	server, _ := serveCounting(t, h, 0)
-	conn := dialTest(t, server.Addr().String())
+	nc, err := net.Dial("tcp", server.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
 
+	// burst writes n calls in one segment and reads their n responses.
+	var corr uint64
 	burst := func(n int) {
 		t.Helper()
-		var wg sync.WaitGroup
-		wg.Add(n)
+		var wire []byte
 		for i := 0; i < n; i++ {
-			err := conn.Call(&Request{Service: "echo", Method: "Echo", Args: []any{int64(i)}},
-				func(_ *Response, err error) {
-					if err != nil {
-						t.Errorf("call: %v", err)
-					}
-					wg.Done()
-				})
+			corr++
+			frame, err := EncodeRequest(&Request{Corr: corr, Service: "echo", Method: "Echo", Args: []any{int64(i)}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			wire = binary.BigEndian.AppendUint32(wire, uint32(len(frame)))
+			wire = append(wire, frame...)
 		}
-		wg.Wait()
+		if _, err := nc.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			frame, err := readFrame(nc)
+			if err != nil {
+				t.Fatalf("response %d of %d: %v", i+1, n, err)
+			}
+			_, resp, kind, err := decodeClientFrame(frame)
+			if err != nil || kind != frameResponse || resp.Status != StatusOK {
+				t.Fatalf("call: kind %d, %+v, %v", kind, resp, err)
+			}
+			putFrameBuf(frame)
+		}
 	}
 	go func() {
 		for h.started.Load() < 64 {
@@ -388,8 +363,128 @@ func TestServerBlockedHandlersDelayNoOne(t *testing.T) {
 		t.Fatalf("%d workers after a burst the parked ones could serve, want %d", got, started)
 	}
 
-	_ = conn.Close()
+	_ = nc.Close()
 	server.Close()
+	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// countingScheduler counts the timers armed through it.
+type countingScheduler struct {
+	clock.Scheduler
+	afters atomic.Int64
+}
+
+func (s *countingScheduler) After(delay time.Duration, fn func()) clock.Timer {
+	s.afters.Add(1)
+	return s.Scheduler.After(delay, fn)
+}
+
+// TestSequentialCallsArmOneTimerAndStartOneWorker: a thousand calls one
+// after another on one TCP connection arm one deadline timer between them
+// and complete on one reused completion worker.
+func TestSequentialCallsArmOneTimerAndStartOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	server, _ := serveCounting(t, NewDispatcher(tableSource{"calc": calculator{}}), 0)
+	wall := clock.NewReal()
+	t.Cleanup(wall.Stop)
+	sched := &countingScheduler{Scheduler: wall}
+	nc, err := net.Dial("tcp", server.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewTCPTransport(sched, WithTCPCallTimeout(time.Minute)).newConn("calc", nc)
+	t.Cleanup(func() { _ = conn.Close() })
+	done := make(chan error, 1)
+	for i := int64(0); i < 1000; i++ {
+		err := conn.Call(&Request{Service: "calc", Method: "Add", Args: []any{i, int64(1)}},
+			func(resp *Response, err error) {
+				if err == nil && (resp.Status != StatusOK || resp.Results[0] != i+1) {
+					err = errors.New("wrong sum")
+				}
+				done <- err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if got := sched.afters.Load(); got != 1 {
+		t.Errorf("1000 sequential calls armed %d timers, want 1", got)
+	}
+	if got := conn.workersStarted.Load(); got != 1 {
+		t.Errorf("1000 sequential calls started %d completion workers, want 1", got)
+	}
+}
+
+// blockedIn counts the goroutines blocked on a channel receive inside
+// function fn.
+func blockedIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestClientBlockedCallbacksDelayNoOne: 64 callbacks blocked at once on
+// one connection all run — a new completion worker starts whenever none is
+// parked — and afterwards at most DefaultMaxInFlight stay parked, and are
+// reused. Close releases them.
+func TestClientBlockedCallbacksDelayNoOne(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	conn, _, server := pipeClient(t)
+	idle := runtime.NumGoroutine() // the read loop
+
+	// burst makes n calls that the scripted server answers in one
+	// segment; with gate set, every callback waits until all n are in.
+	burst := func(n int, gate bool) {
+		t.Helper()
+		var wg sync.WaitGroup
+		var in atomic.Int64
+		release := make(chan struct{})
+		wg.Add(n)
+		go answerInOneWrite(t, server, n)
+		for i := 0; i < n; i++ {
+			err := conn.Call(&Request{Service: "s", Method: "M"}, func(_ *Response, err error) {
+				defer wg.Done()
+				if err != nil {
+					t.Errorf("call: %v", err)
+				}
+				if !gate {
+					return
+				}
+				if in.Add(1) == int64(n) {
+					close(release)
+				}
+				<-release
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+	}
+	burst(64, true) // returns only if all 64 callbacks were in at once
+	started := conn.workersStarted.Load()
+	if started != 64 {
+		t.Fatalf("%d completion workers for 64 blocked callbacks, want 64", started)
+	}
+	waitFor(t, "surplus completion workers to exit and the rest to park", func() bool {
+		return runtime.NumGoroutine() <= idle+DefaultMaxInFlight &&
+			blockedIn("completionWorker") == DefaultMaxInFlight
+	})
+	burst(DefaultMaxInFlight, false)
+	if got := conn.workersStarted.Load(); got != started {
+		t.Fatalf("%d completion workers after a burst the parked ones could serve, want %d", got, started)
+	}
+
+	_ = conn.Close()
+	_ = server.Close()
 	waitFor(t, "goroutines to end", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
@@ -436,8 +531,9 @@ func TestCompositeLookupAllocatesNothing(t *testing.T) {
 
 // BenchmarkTCPPipelinedCall drives reflective calc.Add over loopback TCP,
 // 2 connections x 16 calls in flight, each callback issuing the next call,
-// and reports the socket work per call: client writes, server reads,
-// server flushes and dispatch workers started.
+// and reports the work per call: client writes, server reads, server
+// flushes, dispatch workers started, deadline timers armed and client
+// completion workers started.
 func BenchmarkTCPPipelinedCall(b *testing.B) {
 	const conns, depth = 2, 16
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -446,8 +542,9 @@ func BenchmarkTCPPipelinedCall(b *testing.B) {
 	}
 	server := ServeTCP(ln, NewDispatcher(tableSource{"calc": calculator{}}))
 	defer server.Close()
-	sched := clock.NewReal()
-	defer sched.Stop()
+	wall := clock.NewReal()
+	defer wall.Stop()
+	sched := &countingScheduler{Scheduler: wall}
 	transport := NewTCPTransport(sched)
 	counted := make([]*countingConn, conns)
 	clients := make([]*tcpConn, conns)
@@ -499,8 +596,14 @@ func BenchmarkTCPPipelinedCall(b *testing.B) {
 		}
 		return n
 	}
+	workers := func() (n int64) {
+		for _, c := range clients {
+			n += c.workersStarted.Load()
+		}
+		return n
+	}
 	run(conns * depth) // start the dispatch workers and grow their stacks
-	w0, st0 := writes(), server.Stats()
+	w0, st0, t0, cw0 := writes(), server.Stats(), sched.afters.Load(), workers()
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -511,4 +614,6 @@ func BenchmarkTCPPipelinedCall(b *testing.B) {
 	b.ReportMetric(per(st.Reads-st0.Reads), "server_reads/op")
 	b.ReportMetric(per(st.Flushes-st0.Flushes), "server_flushes/op")
 	b.ReportMetric(per(st.WorkersStarted-st0.WorkersStarted), "workers/op")
+	b.ReportMetric(per(uint64(sched.afters.Load()-t0)), "timers/op")
+	b.ReportMetric(per(uint64(workers()-cw0)), "client_workers/op")
 }

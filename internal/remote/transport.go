@@ -3,6 +3,8 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,11 +30,6 @@ func Retryable(err error) bool { return errors.Is(err, ErrUnavailable) }
 
 // DefaultCallTimeout bounds one call attempt on a connection.
 const DefaultCallTimeout = 2 * time.Second
-
-// DefaultBatchDelay is the micro-deadline a batching connection holds a
-// partially filled request window before flushing (docs/PROTOCOL.md §2.1):
-// long enough to coalesce a burst, far below any latency budget.
-const DefaultBatchDelay = 200 * time.Microsecond
 
 // Conn is one pipelined connection to an endpoint: many calls may be in
 // flight; responses correlate by id and may complete out of order.
@@ -74,64 +71,38 @@ type PushConn interface {
 	PendingPushes() int
 }
 
-// BatchConn is a Conn that can coalesce pipelined requests into §2.1
-// multi-request frames after negotiating the capability with its peer.
-// Both in-repo transports implement it; Pool's WithBatching enables it on
-// every connection it dials.
-type BatchConn interface {
-	Conn
-	// EnableBatching opts the connection into coalescing up to max
-	// requests per flush, holding a partial window at most delay
-	// (DefaultBatchDelay when <= 0). Call before sharing the conn.
-	EnableBatching(max int, delay time.Duration)
-}
-
 // pendingCall tracks one outstanding request on a connection.
 type pendingCall struct {
-	cb     func(*Response, error)
-	timer  clock.Timer
-	sentAt time.Duration // stamped when the frame-RTT histogram is wired
+	cb       func(*Response, error)
+	deadline time.Duration // issue time + callTimeout, on the conn's clock
 }
 
 // connCore implements correlation-id bookkeeping shared by the netsim and
-// TCP connections. The embedding transport provides sendFrame (and
-// optionally sendFrames, the vectored multi-buffer flush batching uses).
+// TCP connections. The embedding transport provides sendFrame.
+//
+// Call timeouts cost one timer per connection, not one per call. Every
+// call records its deadline; the timeout is fixed per connection and the
+// clock never runs backwards, so deadlines never decrease in
+// correlation-id order and the oldest pending call is always the next to
+// expire. The timer is armed only when none is, and completions leave it
+// alone. When it fires, expire fails every call past its deadline and
+// re-arms for the oldest call still pending, so each call still times out
+// at exactly its own deadline.
 type connCore struct {
 	sched       clock.Scheduler
 	callTimeout time.Duration
 	sendFrame   func(frame []byte) error
-	// sendFrames, when set, writes several frames in one vectored flush
-	// wrapped as a single batch frame; nil falls back to
-	// sendFrame(EncodeBatch(...)).
-	sendFrames func(frames [][]byte) error
 	// rtt, when set, records call-issue→response round trips (responses
 	// only — timeouts and connection failures are not round trips).
 	rtt *obs.Histogram
 
 	mu          sync.Mutex
 	nextCorr    uint64
-	pending     map[uint64]*pendingCall
+	pending     map[uint64]pendingCall
+	timer       clock.Timer // the deadline timer; nil while none is armed
 	closed      bool
 	established bool     // handshake done (netsim); TCP starts established
 	backlog     [][]byte // frames queued until established
-
-	// Request batching (docs/PROTOCOL.md §2.1). batchMax > 1 opts the conn
-	// in; coalescing starts only once the peer's HelloAck advertised
-	// featBatch (peerBatch) — until then, and against old peers forever,
-	// every frame goes out individually and semantics are unchanged.
-	batchMax   int
-	batchDelay time.Duration
-	peerBatch  bool
-	batch      []batchEntry
-	batchBytes int
-	batchTimer clock.Timer
-}
-
-// batchEntry is one encoded request waiting in the flush window; corr lets
-// a failed flush complete exactly the calls it carried.
-type batchEntry struct {
-	corr  uint64
-	frame []byte
 }
 
 func newConnCore(sched clock.Scheduler, callTimeout time.Duration, established bool) *connCore {
@@ -141,7 +112,7 @@ func newConnCore(sched clock.Scheduler, callTimeout time.Duration, established b
 	return &connCore{
 		sched:       sched,
 		callTimeout: callTimeout,
-		pending:     make(map[uint64]*pendingCall),
+		pending:     make(map[uint64]pendingCall),
 		established: established,
 	}
 }
@@ -167,119 +138,64 @@ func (c *connCore) call(req *Request, cb func(*Response, error)) error {
 		c.mu.Unlock()
 		return ErrFrameTooLarge
 	}
-	pc := &pendingCall{cb: cb}
-	if c.rtt != nil {
-		pc.sentAt = c.sched.Now()
+	c.pending[corr] = pendingCall{cb: cb, deadline: c.sched.Now() + c.callTimeout}
+	if c.timer == nil {
+		c.timer = c.sched.After(c.callTimeout, c.expire)
 	}
-	c.pending[corr] = pc
-	pc.timer = c.sched.After(c.callTimeout, func() { c.complete(corr, nil, ErrTimeout) })
 	ready := c.established
-	batching := ready && c.batchMax > 1 && c.peerBatch
-	var flushNow bool
-	var preFlush []batchEntry
-	switch {
-	case !ready:
+	if !ready {
 		c.backlog = append(c.backlog, frame)
-	case batching:
-		// Hold the frame in the flush window: a full window flushes now,
-		// the first frame of a window arms the micro-deadline. A frame
-		// that would push the wrapped batch past MaxFrameSize flushes the
-		// queued window first, then starts the next one.
-		if len(c.batch) > 0 && c.batchBytes+len(frame)+16 > MaxFrameSize {
-			preFlush = c.batch
-			c.batch = nil
-			c.batchBytes = 0
-		}
-		c.batch = append(c.batch, batchEntry{corr: corr, frame: frame})
-		c.batchBytes += len(frame) + 10
-		if len(c.batch) >= c.batchMax {
-			flushNow = true
-		} else if c.batchTimer == nil {
-			c.batchTimer = c.sched.After(c.batchDelay, c.flushBatch)
-		}
 	}
 	c.mu.Unlock()
-	if ready && !batching {
+	if ready {
 		if err := c.sendFrame(frame); err != nil {
 			c.complete(corr, nil, fmt.Errorf("%w: %v", ErrUnavailable, err))
 		}
 	}
-	if preFlush != nil {
-		c.flushEntries(preFlush)
-	}
-	if flushNow {
-		c.flushBatch()
-	}
 	return nil
 }
 
-// enableBatching opts the connection into request coalescing: up to max
-// frames per flush, held at most delay. Takes effect once the peer
-// advertises batch support (setPeerFeatures).
-func (c *connCore) enableBatching(max int, delay time.Duration) {
-	if max < 2 {
+// expire runs when the deadline timer fires: it fails every call past its
+// deadline with ErrTimeout, in issue order, and re-arms the timer for the
+// oldest call still pending.
+func (c *connCore) expire() {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return
 	}
-	if delay <= 0 {
-		delay = DefaultBatchDelay
+	now := c.sched.Now()
+	victims, oldest := c.takeLocked(now)
+	c.timer = nil
+	if oldest != 0 {
+		c.timer = c.sched.After(c.pending[oldest].deadline-now, c.expire)
 	}
-	c.mu.Lock()
-	c.batchMax = max
-	c.batchDelay = delay
 	c.mu.Unlock()
+	for _, cb := range victims {
+		cb(nil, ErrTimeout)
+	}
 }
 
-// setPeerFeatures records the capabilities a HelloAck advertised.
-func (c *connCore) setPeerFeatures(features byte) {
-	c.mu.Lock()
-	c.peerBatch = features&featBatch != 0
-	c.mu.Unlock()
-}
-
-// flushBatch sends the queued window — one wrapped batch frame for several
-// requests, a plain frame for a window of one. A flush failure completes
-// exactly the calls the window carried.
-func (c *connCore) flushBatch() {
-	c.mu.Lock()
-	if c.batchTimer != nil {
-		c.batchTimer.Cancel()
-		c.batchTimer = nil
-	}
-	entries := c.batch
-	c.batch = nil
-	c.batchBytes = 0
-	closed := c.closed
-	c.mu.Unlock()
-	if len(entries) == 0 || closed {
-		return
-	}
-	c.flushEntries(entries)
-}
-
-// flushEntries writes one already-detached window.
-func (c *connCore) flushEntries(entries []batchEntry) {
-	var err error
-	if len(entries) == 1 {
-		err = c.sendFrame(entries[0].frame)
-	} else {
-		frames := make([][]byte, len(entries))
-		for i, e := range entries {
-			frames[i] = e.frame
-		}
-		if c.sendFrames != nil {
-			err = c.sendFrames(frames)
-		} else {
-			var wrapped []byte
-			if wrapped, err = EncodeBatch(frames); err == nil {
-				err = c.sendFrame(wrapped)
-			}
+// takeLocked removes every pending call whose deadline is at or before
+// due and returns their callbacks in issue (correlation-id) order, with
+// the correlation id of the oldest call left pending (0 when none is).
+// c.mu is held.
+func (c *connCore) takeLocked(due time.Duration) (victims []func(*Response, error), oldest uint64) {
+	var corrs []uint64
+	for corr, pc := range c.pending {
+		if pc.deadline <= due {
+			corrs = append(corrs, corr)
+		} else if oldest == 0 || corr < oldest {
+			oldest = corr
 		}
 	}
-	if err != nil {
-		for _, e := range entries {
-			c.complete(e.corr, nil, fmt.Errorf("%w: %v", ErrUnavailable, err))
-		}
+	slices.Sort(corrs)
+	victims = make([]func(*Response, error), len(corrs))
+	for i, corr := range corrs {
+		victims[i] = c.pending[corr].cb
+		delete(c.pending, corr)
 	}
+	return victims, oldest
 }
 
 // establish flushes the backlog once the handshake completes.
@@ -314,11 +230,8 @@ func (c *connCore) complete(corr uint64, resp *Response, err error) {
 	if !ok {
 		return // duplicate, late or timed-out response
 	}
-	if pc.timer != nil {
-		pc.timer.Cancel()
-	}
 	if c.rtt != nil && resp != nil {
-		c.rtt.Record(c.sched.Now() - pc.sentAt)
+		c.rtt.Record(c.sched.Now() - (pc.deadline - c.callTimeout))
 	}
 	pc.cb(resp, err)
 }
@@ -330,8 +243,8 @@ func (c *connCore) inFlight() int {
 	return len(c.pending)
 }
 
-// shutdown marks the core closed and fails every pending call with err.
-// It reports whether this call performed the close.
+// shutdown marks the core closed and fails every pending call with err,
+// in issue order. It reports whether this call performed the close.
 func (c *connCore) shutdown(err error) bool {
 	c.mu.Lock()
 	if c.closed {
@@ -339,26 +252,15 @@ func (c *connCore) shutdown(err error) bool {
 		return false
 	}
 	c.closed = true
-	victims := make([]*pendingCall, 0, len(c.pending))
-	for corr, pc := range c.pending {
-		delete(c.pending, corr)
-		victims = append(victims, pc)
-	}
+	victims, _ := c.takeLocked(math.MaxInt64)
 	c.backlog = nil
-	// Held batch entries die with their pending calls (failed below); the
-	// armed micro-deadline would only find an empty window.
-	c.batch = nil
-	c.batchBytes = 0
-	if c.batchTimer != nil {
-		c.batchTimer.Cancel()
-		c.batchTimer = nil
+	if c.timer != nil {
+		c.timer.Cancel()
+		c.timer = nil
 	}
 	c.mu.Unlock()
-	for _, pc := range victims {
-		if pc.timer != nil {
-			pc.timer.Cancel()
-		}
-		pc.cb(nil, err)
+	for _, cb := range victims {
+		cb(nil, err)
 	}
 	return true
 }
