@@ -84,14 +84,17 @@ func checkGeometry(art Artifact) error {
 
 // Fetcher streams artifact payloads chunk-by-chunk from repository
 // replicas over the shared remote connection pool. Each chunk is copied
-// once, from the connection's read buffer to its place in the payload,
-// and a running SHA-256 follows the in-order prefix as chunks land, so the
-// content digest is known the moment the last chunk is. Like the Invoker
-// the fetcher fails over on any per-replica error — but mid-transfer:
-// chunks already received survive the switch and only the missing ones are
-// requested from the next replica. A payload whose digest does not match
-// the metadata (a corrupted replica) is discarded wholesale and refetched
-// from the next replica.
+// from the connection's read buffer to its place in the payload, and a
+// running SHA-256 follows the in-order prefix as chunks land, so the
+// content digest is known the moment the last chunk is. Unless the proven
+// table already holds the digest, each chunk is also copied to the same
+// place in a second buffer that enters the table once the digest checks
+// out, so verifying and storing the payload cost a byte compare instead of
+// another hash (proven.go). Like the Invoker the fetcher fails over on any
+// per-replica error — but mid-transfer: chunks already received survive
+// the switch and only the missing ones are requested from the next
+// replica. A payload whose digest does not match the metadata (a corrupted
+// replica) is discarded wholesale and refetched from the next replica.
 type Fetcher struct {
 	pool      *remote.Pool
 	resolver  ReplicaResolver
@@ -146,6 +149,7 @@ func (f *Fetcher) Fetch(art Artifact, cb func([]byte, error)) {
 		payload:  make([]byte, art.Size),
 		have:     make([]bool, art.Chunks),
 		digest:   sha256.New(),
+		proving:  proven.wants(art.Digest, art.Size),
 	}
 	st.mu.Lock()
 	st.launchLocked()
@@ -174,6 +178,11 @@ type fetchState struct {
 	// hashed == art.Chunks exactly when every chunk is in.
 	digest hash.Hash
 	hashed int64
+	// proving files a copy of the payload in the proven table: every
+	// chunk lands in proof too, allocated when the first one does so that
+	// the allocation overlaps the first window's round trip.
+	proving bool
+	proof   []byte
 }
 
 // chunkBounds returns the byte range chunk idx occupies in the payload.
@@ -267,6 +276,12 @@ func (st *fetchState) onChunk(gen int, idx int64, issuedAt time.Duration, resp *
 	}
 	if !st.have[idx] {
 		copy(st.payload[off:end], chunk)
+		if st.proving {
+			if st.proof == nil {
+				st.proof = make([]byte, st.art.Size)
+			}
+			copy(st.proof[off:end], chunk)
+		}
 		st.have[idx] = true
 		if st.f.counters != nil {
 			st.f.counters.BytesTransferred.Add(end - off)
@@ -286,8 +301,11 @@ func (st *fetchState) onChunk(gen int, idx int64, issuedAt time.Duration, resp *
 
 // finishLocked checks the streamed content digest once every chunk is in;
 // a mismatch (a corrupted replica) discards everything — bytes and hash
-// state — and retries from the next replica.
+// state — and retries from the next replica. A payload that checks out
+// hands its proof copy, equal to the bytes just hashed, to the proven
+// table.
 func (st *fetchState) finishLocked() {
+	payloadHashes.Add(1)
 	if hex.EncodeToString(st.digest.Sum(nil)) != st.art.Digest {
 		if st.f.counters != nil {
 			st.f.counters.VerificationRejections.Add(1)
@@ -301,6 +319,9 @@ func (st *fetchState) finishLocked() {
 	}
 	st.done = true
 	st.mu.Unlock()
+	if st.proving {
+		proven.add(st.art.Digest, st.proof)
+	}
 	if st.f.counters != nil {
 		st.f.counters.ArtifactsFetched.Add(1)
 	}

@@ -35,7 +35,6 @@
 package provision
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -105,7 +104,7 @@ func DecodeImage(payload []byte) (*BundleImage, error) {
 
 // PayloadDigest returns the hex SHA-256 content address of a payload.
 func PayloadDigest(payload []byte) string {
-	sum := sha256.Sum256(payload)
+	sum := hashPayload(payload)
 	return hex.EncodeToString(sum[:])
 }
 

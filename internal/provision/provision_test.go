@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,6 +183,52 @@ func TestVerifierGates(t *testing.T) {
 		bad[3] ^= 0x40
 		if err := NewVerifier(keyring, nil).Verify(art, bad); !errors.Is(err, ErrVerification) {
 			t.Fatalf("got %v", err)
+		}
+	})
+	// A fetched payload is proven by comparison with the Fetcher's hashed
+	// copy; one changed after the fetch must fail like any other. Each
+	// mutation is checked against the real metadata and against metadata
+	// whose size matches the mutated payload, so the digest check runs.
+	t.Run("fetched-then-mutated", func(t *testing.T) {
+		v := NewVerifier(keyring, nil)
+		for name, mutate := range map[string]func([]byte) []byte{
+			"flip one byte": func(p []byte) []byte { p[len(p)/2] ^= 1; return p },
+			"truncate":      func(p []byte) []byte { return p[:len(p)-1] },
+			"append":        func(p []byte) []byte { return append(p, '}') },
+		} {
+			art, payload := freshArtifact(t, 8)
+			holder := NewStore()
+			if err := holder.Add(art, payload); err != nil {
+				t.Fatal(err)
+			}
+			fetched := fetchNow(t, newInprocFetcher(holder), art)
+			if _, ok := proven.lookup(art.Digest); !ok {
+				t.Fatal("the fetch filed no proven copy")
+			}
+			if v.Verify(art, fetched) != nil || NewStore().Add(art, fetched) != nil {
+				t.Fatal("an unmodified fetched payload was rejected")
+			}
+			mutated := mutate(fetched)
+			sized := art
+			sized.Size = int64(len(mutated))
+			for _, meta := range []Artifact{art, sized} {
+				if err := v.Verify(meta, mutated); !errors.Is(err, ErrVerification) {
+					t.Errorf("%s, size %d: Verify = %v", name, meta.Size, err)
+				}
+				if err := NewStore().Add(meta, mutated); !errors.Is(err, ErrVerification) {
+					t.Errorf("%s, size %d: Store.Add = %v", name, meta.Size, err)
+				}
+			}
+		}
+	})
+	t.Run("digest-before-signature", func(t *testing.T) {
+		bad := append([]byte(nil), payload...)
+		bad[3] ^= 0x40
+		forged := art
+		forged.Signature = Sign([]byte("wrong-key"), art.Signer, art.Digest)
+		err := NewVerifier(keyring, nil).Verify(forged, bad)
+		if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Fatalf("got %v, want the digest mismatch", err)
 		}
 	})
 	t.Run("forged-signature", func(t *testing.T) {
@@ -500,6 +547,59 @@ func TestFetcherCorruptReplicaFallsBack(t *testing.T) {
 	rig2.eng.RunFor(time.Second)
 	if !errors.Is(finalErr, ErrVerification) {
 		t.Fatalf("all-corrupt fetch = %v, want ErrVerification", finalErr)
+	}
+}
+
+var freshArtifacts atomic.Int64
+
+// freshArtifact is a signed artifact no earlier fetch of this process has
+// put in the proven table.
+func freshArtifact(t *testing.T, chunkSize int64) (Artifact, []byte) {
+	t.Helper()
+	img := &BundleImage{
+		ManifestText: "Bundle-SymbolicName: test.fresh\nBundle-Version: 1.0.0\n",
+		DataFiles:    map[string][]byte{"nonce": []byte(fmt.Sprintf("%s/%d", t.Name(), freshArtifacts.Add(1)))},
+	}
+	art, payload, err := NewArtifact("test:fresh", img, SampleSigner, SampleKeyring()[SampleSigner], chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art, payload
+}
+
+// TestFetcherProvesOnlyHashedBytes: the copy a fetch files in the proven
+// table is the payload whose digest checked out — after a corrupt
+// replica's transfer was discarded and refetched elsewhere, and after a
+// mid-transfer failover — never bytes the digest check rejected.
+func TestFetcherProvesOnlyHashedBytes(t *testing.T) {
+	for _, corrupt := range []bool{true, false} {
+		rig := newFetchRig(t, 2, nil)
+		art, payload := freshArtifact(t, 8)
+		for _, s := range rig.stores {
+			if err := s.Add(art, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if corrupt {
+			rig.stores[0].CorruptChunk(art.Digest, 2)
+		} else {
+			rig.shortFrom[0] = 3
+		}
+		var fetchErr error
+		rig.fetcher.Fetch(art, func(_ []byte, err error) { fetchErr = err })
+		rig.eng.RunFor(time.Second)
+		if fetchErr != nil {
+			t.Fatal(fetchErr)
+		}
+		entry, ok := proven.lookup(art.Digest)
+		if !ok || !bytes.Equal(entry, payload) {
+			t.Fatalf("corrupt=%v: proven entry held=%v, equal to the payload=%v", corrupt, ok, bytes.Equal(entry, payload))
+		}
+		bad := append([]byte(nil), payload...)
+		bad[16] ^= 0xff // what the corrupt replica served
+		if err := NewVerifier(SampleKeyring(), nil).Verify(art, bad); !errors.Is(err, ErrVerification) {
+			t.Fatalf("corrupt=%v: Verify of the rejected bytes = %v", corrupt, err)
+		}
 	}
 }
 

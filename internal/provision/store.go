@@ -30,14 +30,11 @@ func NewStore() *Store {
 }
 
 // Add stores an artifact payload under its metadata. The payload must
-// match the metadata's digest and size — Add is the last line of defense
+// match the metadata's size and digest — Add is the last line of defense
 // against caching bytes that would fail verification on every future read.
-// The store keeps its own copy; the caller's slice stays the caller's.
+// The caller's slice stays the caller's: the store keeps the proven copy
+// the payload equals, or else a copy of its own.
 func (s *Store) Add(art Artifact, payload []byte) error {
-	if got := PayloadDigest(payload); got != art.Digest {
-		return fmt.Errorf("%w: digest mismatch storing %s (payload %s, metadata %s)",
-			ErrVerification, art.Location, got[:12], art.Digest[:12])
-	}
 	if int64(len(payload)) != art.Size {
 		return fmt.Errorf("%w: size mismatch storing %s (%d bytes, metadata %d)",
 			ErrVerification, art.Location, len(payload), art.Size)
@@ -45,8 +42,14 @@ func (s *Store) Add(art Artifact, payload []byte) error {
 	if art.ChunkSize <= 0 {
 		return fmt.Errorf("provision: artifact %s has no chunk size", art.Location)
 	}
+	stored, err := proveDigest(art, payload)
+	if err != nil {
+		return err
+	}
+	if stored == nil {
+		stored = append([]byte(nil), payload...)
+	}
 	art.Node = ""
-	stored := append([]byte(nil), payload...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.meta[art.Digest] = art

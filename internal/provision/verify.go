@@ -54,9 +54,8 @@ func (v *Verifier) Verify(art Artifact, payload []byte) error {
 		return fmt.Errorf("%w: %s: payload is %d bytes, expected %d",
 			ErrVerification, art.Location, len(payload), art.Size)
 	}
-	if got := PayloadDigest(payload); got != art.Digest {
-		return fmt.Errorf("%w: %s: digest mismatch (got %s, want %s)",
-			ErrVerification, art.Location, short(got), short(art.Digest))
+	if _, err := proveDigest(art, payload); err != nil {
+		return err
 	}
 	key, ok := v.keyring[art.Signer]
 	if !ok {
