@@ -110,8 +110,9 @@ ab:
 	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # Size of the tree (scripts/loc.sh): non-test and test Go lines under the
-# root module, the With* option-function count, the ten largest non-test
-# files — what a simplicity PR quotes before and after. Informational only.
+# root module, the With* option-function count, the exported *Config field
+# count, the ten largest non-test files — what a simplicity PR quotes
+# before and after. Informational only.
 loc:
 	@bash scripts/loc.sh
 

@@ -29,20 +29,20 @@ func (s LoadStats) Throughput() float64 {
 	return float64(s.OK) / s.Elapsed.Seconds()
 }
 
+// The generator's network node and address.
+const (
+	clientID           = "loadgen"
+	clientIP netsim.IP = "10.99.0.1"
+)
+
 // GeneratorConfig shapes an open-loop request workload.
 type GeneratorConfig struct {
-	// ClientID names the generator's network node (default "loadgen").
-	ClientID string
-	// ClientIP is the generator's address (default "10.99.0.1").
-	ClientIP netsim.IP
 	// Target receives the requests (a service endpoint or an ipvs VIP).
 	Target netsim.Addr
 	// Rate is requests per second of virtual time.
 	Rate float64
 	// CPUCost is the service demand each request carries.
 	CPUCost time.Duration
-	// Path is the servlet path (default "/").
-	Path string
 	// Jitter adds uniform arrival noise up to the inter-arrival time,
 	// using the engine's deterministic RNG.
 	Jitter bool
@@ -65,15 +65,6 @@ type Generator struct {
 
 // NewGenerator attaches a load generator to the network.
 func NewGenerator(eng *sim.Engine, net *netsim.Network, cfg GeneratorConfig) (*Generator, error) {
-	if cfg.ClientID == "" {
-		cfg.ClientID = "loadgen"
-	}
-	if cfg.ClientIP == "" {
-		cfg.ClientIP = "10.99.0.1"
-	}
-	if cfg.Path == "" {
-		cfg.Path = "/"
-	}
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("bench: rate must be positive")
 	}
@@ -84,13 +75,13 @@ func NewGenerator(eng *sim.Engine, net *netsim.Network, cfg GeneratorConfig) (*G
 		sendAt: make(map[int64]time.Duration),
 	}
 	g.stats.Latency = &Histogram{}
-	g.nic = net.AttachNode(cfg.ClientID)
-	if _, owned := net.OwnerOf(cfg.ClientIP); !owned {
-		if err := net.AssignIP(cfg.ClientIP, cfg.ClientID); err != nil {
+	g.nic = net.AttachNode(clientID)
+	if _, owned := net.OwnerOf(clientIP); !owned {
+		if err := net.AssignIP(clientIP, clientID); err != nil {
 			return nil, err
 		}
 	}
-	g.addr = netsim.Addr{IP: cfg.ClientIP, Port: 45000}
+	g.addr = netsim.Addr{IP: clientIP, Port: 45000}
 	if err := g.nic.Listen(g.addr, g.onResponse); err != nil {
 		return nil, err
 	}
@@ -132,7 +123,7 @@ func (g *Generator) sendOne() {
 	g.stats.Sent++
 	_ = g.nic.Send(g.addr, g.cfg.Target, services.HTTPRequest{
 		ID:      id,
-		Path:    g.cfg.Path,
+		Path:    "/",
 		CPUCost: g.cfg.CPUCost,
 	}, 128)
 }

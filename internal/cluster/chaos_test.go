@@ -528,7 +528,7 @@ func (h *chaosHarness) verifyProvisioning() {
 	for _, rec := range ref {
 		holders[rec.Digest] = append(holders[rec.Digest], rec)
 	}
-	rf := 2 // cluster default replication factor
+	rf := replicationFactor
 	if len(h.nodes) < rf {
 		rf = len(h.nodes)
 	}

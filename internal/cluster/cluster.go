@@ -29,18 +29,19 @@ const (
 	MetricsBundleLocation = "base:metrics"
 )
 
+// The simulated datacenter's fixed costs: one-way latency of the network
+// fabric and access latency of the shared SAN.
+const (
+	networkLatency = 500 * time.Microsecond
+	sanLatency     = 200 * time.Microsecond
+)
+
+// replicationFactor is how many nodes proactively hold a copy of every
+// published artifact; on-demand fetches add more.
+const replicationFactor = 2
+
 // Option configures a Cluster.
 type Option func(*Cluster)
-
-// WithNetworkLatency sets the one-way network latency (default 500µs).
-func WithNetworkLatency(d time.Duration) Option {
-	return func(c *Cluster) { c.netLatency = d }
-}
-
-// WithSANLatency sets the storage access latency (default 200µs).
-func WithSANLatency(d time.Duration) Option {
-	return func(c *Cluster) { c.sanLatency = d }
-}
 
 // WithGCSTimeouts tunes the failure detector of every node added later.
 func WithGCSTimeouts(heartbeat, failTimeout time.Duration) Option {
@@ -61,16 +62,6 @@ func WithProvisionKeyring(k provision.Keyring) Option {
 // a cluster with no SecurityManager configured).
 func WithProvisionPolicy(p *security.Policy) Option {
 	return func(c *Cluster) { c.provPolicy = p }
-}
-
-// WithReplicationFactor sets how many nodes proactively hold a copy of
-// every published artifact (default 2; on-demand fetches add more).
-func WithReplicationFactor(n int) Option {
-	return func(c *Cluster) {
-		if n > 0 {
-			c.provReplicas = n
-		}
-	}
 }
 
 // WithDirectoryShards partitions the replicated directory's record
@@ -121,8 +112,6 @@ type Cluster struct {
 	gdir  *gcs.Directory
 	defs  *module.DefinitionRegistry
 
-	netLatency     time.Duration
-	sanLatency     time.Duration
 	gcsHeartbeat   time.Duration
 	gcsFailTimeout time.Duration
 	gcsMaxTotalLog int
@@ -132,9 +121,8 @@ type Cluster struct {
 	dirShards int
 	shardDirs []*gcs.Directory
 
-	provKeyring  provision.Keyring
-	provPolicy   *security.Policy
-	provReplicas int
+	provKeyring provision.Keyring
+	provPolicy  *security.Policy
 
 	dirResyncEvery   time.Duration
 	provRecheckEvery time.Duration
@@ -149,8 +137,6 @@ type Cluster struct {
 // New builds an empty cluster with a deterministic seed.
 func New(seed int64, opts ...Option) *Cluster {
 	c := &Cluster{
-		netLatency:       500 * time.Microsecond,
-		sanLatency:       200 * time.Microsecond,
 		nodes:            make(map[string]*Node),
 		tracker:          sla.NewTracker(),
 		agreements:       make(map[core.InstanceID]sla.Agreement),
@@ -158,7 +144,6 @@ func New(seed int64, opts ...Option) *Cluster {
 		defs:             module.NewDefinitionRegistry(),
 		metrics:          services.NewMetricsService(),
 		provKeyring:      provision.SampleKeyring(),
-		provReplicas:     2,
 		provRecheckEvery: migrate.DefaultResyncEvery,
 	}
 	for _, opt := range opts {
@@ -168,8 +153,8 @@ func New(seed int64, opts ...Option) *Cluster {
 		c.shardDirs = append(c.shardDirs, gcs.NewDirectory())
 	}
 	c.eng = sim.New(seed)
-	c.net = netsim.NewNetwork(c.eng, netsim.WithLatency(c.netLatency))
-	c.store = san.NewStore(c.eng, san.WithAccessLatency(c.sanLatency))
+	c.net = netsim.NewNetwork(c.eng, netsim.WithLatency(networkLatency))
+	c.store = san.NewStore(c.eng, san.WithAccessLatency(sanLatency))
 	return c
 }
 
@@ -225,7 +210,6 @@ func (c *Cluster) AddNode(cfg NodeConfig) (*Node, error) {
 	n.vm = vjvm.New(c.eng,
 		vjvm.WithCapacity(cfg.CPUCapacity),
 		vjvm.WithMemoryCapacity(cfg.MemoryBytes),
-		vjvm.WithBaseOverhead(cfg.JVMOverheadBytes),
 	)
 
 	// Host framework with the shared base services (Figure 4's pulled-down

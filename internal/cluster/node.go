@@ -49,8 +49,6 @@ type NodeConfig struct {
 	CPUCapacity vjvm.Millicores
 	// MemoryBytes of RAM (default 8 GiB).
 	MemoryBytes int64
-	// JVMOverheadBytes is the host JVM's fixed footprint (default 64 MiB).
-	JVMOverheadBytes int64
 	// PlacementMode selects the redeployment shortage policy.
 	PlacementMode migrate.PlacementMode
 }
@@ -64,9 +62,6 @@ func (c *NodeConfig) applyDefaults() {
 	}
 	if c.MemoryBytes == 0 {
 		c.MemoryBytes = 8 << 30
-	}
-	if c.JVMOverheadBytes == 0 {
-		c.JVMOverheadBytes = 64 << 20
 	}
 	if c.PlacementMode == 0 {
 		c.PlacementMode = migrate.BestEffort

@@ -28,7 +28,6 @@ type nodeProvision struct {
 	deployer *provision.Deployer
 	verifier *provision.Verifier
 	counters *services.ProvisionCounters
-	rf       int
 
 	// recheckTimer drives the periodic full replication recheck — the
 	// retry path for repair fetches that failed transiently.
@@ -95,7 +94,6 @@ func (n *Node) setupProvision() {
 		store:    store,
 		verifier: verifier,
 		counters: counters,
-		rf:       n.cluster.provReplicas,
 		fetching: make(map[string]bool),
 	}
 	deployer, err := provision.NewDeployer(provision.DeployerConfig{
@@ -266,11 +264,11 @@ func (p *nodeProvision) recheckDigest(digest string) {
 			live++
 		}
 	}
-	if holderSet[p.node.cfg.ID] || p.store.Has(digest) || live >= p.rf {
+	if holderSet[p.node.cfg.ID] || p.store.Has(digest) || live >= replicationFactor {
 		return
 	}
 	// Candidates: live non-holders in node-id order; the first
-	// (rf - live) of them owe a copy.
+	// (replicationFactor - live) of them owe a copy.
 	var candidates []string
 	for _, id := range view.Members {
 		if !holderSet[id] {
@@ -278,7 +276,7 @@ func (p *nodeProvision) recheckDigest(digest string) {
 		}
 	}
 	sort.Strings(candidates)
-	need := p.rf - live
+	need := replicationFactor - live
 	for i, id := range candidates {
 		if i >= need {
 			break

@@ -177,15 +177,15 @@ func (m *Manager) emit(ev Event) {
 
 // Create registers a new virtual instance from desc. The instance starts
 // in the CREATED state; call Start to run it.
-func (m *Manager) Create(desc Descriptor, opts ...vosgi.Option) (*Instance, error) {
-	return m.create(desc, nil, opts...)
+func (m *Manager) Create(desc Descriptor) (*Instance, error) {
+	return m.create(desc, nil)
 }
 
 // RestoreInstance rebuilds an instance from a checkpoint, typically taken
 // on another node. When start is true and the checkpoint was running, the
 // instance resumes immediately.
-func (m *Manager) RestoreInstance(chk *Checkpoint, start bool, opts ...vosgi.Option) (*Instance, error) {
-	inst, err := m.create(chk.Descriptor, chk.Snapshot, opts...)
+func (m *Manager) RestoreInstance(chk *Checkpoint, start bool) (*Instance, error) {
+	inst, err := m.create(chk.Descriptor, chk.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ func (m *Manager) RestoreInstance(chk *Checkpoint, start bool, opts ...vosgi.Opt
 	return inst, nil
 }
 
-func (m *Manager) create(desc Descriptor, snap *module.Snapshot, opts ...vosgi.Option) (*Instance, error) {
+func (m *Manager) create(desc Descriptor, snap *module.Snapshot) (*Instance, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
@@ -216,9 +216,9 @@ func (m *Manager) create(desc Descriptor, snap *module.Snapshot, opts ...vosgi.O
 	var vf *vosgi.VirtualFramework
 	var err error
 	if snap != nil {
-		vf, err = vosgi.Restore(string(desc.ID), m.host, policy, snap, opts...)
+		vf, err = vosgi.Restore(string(desc.ID), m.host, policy, snap)
 	} else {
-		vf, err = vosgi.New(string(desc.ID), m.host, policy, opts...)
+		vf, err = vosgi.New(string(desc.ID), m.host, policy)
 	}
 	if err != nil {
 		return nil, err
@@ -416,7 +416,7 @@ func (m *Manager) PersistNow() {
 // LoadPersisted recreates instances recorded in the host framework's
 // extension area (after a host restart from snapshot). Instances that were
 // running are restarted when start is true.
-func (m *Manager) LoadPersisted(start bool, opts ...vosgi.Option) error {
+func (m *Manager) LoadPersisted(start bool) error {
 	data, ok := m.host.Extension(extensionKey)
 	if !ok {
 		return nil
@@ -428,7 +428,7 @@ func (m *Manager) LoadPersisted(start bool, opts ...vosgi.Option) error {
 	var firstErr error
 	for i := range stored {
 		chk := stored[i].Checkpoint
-		if _, err := m.RestoreInstance(&chk, start, opts...); err != nil && firstErr == nil {
+		if _, err := m.RestoreInstance(&chk, start); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -45,11 +45,9 @@ type Config struct {
 	// HeartbeatInterval defaults to 50ms.
 	HeartbeatInterval time.Duration
 	// FailTimeout is the suspicion threshold; defaults to 4x the heartbeat
-	// interval.
+	// interval. Twice it bounds the wait for an existing group before
+	// Start forms a singleton view.
 	FailTimeout time.Duration
-	// JoinTimeout bounds the wait for an existing group before forming a
-	// singleton view; defaults to 2x FailTimeout.
-	JoinTimeout time.Duration
 	// MaxTotalLog caps the coordinator's total-order retransmission log.
 	// The log is normally exact — pruned to the slowest member's
 	// acknowledged watermark — and the failure detector bounds the lag,
@@ -71,9 +69,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.FailTimeout <= 0 {
 		c.FailTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 2 * c.FailTimeout
 	}
 	if c.MaxTotalLog == 0 {
 		c.MaxTotalLog = 4096
@@ -257,7 +252,8 @@ func (m *Member) OnDeliver(fn func(Message)) {
 }
 
 // Start binds the endpoint, contacts the group and joins. If no existing
-// group answers within JoinTimeout, the member forms a singleton view.
+// group answers within twice FailTimeout, the member forms a singleton
+// view.
 func (m *Member) Start() error {
 	m.mu.Lock()
 	if m.state != stateNew {
@@ -277,7 +273,7 @@ func (m *Member) Start() error {
 	m.announceJoin()
 
 	m.mu.Lock()
-	m.joinTimer = m.sched.After(m.cfg.JoinTimeout, m.joinDeadline)
+	m.joinTimer = m.sched.After(2*m.cfg.FailTimeout, m.joinDeadline)
 	m.hbTimer = m.sched.Every(m.cfg.HeartbeatInterval, m.heartbeat)
 	m.checkTimer = m.sched.Every(m.cfg.HeartbeatInterval, m.checkFailures)
 	m.mu.Unlock()

@@ -8,32 +8,20 @@ import (
 	"dosgi/internal/netsim"
 )
 
+// The backup probes the active director through the VIP every
+// probeInterval and takes over after takeoverAfter consecutive probes go
+// unanswered; takeoverDelay models ARP propagation during VIP movement.
+const (
+	probeInterval = 100 * time.Millisecond
+	takeoverAfter = 3
+	takeoverDelay = 50 * time.Millisecond
+)
+
 // FailoverConfig tunes the active/backup director pair.
 type FailoverConfig struct {
-	// ProbeInterval is how often the backup probes the active director
-	// through the VIP (default 100ms).
-	ProbeInterval time.Duration
-	// FailAfter is the number of consecutive unanswered probes before
-	// takeover (default 3).
-	FailAfter int
-	// TakeoverDelay models ARP propagation during VIP movement (default
-	// 50ms).
-	TakeoverDelay time.Duration
 	// OnTakeover is invoked once the backup owns the VIP and serves
 	// traffic.
 	OnTakeover func()
-}
-
-func (c *FailoverConfig) applyDefaults() {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 3
-	}
-	if c.TakeoverDelay <= 0 {
-		c.TakeoverDelay = 50 * time.Millisecond
-	}
 }
 
 // Failover runs a backup director that watches the active one via
@@ -59,7 +47,6 @@ type Failover struct {
 // configured with the same VIP and backends but not started; Failover
 // starts it after takeover.
 func NewFailover(sched clock.Scheduler, net *netsim.Network, backup *VirtualServer, cfg FailoverConfig) *Failover {
-	cfg.applyDefaults()
 	return &Failover{sched: sched, net: net, backup: backup, cfg: cfg}
 }
 
@@ -82,7 +69,7 @@ func (f *Failover) Start() error {
 	}
 	f.mu.Lock()
 	f.running = true
-	f.timer = f.sched.Every(f.cfg.ProbeInterval, f.probe)
+	f.timer = f.sched.Every(probeInterval, f.probe)
 	f.mu.Unlock()
 	return nil
 }
@@ -125,14 +112,14 @@ func (f *Failover) probe() {
 	if nic, ok := f.net.NIC(f.backup.NodeID()); ok {
 		_ = nic.Send(probeAddr, vipAdmin, Probe{ReplyTo: probeAddr, Seq: seq}, 64)
 	}
-	f.sched.After(f.cfg.ProbeInterval/2, func() {
+	f.sched.After(probeInterval/2, func() {
 		f.mu.Lock()
 		if !f.running || f.active || f.lastOKSeq >= seq {
 			f.mu.Unlock()
 			return
 		}
 		f.misses++
-		if f.misses < f.cfg.FailAfter {
+		if f.misses < takeoverAfter {
 			f.mu.Unlock()
 			return
 		}
@@ -157,7 +144,7 @@ func (f *Failover) handleReply(msg netsim.Message) {
 
 func (f *Failover) takeover() {
 	vip := f.backup.VIP()
-	f.net.MoveIP(vip.IP, f.backup.NodeID(), f.cfg.TakeoverDelay, func(err error) {
+	f.net.MoveIP(vip.IP, f.backup.NodeID(), takeoverDelay, func(err error) {
 		if err != nil {
 			return
 		}

@@ -93,6 +93,17 @@ type realServer struct {
 	lastOKSeq int64
 }
 
+// Health checking: every healthEvery the director probes each backend;
+// a probe unanswered after healthTimeout is a failure, failAfter
+// consecutive failures mark the backend down and riseAfter consecutive
+// answers mark it up again.
+const (
+	healthEvery   = 100 * time.Millisecond
+	healthTimeout = healthEvery / 2
+	failAfter     = 2
+	riseAfter     = 2
+)
+
 // Option configures a VirtualServer.
 type Option func(*VirtualServer)
 
@@ -100,30 +111,6 @@ type Option func(*VirtualServer)
 // connection for least-connections scheduling (default 100ms).
 func WithConnTTL(d time.Duration) Option {
 	return func(v *VirtualServer) { v.connTTL = d }
-}
-
-// WithHealthInterval sets the probe period (default 100ms; 0 disables
-// health checking — servers stay as marked).
-func WithHealthInterval(d time.Duration) Option {
-	return func(v *VirtualServer) { v.healthEvery = d }
-}
-
-// WithHealthTimeout sets how long a probe may remain unanswered (default
-// half the interval).
-func WithHealthTimeout(d time.Duration) Option {
-	return func(v *VirtualServer) { v.healthTimeout = d }
-}
-
-// WithFailAfter sets consecutive probe failures before a server is marked
-// down (default 2).
-func WithFailAfter(n int) Option {
-	return func(v *VirtualServer) { v.failAfter = n }
-}
-
-// WithRiseAfter sets consecutive probe successes before a server is marked
-// up again (default 2).
-func WithRiseAfter(n int) Option {
-	return func(v *VirtualServer) { v.riseAfter = n }
 }
 
 // VirtualServer is an ipvs director instance on one node.
@@ -135,40 +122,30 @@ type VirtualServer struct {
 	admin  netsim.Addr // health-probe reply endpoint
 	kind   SchedulerKind
 
-	mu            sync.Mutex
-	servers       []*realServer
-	rrIndex       int
-	running       bool
-	connTTL       time.Duration
-	healthEvery   time.Duration
-	healthTimeout time.Duration
-	failAfter     int
-	riseAfter     int
-	healthTimer   clock.Timer
-	stats         Stats
+	mu          sync.Mutex
+	servers     []*realServer
+	rrIndex     int
+	running     bool
+	connTTL     time.Duration
+	healthTimer clock.Timer
+	stats       Stats
 }
 
 // New builds a director for vip on nodeID. The node must already own the
 // VIP (or acquire it via takeover) before Start can bind.
 func New(sched clock.Scheduler, net *netsim.Network, nodeID string, vip netsim.Addr, kind SchedulerKind, opts ...Option) *VirtualServer {
 	v := &VirtualServer{
-		sched:       sched,
-		net:         net,
-		nodeID:      nodeID,
-		vip:         vip,
-		admin:       netsim.Addr{IP: netsim.IPAny, Port: vip.Port + 10000},
-		kind:        kind,
-		connTTL:     100 * time.Millisecond,
-		healthEvery: 100 * time.Millisecond,
-		failAfter:   2,
-		riseAfter:   2,
+		sched:   sched,
+		net:     net,
+		nodeID:  nodeID,
+		vip:     vip,
+		admin:   netsim.Addr{IP: netsim.IPAny, Port: vip.Port + 10000},
+		kind:    kind,
+		connTTL: 100 * time.Millisecond,
 	}
 	v.stats.PerServer = make(map[string]int64)
 	for _, opt := range opts {
 		opt(v)
-	}
-	if v.healthTimeout <= 0 {
-		v.healthTimeout = v.healthEvery / 2
 	}
 	return v
 }
@@ -207,7 +184,9 @@ func (v *VirtualServer) RemoveServer(addr netsim.Addr) {
 	}
 }
 
-// SetHealthy force-marks a server (useful without health checking).
+// SetHealthy force-marks a server and resets its probe counters; health
+// checking moves it again after failAfter failed or riseAfter answered
+// probes.
 func (v *VirtualServer) SetHealthy(addr netsim.Addr, healthy bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -249,9 +228,7 @@ func (v *VirtualServer) Start() error {
 	}
 	v.mu.Lock()
 	v.running = true
-	if v.healthEvery > 0 {
-		v.healthTimer = v.sched.Every(v.healthEvery, v.probeAll)
-	}
+	v.healthTimer = v.sched.Every(healthEvery, v.probeAll)
 	v.mu.Unlock()
 	return nil
 }
@@ -387,14 +364,12 @@ func (v *VirtualServer) probeAll() {
 		s.probeSeq++
 		targets = append(targets, probeTarget{s: s, seq: s.probeSeq})
 	}
-	timeout := v.healthTimeout
-	failAfter := v.failAfter
 	v.mu.Unlock()
 
 	for _, tg := range targets {
 		s, seq := tg.s, tg.seq
 		_ = nic.Send(replyTo, s.addr, Probe{ReplyTo: replyTo, Seq: seq}, 64)
-		v.sched.After(timeout, func() {
+		v.sched.After(healthTimeout, func() {
 			v.mu.Lock()
 			defer v.mu.Unlock()
 			// If probeSeq advanced past seq with an OK, the reply landed.
@@ -438,7 +413,7 @@ func (v *VirtualServer) handleAdmin(msg netsim.Message) {
 			}
 			s.fails = 0
 			s.oks++
-			if !s.healthy && s.oks >= v.riseAfter {
+			if !s.healthy && s.oks >= riseAfter {
 				s.healthy = true
 			}
 			return

@@ -90,9 +90,6 @@ type Config struct {
 	MemCapacity int64
 	// Mode selects the shortage policy (default BestEffort).
 	Mode PlacementMode
-	// CheckpointEvery adds periodic checkpoints on top of the
-	// lifecycle-driven ones (0 disables).
-	CheckpointEvery time.Duration
 	// ResyncEvery is the directory anti-entropy period: the node
 	// re-broadcasts its authoritative endpoint AND artifact-holding sets
 	// so records lost to a partition blip too short to change the
@@ -101,9 +98,6 @@ type Config struct {
 	// either family, so a converged directory stays silent. 0 means
 	// DefaultResyncEvery; negative disables.
 	ResyncEvery time.Duration
-	// OnRelocate runs after an instance lands on this node so the
-	// embedder can rebind its network endpoints (IP takeover / ipvs).
-	OnRelocate func(InstanceInfo)
 	// EnsureBundles, when set, runs before a restore to make the given
 	// bundle install locations available locally — the provisioning
 	// subsystem fetches missing artifacts on demand here, so failover to
@@ -155,7 +149,6 @@ type Module struct {
 	started   bool
 	migrating map[core.InstanceID]bool
 	listeners []func(Event)
-	ckptTimer clock.Timer
 }
 
 // NewModule builds the module; call Start *before* starting the group
@@ -243,11 +236,6 @@ func (m *Module) Start() error {
 	m.cfg.Member.OnViewChange(m.onView)
 	m.cfg.Member.OnDeliver(m.onDeliver)
 	m.cfg.Manager.OnEvent(m.onInstanceEvent)
-	m.mu.Lock()
-	if m.cfg.CheckpointEvery > 0 {
-		m.ckptTimer = m.cfg.Sched.Every(m.cfg.CheckpointEvery, m.checkpointAll)
-	}
-	m.mu.Unlock()
 	if m.cfg.ResyncEvery > 0 {
 		for _, s := range m.shards {
 			shard := s
@@ -259,14 +247,10 @@ func (m *Module) Start() error {
 	return nil
 }
 
-// Stop halts periodic checkpointing and every shard's anti-entropy (the
-// group members are stopped separately, usually through Shutdown).
+// Stop halts every shard's anti-entropy (the group members are stopped
+// separately, usually through Shutdown).
 func (m *Module) Stop() {
 	m.mu.Lock()
-	if m.ckptTimer != nil {
-		m.ckptTimer.Cancel()
-		m.ckptTimer = nil
-	}
 	m.started = false
 	m.mu.Unlock()
 	for _, s := range m.shards {
@@ -477,7 +461,7 @@ func (m *Module) onView(v gcs.View) {
 			continue
 		}
 		m.broadcast(instancePut{Info: m.buildInfo(inst)})
-		m.writeCheckpoint(inst.ID(), nil)
+		m.writeCheckpoint(inst.ID())
 	}
 
 	// Which hosting nodes disappeared?
@@ -542,11 +526,6 @@ func (m *Module) restoreFromStore(info InstanceInfo, kind EventType, from string
 			start := chk.Running || info.Running
 			if _, err := m.cfg.Manager.RestoreInstance(chk, start); err != nil {
 				return
-			}
-			if m.cfg.OnRelocate != nil {
-				landed := info
-				landed.Node = m.cfg.NodeID
-				m.cfg.OnRelocate(landed)
 			}
 			m.emit(Event{Type: kind, Instance: info.ID, From: from, To: m.cfg.NodeID, At: m.cfg.Sched.Now()})
 		}
@@ -639,40 +618,23 @@ func (m *Module) onInstanceEvent(ev core.Event) {
 	switch ev.Type {
 	case core.EventCreated, core.EventStarted, core.EventStopped, core.EventRestored:
 		m.broadcast(instancePut{Info: m.buildInfo(ev.Instance)})
-		m.writeCheckpoint(id, nil)
+		m.writeCheckpoint(id)
 	case core.EventDestroyed:
 		m.broadcast(instanceRemove{ID: id})
 	}
 }
 
 // writeCheckpoint persists an instance's current state to the SAN.
-func (m *Module) writeCheckpoint(id core.InstanceID, done func()) {
+func (m *Module) writeCheckpoint(id core.InstanceID) {
 	chk, err := m.cfg.Manager.Checkpoint(id)
 	if err != nil {
-		if done != nil {
-			done()
-		}
 		return
 	}
 	data, err := chk.Encode()
 	if err != nil {
-		if done != nil {
-			done()
-		}
 		return
 	}
-	m.cfg.Store.PutAsync(CheckpointPath(id), data, func(int64) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// checkpointAll persists every local instance (periodic timer).
-func (m *Module) checkpointAll() {
-	for _, inst := range m.cfg.Manager.List() {
-		m.writeCheckpoint(inst.ID(), nil)
-	}
+	m.cfg.Store.PutAsync(CheckpointPath(id), data, nil)
 }
 
 // Migrate performs a planned stop-and-copy migration of a local instance

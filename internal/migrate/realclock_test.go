@@ -162,25 +162,59 @@ func TestRealClockBroadcastOrdering(t *testing.T) {
 	waitFor(t, 10*time.Second, "directory convergence", converged)
 
 	// Stale snapshots sequenced after the final announcements would
-	// surface here: across many further resync rounds the directories
-	// must stay exactly converged and emit no deltas at all.
+	// surface here: across at least 20 further resync rounds in each
+	// family the directories must stay exactly converged and emit no
+	// deltas at all. Deltas have two possible causes, and the failure
+	// names which: a false suspicion excludes a live node and prunes its
+	// records (Pruned advances; ROADMAP direction 5), a reordering flap
+	// applies a stale snapshot late (Pruned does not; direction 1).
+	const silentRounds = 20
 	epBefore, artBefore := b.mod.EndpointStats(), b.mod.ArtifactStats()
-	time.Sleep(20 * resync)
+	prunedBefore := prunedRecords(nodes)
+	cause := func() string {
+		if p := prunedRecords(nodes); p != prunedBefore {
+			return fmt.Sprintf("cause: false suspicion, Pruned advanced %d -> %d (a view change dropped a live holder's records)", prunedBefore, p)
+		}
+		return fmt.Sprintf("cause: reordering flap, Pruned stayed %d (no view change dropped records; a stale snapshot applied late)", prunedBefore)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ep, ar := b.mod.EndpointStats(), b.mod.ArtifactStats()
+		if ep.Syncs-epBefore.Syncs >= silentRounds && ep.SilentSyncs-epBefore.SilentSyncs >= silentRounds &&
+			ar.Syncs-artBefore.Syncs >= silentRounds && ar.SilentSyncs-artBefore.SilentSyncs >= silentRounds {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("anti-entropy not running silently: %d resync rounds per family not reached in 10s: endpoints before %+v after %+v, artifacts before %+v after %+v",
+				silentRounds, epBefore, ep, artBefore, ar)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if !converged() {
-		t.Fatalf("directories flapped after convergence:\nA eps %+v arts %+v\nB eps %+v arts %+v",
+		t.Fatalf("directories flapped after convergence (%s):\nA eps %+v arts %+v\nB eps %+v arts %+v", cause(),
 			a.mod.Directory().Endpoints(), a.mod.Directory().Artifacts(),
 			b.mod.Directory().Endpoints(), b.mod.Directory().Artifacts())
 	}
 	epAfter, artAfter := b.mod.EndpointStats(), b.mod.ArtifactStats()
 	if epAfter.Added != epBefore.Added || epAfter.Updated != epBefore.Updated || epAfter.Removed != epBefore.Removed {
-		t.Fatalf("endpoint deltas after convergence: before %+v after %+v", epBefore, epAfter)
+		t.Fatalf("endpoint deltas after convergence (%s): before %+v after %+v", cause(), epBefore, epAfter)
 	}
 	if artAfter.Added != artBefore.Added || artAfter.Updated != artBefore.Updated || artAfter.Removed != artBefore.Removed {
-		t.Fatalf("artifact deltas after convergence: before %+v after %+v", artBefore, artAfter)
+		t.Fatalf("artifact deltas after convergence (%s): before %+v after %+v", cause(), artBefore, artAfter)
 	}
 	if artAfter.Syncs <= artBefore.Syncs || artAfter.SilentSyncs <= artBefore.SilentSyncs {
 		t.Fatalf("anti-entropy not running silently: before %+v after %+v", artBefore, artAfter)
 	}
+}
+
+// prunedRecords sums the records both nodes dropped with a departed
+// holder, over both families.
+func prunedRecords(nodes [2]*realClockNode) int64 {
+	var n int64
+	for _, node := range nodes {
+		n += node.mod.EndpointStats().Pruned + node.mod.ArtifactStats().Pruned
+	}
+	return n
 }
 
 // TestRealClockSubscribeDuringDeliveries: subscribing while another

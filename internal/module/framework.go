@@ -40,18 +40,19 @@ type Class struct {
 	Definer *Bundle
 }
 
+// initialBundleStartLevel is the start level of a newly installed bundle
+// whose manifest names none.
+const initialBundleStartLevel = 1
+
 // Option configures a Framework.
 type Option func(*config)
 
 type config struct {
-	name              string
-	defs              *DefinitionRegistry
-	parent            ParentDelegate
-	perm              PermissionChecker
-	props             map[string]string
-	systemClasses     map[string]any
-	initialStartLevel int
-	startLevel        int
+	name       string
+	defs       *DefinitionRegistry
+	parent     ParentDelegate
+	perm       PermissionChecker
+	startLevel int
 }
 
 // WithName sets a diagnostic name for the framework.
@@ -68,27 +69,6 @@ func WithParent(p ParentDelegate) Option { return func(c *config) { c.parent = p
 
 // WithPermissionChecker attaches a security policy.
 func WithPermissionChecker(p PermissionChecker) Option { return func(c *config) { c.perm = p } }
-
-// WithProperty sets a framework property, visible via Context.Property.
-func WithProperty(key, value string) Option {
-	return func(c *config) { c.props[key] = value }
-}
-
-// WithSystemClasses provides classes exported by the system bundle itself
-// (the analog of packages on the JVM boot classpath / framework exports).
-func WithSystemClasses(classes map[string]any) Option {
-	return func(c *config) {
-		for k, v := range classes {
-			c.systemClasses[k] = v
-		}
-	}
-}
-
-// WithInitialBundleStartLevel sets the start level assigned to newly
-// installed bundles whose manifests do not specify one.
-func WithInitialBundleStartLevel(level int) Option {
-	return func(c *config) { c.initialStartLevel = level }
-}
 
 // WithStartLevel sets the framework's active start level reached by Start.
 func WithStartLevel(level int) Option {
@@ -107,10 +87,9 @@ type Framework struct {
 	perm   PermissionChecker
 	props  map[string]string
 
-	state             BundleState
-	startLevel        int
-	targetStartLevel  int
-	initialStartLevel int
+	state            BundleState
+	startLevel       int
+	targetStartLevel int
 
 	bundles    map[BundleID]*Bundle
 	byLocation map[string]*Bundle
@@ -132,11 +111,8 @@ type Framework struct {
 // New creates a framework in the RESOLVED state. Call Start to activate it.
 func New(opts ...Option) *Framework {
 	cfg := &config{
-		name:              "framework",
-		props:             make(map[string]string),
-		systemClasses:     make(map[string]any),
-		initialStartLevel: 1,
-		startLevel:        1,
+		name:       "framework",
+		startLevel: 1,
 	}
 	for _, opt := range opts {
 		opt(cfg)
@@ -145,55 +121,37 @@ func New(opts ...Option) *Framework {
 		cfg.defs = NewDefinitionRegistry()
 	}
 	f := &Framework{
-		name:              cfg.name,
-		defs:              cfg.defs,
-		parent:            cfg.parent,
-		perm:              cfg.perm,
-		props:             cfg.props,
-		state:             StateResolved,
-		startLevel:        0,
-		targetStartLevel:  cfg.startLevel,
-		initialStartLevel: cfg.initialStartLevel,
-		bundles:           make(map[BundleID]*Bundle),
-		byLocation:        make(map[string]*Bundle),
-		zombies:           make(map[BundleID]*Bundle),
-		nextID:            1,
-		snapshotExtender:  make(map[string][]byte),
+		name:             cfg.name,
+		defs:             cfg.defs,
+		parent:           cfg.parent,
+		perm:             cfg.perm,
+		props:            make(map[string]string),
+		state:            StateResolved,
+		startLevel:       0,
+		targetStartLevel: cfg.startLevel,
+		bundles:          make(map[BundleID]*Bundle),
+		byLocation:       make(map[string]*Bundle),
+		zombies:          make(map[BundleID]*Bundle),
+		nextID:           1,
+		snapshotExtender: make(map[string][]byte),
 	}
 	f.registry = newServiceRegistry(f)
-	f.system = f.newSystemBundle(cfg.systemClasses)
+	f.system = f.newSystemBundle()
 	f.bundles[SystemBundleID] = f.system
 	return f
 }
 
-func (f *Framework) newSystemBundle(classes map[string]any) *Bundle {
-	exports := make(map[string]bool)
-	for name := range classes {
-		exports[manifest.PackageOf(name)] = true
-	}
-	pkgs := make([]string, 0, len(exports))
-	for p := range exports {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	text := "Bundle-SymbolicName: system.bundle\nBundle-Version: 1.0.0\n"
-	if len(pkgs) > 0 {
-		text += "Export-Package: "
-		for i, p := range pkgs {
-			if i > 0 {
-				text += ","
-			}
-			text += p
-		}
-		text += "\n"
-	}
-	m := manifest.MustParse(text)
+// systemManifest is the system bundle's manifest: it exports no packages.
+const systemManifest = "Bundle-SymbolicName: system.bundle\nBundle-Version: 1.0.0\n"
+
+func (f *Framework) newSystemBundle() *Bundle {
+	m := manifest.MustParse(systemManifest)
 	sys := &Bundle{
 		fw:         f,
 		id:         SystemBundleID,
 		location:   "system",
 		manifest:   m,
-		def:        &Definition{ManifestText: text, Classes: classes},
+		def:        &Definition{ManifestText: systemManifest},
 		state:      StateResolved,
 		startLevel: 0,
 		wiring:     &Wiring{imports: map[string]*Bundle{}, dynamic: map[string]*Bundle{}},
@@ -392,7 +350,7 @@ func (f *Framework) InstallBundle(location string) (*Bundle, error) {
 		manifest:   m,
 		def:        def,
 		state:      StateInstalled,
-		startLevel: f.initialStartLevel,
+		startLevel: initialBundleStartLevel,
 		data:       make(map[string][]byte),
 	}
 	if m.StartLevel > 0 {

@@ -32,7 +32,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"dosgi/internal/admin"
 	"dosgi/internal/clock"
@@ -87,9 +86,6 @@ type Config struct {
 	// ReplayWindow is the brokers' per-subscription replay ring depth
 	// (default remote.DefaultReplayWindow).
 	ReplayWindow int
-	// Lease overrides the brokers' subscription lease (default
-	// remote.DefaultEventLease).
-	Lease time.Duration
 	// AdminAddr/RemoteAddr are the listen addresses (default ephemeral
 	// loopback ports).
 	AdminAddr  string
@@ -236,15 +232,12 @@ func New(cfg Config) (*Sim, error) {
 	s.metrics = services.NewMetricsService()
 	s.metricsRd = services.NewMetricsRemote(s.metrics, s.plane.Tracer.Store())
 
-	// Both brokers share the window, ring layout and lease; the health
-	// one exists before the population is built because the population's
+	// Both brokers share the window and ring layout; the health one
+	// exists before the population is built because the population's
 	// health records are folded into its view.
 	brokerOpts := []remote.BrokerOption{
 		remote.WithReplayWindow(cfg.ReplayWindow),
 		remote.WithReplayRingShards(s.router.Shards(), s.router.Shard),
-	}
-	if cfg.Lease > 0 {
-		brokerOpts = append(brokerOpts, remote.WithEventLease(cfg.Lease))
 	}
 	s.health = admin.NewHealthView(s.sched, brokerOpts...)
 	s.broker = remote.NewEventBroker(s.sched, append(brokerOpts,

@@ -180,6 +180,8 @@ type PushHandler interface {
 }
 
 // DefaultEventLease is how long a subscription survives without a Renew.
+// Subscribers renew at a fraction of it; a partitioned or dead subscriber
+// is forgotten one lease after its last renewal.
 const DefaultEventLease = 5 * time.Second
 
 // DefaultReplayWindow is how many recent events the broker retains per
@@ -190,17 +192,6 @@ const DefaultReplayWindow = 256
 
 // BrokerOption configures an EventBroker.
 type BrokerOption func(*EventBroker)
-
-// WithEventLease sets the subscription lease (default DefaultEventLease).
-// Subscribers renew at a fraction of it; a partitioned or dead subscriber
-// is forgotten one lease after its last renewal.
-func WithEventLease(d time.Duration) BrokerOption {
-	return func(b *EventBroker) {
-		if d > 0 {
-			b.lease = d
-		}
-	}
-}
 
 // WithEventSnapshot installs the resync source: the current set of
 // exports, replayed to every new subscription as synthetic REGISTERED
@@ -298,7 +289,6 @@ type EventBrokerStats struct {
 // suspended rather than flooded once too many pushes are unacknowledged.
 type EventBroker struct {
 	sched        clock.Scheduler
-	lease        time.Duration
 	snapshot     func() []ServiceEvent
 	replayWindow int
 	ringShards   int
@@ -499,7 +489,6 @@ func (sub *brokerSub) at(s uint64) (ServiceEvent, bool) {
 func NewEventBroker(sched clock.Scheduler, opts ...BrokerOption) *EventBroker {
 	b := &EventBroker{
 		sched:        sched,
-		lease:        DefaultEventLease,
 		replayWindow: DefaultReplayWindow,
 		service:      EventsServiceName,
 		subs:         make(map[brokerSubKey]*brokerSub),
@@ -848,7 +837,7 @@ func (b *EventBroker) ServePush(req *Request, push Pusher) *Response {
 			}
 		}
 		key := brokerSubKey{push: push, id: id}
-		sub := &brokerSub{filter: filter, window: window, deadline: b.sched.Now() + b.lease}
+		sub := &brokerSub{filter: filter, window: window, deadline: b.sched.Now() + DefaultEventLease}
 		// Synthetic resync: the current exports replay as REGISTERED
 		// events ahead of the Subscribe response, so a (re)connecting
 		// subscriber converges to the live state before live deltas
@@ -878,7 +867,7 @@ func (b *EventBroker) ServePush(req *Request, push Pusher) *Response {
 		}
 		sub.pushMu.Unlock()
 		return &Response{Corr: req.Corr, Status: StatusOK,
-			Results: []any{int64(b.lease / time.Millisecond), int64(b.replayWindow)}}
+			Results: []any{int64(DefaultEventLease / time.Millisecond), int64(b.replayWindow)}}
 	case MethodRenew:
 		id, ok := subID()
 		if !ok {
@@ -900,7 +889,7 @@ func (b *EventBroker) ServePush(req *Request, push Pusher) *Response {
 		b.mu.Lock()
 		sub, live := b.subs[key]
 		if live && sub.deadline > b.sched.Now() {
-			sub.deadline = b.sched.Now() + b.lease
+			sub.deadline = b.sched.Now() + DefaultEventLease
 			b.mu.Unlock()
 			if hasAck {
 				b.advance(key, sub, ack)

@@ -71,16 +71,6 @@ func (r *StaticResolver) Endpoints(service string) []Endpoint {
 // InvokerOption configures an Invoker.
 type InvokerOption func(*Invoker)
 
-// WithMaxAttempts caps failover attempts per call (default: every known
-// replica once).
-func WithMaxAttempts(n int) InvokerOption {
-	return func(inv *Invoker) {
-		if n > 0 {
-			inv.maxAttempts = n
-		}
-	}
-}
-
 // WithOrderedResolution disables round-robin rotation: candidates are
 // always tried in resolver order. Use when the resolver encodes a
 // preference (local endpoint first) rather than equal replicas.
@@ -113,7 +103,8 @@ func WithInvokerObservability(tracer *obs.Tracer, callHist *obs.Histogram) Invok
 // replicas, spreads calls across them round-robin (the ipvs discipline at
 // the client), and on a retryable failure — connection loss, call timeout,
 // or a replica answering StatusUnavailable after a migration — retries the
-// next replica transparently.
+// next replica transparently. A call tries every replica the resolver
+// knows at most once, then fails with the last cause.
 //
 // Failover gives AT-LEAST-ONCE semantics by default: a timed-out call may
 // have executed on the server before the retry runs elsewhere, so exported
@@ -121,14 +112,13 @@ func WithInvokerObservability(tracer *obs.Tracer, callHist *obs.Histogram) Invok
 // dedup ring (WithDedupRing) upgrades that to effectively-once. AppError
 // results are always guaranteed single-execution.
 type Invoker struct {
-	pool        *Pool
-	resolver    EndpointResolver
-	maxAttempts int
-	ordered     bool
-	tracer      *obs.Tracer
-	callHist    *obs.Histogram
-	tokenSalt   uint64
-	tokenSeq    atomic.Uint64
+	pool      *Pool
+	resolver  EndpointResolver
+	ordered   bool
+	tracer    *obs.Tracer
+	callHist  *obs.Histogram
+	tokenSalt uint64
+	tokenSeq  atomic.Uint64
 
 	mu      sync.Mutex
 	rr      map[string]int
@@ -230,10 +220,6 @@ func (inv *Invoker) Go(service, method string, args []any, cb func([]any, error)
 		ordered = append(healthy, last...)
 	}
 	inv.mu.Unlock()
-	attempts := len(ordered)
-	if inv.maxAttempts > 0 && inv.maxAttempts < attempts {
-		attempts = inv.maxAttempts
-	}
 	var ct *callTrace
 	if inv.tracer != nil {
 		ct = &callTrace{
@@ -263,7 +249,7 @@ func (inv *Invoker) Go(service, method string, args []any, cb func([]any, error)
 			done(results, err)
 		}
 	}
-	inv.attempt(service, method, args, ordered, 0, attempts, inv.nextToken(), ct, cb)
+	inv.attempt(service, method, args, ordered, 0, inv.nextToken(), ct, cb)
 }
 
 // nextToken mints one idempotency token — non-zero, unique within this
@@ -293,7 +279,7 @@ type callTrace struct {
 	cause string
 }
 
-func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, i, max int, tok uint64, ct *callTrace, cb func([]any, error)) {
+func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, i int, tok uint64, ct *callTrace, cb func([]any, error)) {
 	req := &Request{Service: service, Method: method, Args: args, Token: tok}
 	var spanID uint64
 	var spanStart time.Duration
@@ -334,8 +320,8 @@ func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, 
 		if ct != nil {
 			ct.cause = cause.Error()
 		}
-		if i+1 < max {
-			inv.attempt(service, method, args, eps, i+1, max, tok, ct, cb)
+		if i+1 < len(eps) {
+			inv.attempt(service, method, args, eps, i+1, tok, ct, cb)
 		} else {
 			cb(nil, cause)
 		}

@@ -47,11 +47,10 @@ type SubscriberConfig struct {
 	// missed during a blackout are synthesized when a resync completes.
 	OnEvent func(ServiceEvent)
 	// RenewEvery overrides the keepalive interval (default
-	// DefaultRenewEvery). Keep it under the server's lease.
+	// DefaultRenewEvery). Keep it under the server's lease. It is also
+	// the pause before re-walking the address list after every candidate
+	// failed.
 	RenewEvery time.Duration
-	// RetryEvery is the pause before re-walking the address list after
-	// every candidate failed (default: RenewEvery).
-	RetryEvery time.Duration
 	// Window is the credit window advertised to the broker: at most this
 	// many pushed events may be unacknowledged (acks ride the renews)
 	// before the broker suspends delivery instead of queueing behind a
@@ -119,9 +118,6 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 	}
 	if cfg.RenewEvery <= 0 {
 		cfg.RenewEvery = DefaultRenewEvery
-	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = cfg.RenewEvery
 	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultEventWindow
@@ -207,7 +203,7 @@ func (s *Subscriber) connect(attempt int) {
 	}
 	if attempt >= len(s.cfg.Addrs) {
 		s.mu.Unlock()
-		s.cfg.Sched.After(s.cfg.RetryEvery, func() { s.connect(0) })
+		s.cfg.Sched.After(s.cfg.RenewEvery, func() { s.connect(0) })
 		return
 	}
 	addr := s.cfg.Addrs[(s.addrIdx+attempt)%len(s.cfg.Addrs)]

@@ -73,31 +73,12 @@ func (p SharePolicy) AllowsService(classes []string) bool {
 type Option func(*config)
 
 type config struct {
-	defs       *module.DefinitionRegistry
-	perm       module.PermissionChecker
-	props      map[string]string
-	startLevel int
-}
-
-// WithDefinitions overrides the definition registry of the child framework
-// (default: the parent's registry, i.e. the shared bundle repository).
-func WithDefinitions(defs *module.DefinitionRegistry) Option {
-	return func(c *config) { c.defs = defs }
+	perm module.PermissionChecker
 }
 
 // WithPermissionChecker installs a security policy on the child framework.
 func WithPermissionChecker(p module.PermissionChecker) Option {
 	return func(c *config) { c.perm = p }
-}
-
-// WithProperty sets a child framework property.
-func WithProperty(key, value string) Option {
-	return func(c *config) { c.props[key] = value }
-}
-
-// WithStartLevel sets the child framework's target start level.
-func WithStartLevel(level int) Option {
-	return func(c *config) { c.startLevel = level }
 }
 
 // VirtualFramework is one customer's sandboxed OSGi environment hosted
@@ -155,12 +136,9 @@ func build(name string, parent *module.Framework, policy SharePolicy, snap *modu
 	if parent == nil {
 		return nil, fmt.Errorf("vosgi: nil parent framework for %q", name)
 	}
-	cfg := &config{props: make(map[string]string), startLevel: 1}
+	cfg := &config{}
 	for _, opt := range opts {
 		opt(cfg)
-	}
-	if cfg.defs == nil {
-		cfg.defs = parent.Definitions()
 	}
 	vf := &VirtualFramework{
 		name:    name,
@@ -168,11 +146,14 @@ func build(name string, parent *module.Framework, policy SharePolicy, snap *modu
 		policy:  policy,
 		mirrors: make(map[int64]*module.ServiceRegistration),
 	}
+	// The child installs from the parent's registry (the shared bundle
+	// repository) and targets start level 1, also when restored from a
+	// snapshot that recorded another.
 	mopts := []module.Option{
 		module.WithName("vosgi:" + name),
-		module.WithDefinitions(cfg.defs),
+		module.WithDefinitions(parent.Definitions()),
 		module.WithParent(&delegate{vf: vf}),
-		module.WithStartLevel(cfg.startLevel),
+		module.WithStartLevel(1),
 	}
 	if cfg.perm != nil {
 		mopts = append(mopts, module.WithPermissionChecker(cfg.perm))
@@ -186,9 +167,6 @@ func build(name string, parent *module.Framework, policy SharePolicy, snap *modu
 		}
 	} else {
 		child = module.New(mopts...)
-	}
-	for k, v := range cfg.props {
-		child.SetProperty(k, v)
 	}
 	child.SetProperty("vosgi.instance", name)
 	vf.child = child
