@@ -137,12 +137,23 @@ func BenchmarkE9GCSCharacteristics(b *testing.B) {
 // BenchmarkTotalOrder measures the GCS total-order broadcast path on its
 // own: a 3-member group on sim.Engine, senders rotating, one op = one
 // broadcast delivered on all three members, so ns/op, B/op and allocs/op
-// are per delivered message. Every 256 broadcasts the engine runs one
-// heartbeat interval, whose acks keep the coordinator's retransmission
-// log pruned. dedup_entries is the members' dedup state after the run
-// (one record per sender plus any id runs held above a gap, summed); it
-// must not grow with b.N.
+// are per delivered message. Each burst of broadcasts is submitted in one
+// scheduler turn and the engine steps until all of it is delivered:
+// burst=256 is the loaded path, where a member's broadcasts of one turn
+// share one order request; burst=1 is the lone broadcast, which pays the
+// whole path alone. Every 256 broadcasts the engine runs one heartbeat
+// interval, whose acks keep the coordinator's retransmission log pruned.
+// msgs/op counts the wire messages the members sent, heartbeats
+// included. dedup_entries is the members' dedup state after the run (one
+// record per sender plus any id runs held above a gap, summed); it must
+// not grow with b.N.
 func BenchmarkTotalOrder(b *testing.B) {
+	for _, burst := range []int{256, 1} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) { benchTotalOrder(b, burst) })
+	}
+}
+
+func benchTotalOrder(b *testing.B, burst int) {
 	eng := sim.New(1)
 	net := netsim.NewNetwork(eng, netsim.WithLatency(time.Millisecond))
 	dir := gcs.NewDirectory()
@@ -168,17 +179,31 @@ func BenchmarkTotalOrder(b *testing.B) {
 		}
 	}
 	eng.RunFor(2 * time.Second)
+	sentMsgs := func() (n int64) {
+		for _, m := range members {
+			n += m.Stats().MsgsSent
+		}
+		return n
+	}
+	msgs0 := sentMsgs()
 	var body any = "op"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for sent := 0; sent < b.N; {
-		for i := 0; i < 256 && sent < b.N; i++ {
+		for i := 0; i < burst && sent < b.N; i++ {
 			if err := members[sent%len(members)].Broadcast(body, gcs.Total); err != nil {
 				b.Fatal(err)
 			}
 			sent++
 		}
-		eng.RunFor(50 * time.Millisecond)
+		for delivered < len(members)*sent {
+			if !eng.Step() {
+				b.Fatal("engine drained before delivery")
+			}
+		}
+		if sent%256 < burst {
+			eng.RunFor(50 * time.Millisecond)
+		}
 	}
 	b.StopTimer()
 	if delivered != len(members)*b.N {
@@ -189,6 +214,7 @@ func BenchmarkTotalOrder(b *testing.B) {
 		st := m.Stats()
 		entries += st.DedupSenders + st.DedupHeld
 	}
+	b.ReportMetric(float64(sentMsgs()-msgs0)/float64(b.N), "msgs/op")
 	b.ReportMetric(float64(entries), "dedup_entries")
 }
 

@@ -82,6 +82,13 @@ func main() {
 	writeReport(*out, "BENCH_directory.json", "E13DirectorySharding", map[string]any{
 		"endpoints": endpointCounts, "shards": shardCounts, "nodes": *dirNodes,
 	}, e13)
+	e13b, err := experiments.E13DirectoryShardingBursts(endpointCounts, shardCounts, *dirNodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	writeReport(*out, "BENCH_directory.json", "E13DirectoryShardingBursts", map[string]any{
+		"endpoints": endpointCounts, "shards": shardCounts, "nodes": *dirNodes,
+	}, e13b)
 }
 
 func writeReport(dir, file, experiment string, params map[string]any, rows any) {

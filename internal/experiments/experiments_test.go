@@ -287,3 +287,33 @@ func TestE13ShardingFlattensBroadcastLoad(t *testing.T) {
 			sharded.MaxNodeSent, single.MaxNodeSent)
 	}
 }
+
+// TestE13BurstsSplitAcrossShards pins E13's burst rows: 1,000 records
+// per scheduler turn. The GCS batches each member's burst into one order
+// request per group, so the single group sends far fewer messages than
+// records, and the sharded layout, which splits every burst across its
+// groups, makes its hottest node send more messages than the single
+// group's. Sharding still spreads the records themselves; this is the
+// message count it no longer flattens.
+func TestE13BurstsSplitAcrossShards(t *testing.T) {
+	rows, err := E13DirectoryShardingBursts([]int{2000}, []int{1, 8}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	single, sharded := rows[0], rows[1]
+	for _, r := range rows {
+		if r.PerTurn != 1000 || r.Converge <= 0 || r.MaxNodeSent <= 0 || r.TotalSent < r.MaxNodeSent {
+			t.Errorf("degenerate row %+v", r)
+		}
+	}
+	if single.TotalSent*10 >= int64(single.Endpoints) {
+		t.Errorf("single group sent %d messages for %d records: bursts not batched", single.TotalSent, single.Endpoints)
+	}
+	if sharded.MaxNodeSent <= single.MaxNodeSent {
+		t.Errorf("sharded max-node sent %d, single-group %d: bursts no longer split across shards",
+			sharded.MaxNodeSent, single.MaxNodeSent)
+	}
+}

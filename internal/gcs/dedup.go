@@ -6,10 +6,10 @@ import "sort"
 // total-order messages were delivered: every id in [1, floor], plus the
 // runs held above a gap. A sender numbers its broadcasts densely from 1,
 // so in steady state each delivery lands on floor+1, the floor moves up
-// and nothing is held. A run appears when the sender's ids are
-// sequenced out of local order (order requests reordered in flight, a
-// resubmission after coordinator failover) and is absorbed once the gap
-// below it fills. A gap that never fills — this member missed a stretch
+// and nothing is held. A run appears when an id lands above a gap (a
+// slot lost before a view change, whose later ids the change's flush
+// delivered) and is absorbed once the gap below it fills, as the lost
+// ids come back and are recorded. A gap that never fills — this member missed a stretch
 // of the sender's stream because it joined late or was excluded for a
 // while — leaves one run that later ids extend in place, so the record
 // costs one entry per gap, never one per id.
@@ -75,6 +75,15 @@ func (d *deliveredIDs) mark(id int64) bool {
 	return true
 }
 
+// top returns the highest id in the set (the floor when nothing is
+// held).
+func (d *deliveredIDs) top() int64 {
+	if n := len(d.held); n > 0 {
+		return d.held[n-1].hi
+	}
+	return d.floor
+}
+
 // dropRun removes held run i, releasing the slice once it is empty.
 func (d *deliveredIDs) dropRun(i int) {
 	d.held = append(d.held[:i], d.held[i+1:]...)
@@ -87,19 +96,20 @@ func (d *deliveredIDs) dropRun(i int) {
 // record per sender, keyed by node id.
 type deliveredSet map[string]*deliveredIDs
 
-func (s deliveredSet) has(from string, id int64) bool {
-	d := s[from]
-	return d != nil && d.has(id)
-}
-
-// mark records (from, id) as delivered and reports whether it was new.
-func (s deliveredSet) mark(from string, id int64) bool {
+// markInOrder records (from, id) as delivered and reports whether to
+// deliver it: only when it is new and above every id delivered from that
+// sender before. An id below one already delivered is one this member
+// missed (a slot lost before a view change, whose later ids the change's
+// flush delivered); delivering it now would apply the sender's messages
+// out of order, so it is recorded and dropped.
+func (s deliveredSet) markInOrder(from string, id int64) bool {
 	d := s[from]
 	if d == nil {
 		d = &deliveredIDs{}
 		s[from] = d
 	}
-	return d.mark(id)
+	top := d.top()
+	return d.mark(id) && id > top
 }
 
 // held counts the runs held above a gap, summed over senders.

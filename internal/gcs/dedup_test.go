@@ -165,7 +165,7 @@ func TestInstallViewFlushDeliversDuplicateOnce(t *testing.T) {
 	v := m.View()
 	// Slot 1 was lost; slots 2 and 3 carry the same (sender, local id).
 	for _, seq := range []int64{2, 3} {
-		m.handleTotal(totalMsg{Epoch: v.ID, Seq: seq, From: "node01", LocalID: 7, Body: "x"})
+		m.handleTotal(totalMsg{Epoch: v.ID, Seq: seq, From: "node01", Batch: []orderEntry{{LocalID: 7, Body: "x"}}})
 	}
 	if len(got) != 0 {
 		t.Fatalf("delivered %v behind a hole", got)
@@ -176,19 +176,22 @@ func TestInstallViewFlushDeliversDuplicateOnce(t *testing.T) {
 	}
 }
 
-// TestTotalOrderReorderingWithFailover drives the dedup record through
-// its gap path on a live group: alternating 1 ms / 10 ms latencies make
-// one sender's order requests reach the coordinator out of local-id
-// order, and the coordinator crashes mid-stream, so requests in flight
-// to it are resubmitted to the successor. Every survivor must deliver
-// every message exactly once, all in the same order, and hold no dedup
-// run once the stream is quiet.
+// TestTotalOrderReorderingWithFailover drives the coordinator's
+// hold-back on a live group: latencies alternating 1 ms / 10 ms on every
+// link make one sender's order requests, sent a round apart, reach the
+// coordinator out of local-id order,
+// and the coordinator crashes mid-stream, so requests in flight to it
+// are resubmitted to the successor. Every survivor must deliver every
+// message exactly once, all in the same order, each sender's messages
+// in the order it broadcast them, and hold no dedup run once the stream
+// is quiet.
 func TestTotalOrderReorderingWithFailover(t *testing.T) {
 	eng := sim.New(5)
-	lat := 0
+	lat := make(map[[2]string]int)
 	net := netsim.NewNetwork(eng, netsim.WithLatencyFunc(func(from, to string) time.Duration {
-		lat++
-		if lat%2 == 0 {
+		link := [2]string{from, to}
+		lat[link]++
+		if lat[link]%2 == 0 {
 			return 10 * time.Millisecond
 		}
 		return time.Millisecond
@@ -215,9 +218,9 @@ func TestTotalOrderReorderingWithFailover(t *testing.T) {
 		if i == rounds/2 {
 			h.crashNode("node00")
 		}
-		// Three requests a round: an odd count of sends per round flips
-		// the latency parity, so node02's back-to-back pair overtakes
-		// itself every other round.
+		// A round's broadcasts of one sender travel as one batch; the
+		// next round's batch, 1 ms later on the alternate latency,
+		// overtakes it every other round.
 		for _, body := range []string{"node02-a", "node02-b", "node03"} {
 			sender := body[:6]
 			if err := h.members[sender].Broadcast(fmt.Sprintf("%s-%d", body, i), Total); err != nil {
@@ -225,8 +228,8 @@ func TestTotalOrderReorderingWithFailover(t *testing.T) {
 			}
 		}
 		h.eng.RunFor(time.Millisecond)
-		for _, id := range survivors {
-			if held := h.members[id].Stats().DedupHeld; held > maxHeld {
+		for _, m := range h.members {
+			if held := m.Stats().HeldBatches; held > maxHeld {
 				maxHeld = held
 			}
 		}
@@ -234,7 +237,7 @@ func TestTotalOrderReorderingWithFailover(t *testing.T) {
 	h.eng.RunFor(3 * time.Second)
 
 	if maxHeld == 0 {
-		t.Fatal("no local id was ever delivered out of order: the gap path did not run")
+		t.Fatal("no order request ever reached the coordinator ahead of its sender's earlier one: the hold-back never engaged")
 	}
 	ref := received[survivors[0]]
 	if len(ref) != 3*rounds {
@@ -259,6 +262,24 @@ func TestTotalOrderReorderingWithFailover(t *testing.T) {
 		}
 		if st := h.members[id].Stats(); st.DedupHeld != 0 || st.DedupSenders != 2 {
 			t.Fatalf("%s dedup state after quiesce: %d senders, %d held runs", id, st.DedupSenders, st.DedupHeld)
+		}
+		// Per-sender FIFO: node02-a-i before node02-b-i in every round,
+		// and each sender's rounds in order.
+		pos := make(map[string]int, len(got))
+		for i, body := range got {
+			pos[body] = i
+		}
+		var node02, node03 []string
+		for i := 0; i < rounds; i++ {
+			node02 = append(node02, fmt.Sprintf("node02-a-%d", i), fmt.Sprintf("node02-b-%d", i))
+			node03 = append(node03, fmt.Sprintf("node03-%d", i))
+		}
+		for _, chain := range [][]string{node02, node03} {
+			for i := 1; i < len(chain); i++ {
+				if pos[chain[i-1]] > pos[chain[i]] {
+					t.Fatalf("%s delivered %s after %s", id, chain[i-1], chain[i])
+				}
+			}
 		}
 	}
 }

@@ -13,10 +13,31 @@
 //     the property that makes decentralized redeployment decisions
 //     replica-consistent (ablation A4).
 //
+// Total order is also FIFO per sender: every member delivers one
+// sender's broadcasts in the order that sender made them, so a
+// directory snapshot cannot overtake its own sender's earlier put. A
+// member's total-order broadcasts of one scheduler turn travel to the
+// coordinator as one batch, which the coordinator sequences as one
+// contiguous run and sends on as one message per member. Each batch
+// names the last id of its sender's previous batch in the view; the
+// coordinator holds a batch back (in a capped hold-back) until that
+// predecessor is sequenced, however the network reorders the requests.
+// A sender re-sends everything still pending as a fresh chain when the
+// view changes, and also when its oldest pending broadcast has not come
+// back within FailTimeout, so a request lost inside a view costs a
+// delay, never a wedged stream. The order also holds across a view
+// change: a member that lost a sequenced slot when the coordinator
+// failed delivers the buffered slots above it, and if the lost
+// broadcast comes back in the new view behind a later one of its sender
+// already delivered, the member drops it instead of delivering it late.
+// Such a member misses that broadcast, as it does when nobody re-sends
+// it; the directory's resync repairs what it misses.
+//
 // Duplicate suppression is keyed by (node id, local id): every member
 // keeps one delivered-id record per sender, a floor below which all ids
 // were delivered plus the runs held above a gap, so its cost does not
-// grow with history. It assumes one incarnation per node id. A member
+// grow with history. The same record drops an id below the sender's
+// highest delivered one. It assumes one incarnation per node id. A member
 // restarted under the same id numbers its broadcasts from 1 again, and
 // its peers would suppress those first broadcasts as duplicates. Nothing
 // restarts a member today; whatever adds a restart must give the new
@@ -180,23 +201,38 @@ type fifoMsg struct {
 	Body any
 }
 
-// orderReq asks the coordinator to sequence a total-order broadcast.
-type orderReq struct {
-	From    string
+// orderEntry is one total-order broadcast as its sender numbered it.
+type orderEntry struct {
 	LocalID int64
 	Body    any
 }
 
-// totalMsg is a sequenced total-order broadcast. Sequences are scoped by
-// the view epoch in which the coordinator assigned them; receivers drop
-// messages from other epochs and senders resubmit unacknowledged requests
-// on every view change.
+// orderReq asks the coordinator to sequence a batch of one sender's
+// total-order broadcasts: everything it submitted in one scheduler turn,
+// in LocalID order. Prev chains the sender's batches within a view: it
+// is the last LocalID of the sender's previous batch, or 0 when every
+// earlier id was already delivered back to the sender (the first batch
+// of a view, a re-send of everything pending). The coordinator sequences
+// a batch only once its Prev is 0, sequenced or delivered, so one
+// sender's broadcasts keep their submission order however the network
+// reorders the requests. Batch is shared with the sender's pending list
+// and with every totalMsg sequenced from it: nobody writes it.
+type orderReq struct {
+	From  string
+	Prev  int64
+	Batch []orderEntry
+}
+
+// totalMsg is a run of sequenced total-order broadcasts from one sender:
+// Batch[i] holds global sequence Seq+i. Sequences are scoped by the view
+// epoch in which the coordinator assigned them; receivers drop messages
+// from other epochs and senders resubmit unacknowledged requests on
+// every view change.
 type totalMsg struct {
-	Epoch   int64 // view id at sequencing time
-	Seq     int64
-	From    string // original sender
-	LocalID int64
-	Body    any
+	Epoch int64 // view id at sequencing time
+	Seq   int64 // sequence of Batch[0]
+	From  string
+	Batch []orderEntry
 }
 
 // gapReq asks the coordinator to retransmit the sequenced messages the

@@ -102,24 +102,45 @@ type Member struct {
 	fifoNext    map[string]int64
 	fifoBuf     map[string]map[int64]fifoMsg
 
-	// Total-order broadcast state.
-	localSeq  int64
-	pending   map[int64]any
-	globalSeq int64 // coordinator: last assigned sequence
+	// Total-order broadcast state, sender side. pending holds this
+	// member's broadcasts not yet delivered back to it, in LocalID order;
+	// pending[unsent:] waits for the turn's flush. Wire batches are capped
+	// subslices of pending, so an entry is never written after its append
+	// (appendPending moves to a fresh array when full, and consuming only
+	// reslices). lastSent is the last LocalID sent in this view, the Prev
+	// of the next batch. pendingSince is when the oldest pending id was
+	// last sent or the previous oldest came back; a heartbeat re-sends
+	// everything pending when it is older than FailTimeout.
+	localSeq     int64
+	pending      []orderEntry
+	unsent       int
+	lastSent     int64
+	pendingSince time.Duration
+	flushArmed   bool
+	flushFn      func()
+
+	// Total-order state, sequencing side: one chain per sender in this
+	// epoch, and the number of batches held back over all of them
+	// (capped at maxHeldBatches).
+	globalSeq     int64 // coordinator: last assigned sequence
+	chains        map[string]*chain
+	heldCount     int
+	holdOverflows int
+
+	// Total-order state, delivery side. totalBuf holds the slots that
+	// arrived above a hole, by sequence.
 	totalNext int64 // next global sequence to deliver
-	totalBuf  map[int64]totalMsg
+	totalBuf  map[int64]slot
 	// delivered dedups total-order messages on (sender, local id): a
 	// resubmission after coordinator failover may be sequenced twice.
 	delivered deliveredSet
-	// totalLog retains the coordinator's sequenced messages of the
-	// current epoch to serve gap retransmission requests. It is pruned
-	// exactly: ackSeqs collects each member's delivery watermark
-	// (piggybacked on heartbeats), and every entry at or below
-	// min(watermark) over the view is dropped. totalLogMin is the lowest
-	// sequence still retained.
-	totalLog    map[int64]totalMsg
-	totalLogMin int64
-	ackSeqs     map[string]int64
+	// totalLog retains the coordinator's sequenced slots of the current
+	// epoch to serve gap retransmission requests. It is pruned exactly:
+	// ackSeqs collects each member's delivery watermark (piggybacked on
+	// heartbeats), and every slot at or below min(watermark) over the
+	// view is dropped.
+	totalLog seqLog
+	ackSeqs  map[string]int64
 	// gapReqSeq/gapReqAt throttle gap requests: one per stalled sequence
 	// number per heartbeat interval.
 	gapReqSeq int64
@@ -153,9 +174,15 @@ type MemberStats struct {
 	// some sender's stream (late join, exclusion), one run per stretch.
 	DedupSenders int
 	DedupHeld    int
-	LogOverflows int   // forced view changes raised by the MaxTotalLog cap
-	MsgsSent     int64 // wire messages transmitted by this member
-	MsgsReceived int64 // wire messages handled by this member
+	LogOverflows int // forced view changes raised by the MaxTotalLog cap
+	// HeldBatches counts the order requests waiting in this coordinator's
+	// hold-back for an earlier batch of their sender; HoldOverflows the
+	// requests dropped because the hold-back was full (their senders
+	// re-send them on stall).
+	HeldBatches   int
+	HoldOverflows int
+	MsgsSent      int64 // wire messages transmitted by this member
+	MsgsReceived  int64 // wire messages handled by this member
 }
 
 // Stats returns the member's health counters.
@@ -163,13 +190,15 @@ func (m *Member) Stats() MemberStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemberStats{
-		ViewChanges:  m.viewChanges,
-		TotalLogSize: len(m.totalLog),
-		DedupSenders: len(m.delivered),
-		DedupHeld:    m.delivered.held(),
-		LogOverflows: m.logOverflows,
-		MsgsSent:     m.msgsSent.Load(),
-		MsgsReceived: m.msgsReceived.Load(),
+		ViewChanges:   m.viewChanges,
+		TotalLogSize:  m.totalLog.n,
+		DedupSenders:  len(m.delivered),
+		DedupHeld:     m.delivered.held(),
+		LogOverflows:  m.logOverflows,
+		HeldBatches:   m.heldCount,
+		HoldOverflows: m.holdOverflows,
+		MsgsSent:      m.msgsSent.Load(),
+		MsgsReceived:  m.msgsReceived.Load(),
 	}
 }
 
@@ -183,19 +212,18 @@ func NewMember(sched clock.Scheduler, cfg Config) (*Member, error) {
 		return nil, errors.New("gcs: nic and directory are required")
 	}
 	m := &Member{
-		sched:       sched,
-		cfg:         cfg,
-		state:       stateNew,
-		lastSeen:    make(map[string]time.Duration),
-		fifoNext:    make(map[string]int64),
-		fifoBuf:     make(map[string]map[int64]fifoMsg),
-		pending:     make(map[int64]any),
-		totalBuf:    make(map[int64]totalMsg),
-		delivered:   make(deliveredSet),
-		totalLog:    make(map[int64]totalMsg),
-		totalLogMin: 1,
-		ackSeqs:     make(map[string]int64),
+		sched:     sched,
+		cfg:       cfg,
+		state:     stateNew,
+		lastSeen:  make(map[string]time.Duration),
+		fifoNext:  make(map[string]int64),
+		fifoBuf:   make(map[string]map[int64]fifoMsg),
+		chains:    make(map[string]*chain),
+		totalBuf:  make(map[int64]slot),
+		delivered: make(deliveredSet),
+		ackSeqs:   make(map[string]int64),
 	}
+	m.flushFn = m.flush
 	return m, nil
 }
 
@@ -331,7 +359,8 @@ func (m *Member) teardown() {
 }
 
 // Broadcast sends body to every member of the current view (including this
-// one) with the requested ordering.
+// one) with the requested ordering. Total-order broadcasts of one
+// scheduler turn travel to the coordinator as one batch.
 func (m *Member) Broadcast(body any, ordering Ordering) error {
 	m.mu.Lock()
 	if m.state != stateRunning {
@@ -341,11 +370,16 @@ func (m *Member) Broadcast(body any, ordering Ordering) error {
 	switch ordering {
 	case Total:
 		m.localSeq++
-		id := m.localSeq
-		m.pending[id] = body
-		coord := m.view.Coordinator()
+		if len(m.pending) == 0 {
+			m.pendingSince = m.sched.Now()
+		}
+		m.appendPending(orderEntry{LocalID: m.localSeq, Body: body})
+		arm := !m.flushArmed
+		m.flushArmed = true
 		m.mu.Unlock()
-		m.sendTo(coord, orderReq{From: m.cfg.NodeID, LocalID: id, Body: body})
+		if arm {
+			m.sched.After(0, m.flushFn)
+		}
 		return nil
 	default: // FIFO
 		m.fifoSendSeq++
@@ -359,6 +393,66 @@ func (m *Member) Broadcast(body any, ordering Ordering) error {
 		}
 		return nil
 	}
+}
+
+// appendPending adds a broadcast to the pending list. A full list moves
+// to a fresh array rather than growing in place, and an array is never
+// reused for later entries, so the batches already sent stay intact.
+func (m *Member) appendPending(e orderEntry) {
+	if len(m.pending) == cap(m.pending) {
+		grown := make([]orderEntry, len(m.pending), 2*len(m.pending)+16)
+		copy(grown, m.pending)
+		m.pending = grown
+	}
+	m.pending = append(m.pending, e)
+}
+
+// flush sends the turn's total-order broadcasts to the coordinator as
+// one batch chained to the previous one.
+func (m *Member) flush() {
+	m.mu.Lock()
+	m.flushArmed = false
+	if m.state != stateRunning || m.unsent == len(m.pending) {
+		m.mu.Unlock()
+		return
+	}
+	n := len(m.pending)
+	req := orderReq{From: m.cfg.NodeID, Prev: m.lastSent, Batch: m.pending[m.unsent:n:n]}
+	m.unsent, m.lastSent = n, m.pending[n-1].LocalID
+	coord := m.view.Coordinator()
+	m.mu.Unlock()
+	m.sendTo(coord, req)
+}
+
+// resendPendingLocked makes a chain-start batch (Prev 0) of everything
+// pending: every id below the oldest pending one was delivered back to
+// this member, so the coordinator may sequence it at once. Callers hold
+// m.mu and send the batch when ok.
+func (m *Member) resendPendingLocked() (req orderReq, ok bool) {
+	n := len(m.pending)
+	if n == 0 {
+		m.lastSent = 0
+		return orderReq{}, false
+	}
+	m.unsent, m.lastSent = n, m.pending[n-1].LocalID
+	m.pendingSince = m.sched.Now()
+	return orderReq{From: m.cfg.NodeID, Batch: m.pending[:n:n]}, true
+}
+
+// consumeOwnLocked drops a broadcast of this member that came back
+// sequenced from the head of the pending list. Within a view they come
+// back in LocalID order. One that comes back early, delivered by a
+// view-change flush past a lost slot, stays pending: the new view's
+// re-send brings it back again behind the ids before it.
+func (m *Member) consumeOwnLocked(id int64) {
+	if len(m.pending) == 0 || m.pending[0].LocalID != id {
+		return
+	}
+	m.pending = m.pending[1:]
+	if m.unsent > 0 {
+		m.unsent--
+	}
+	m.pendingSince = m.sched.Now()
 }
 
 // announceJoin sends a join request to every directory member.
@@ -385,7 +479,10 @@ func (m *Member) joinDeadline() {
 }
 
 // heartbeat fans out liveness probes; a joining member re-announces
-// instead.
+// instead. A running member whose oldest pending total-order broadcast
+// has not come back within FailTimeout re-sends everything pending: the
+// request or its sequenced run was lost, and nothing else would repair
+// that before the next view change.
 func (m *Member) heartbeat() {
 	m.mu.Lock()
 	st := m.state
@@ -395,7 +492,16 @@ func (m *Member) heartbeat() {
 	if ackSeq < 0 {
 		ackSeq = 0
 	}
+	var stalled orderReq
+	resend := false
+	if st == stateRunning && len(m.pending) > 0 && m.sched.Now()-m.pendingSince > m.cfg.FailTimeout {
+		stalled, resend = m.resendPendingLocked()
+	}
+	coord := m.view.Coordinator()
 	m.mu.Unlock()
+	if resend {
+		m.sendTo(coord, stalled)
+	}
 	switch st {
 	case stateJoining:
 		m.announceJoin()
@@ -519,8 +625,11 @@ func (m *Member) installView(v View) {
 	// epoch and restart at 1 under the new coordinator. Consuming them
 	// marks them delivered before resubmissions are computed, so a flushed
 	// own message is not sent to the new coordinator again, and a
-	// resubmission sequenced twice is flushed once.
-	var flush []totalMsg
+	// resubmission sequenced twice is flushed once. The buffer starts
+	// above a lost slot; if that slot's broadcast is re-sent in the new
+	// view, consumeLocked drops it wherever a later id of its sender was
+	// flushed here, so the sender's order holds.
+	var flush []Message
 	if len(m.totalBuf) > 0 {
 		keys := make([]int64, 0, len(m.totalBuf))
 		for k := range m.totalBuf {
@@ -528,38 +637,30 @@ func (m *Member) installView(v View) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			flush = m.consumeTotalLocked(m.totalBuf[k], flush)
+			flush = m.consumeLocked(k, m.totalBuf[k], flush)
 		}
-		m.totalBuf = make(map[int64]totalMsg)
+		m.totalBuf = make(map[int64]slot)
 	}
 	m.totalNext = 1
 	m.globalSeq = 0
-	m.totalLog = make(map[int64]totalMsg)
-	m.totalLogMin = 1
+	m.totalLog = seqLog{}
+	clear(m.chains)
+	m.heldCount = 0
 	m.ackSeqs = make(map[string]int64)
 	m.gapReqSeq = 0
 	m.gapReqAt = 0
 	// Re-submit unacknowledged total-order requests to the new
-	// coordinator; receivers dedupe on (sender, local id).
-	resend := make(map[int64]any, len(m.pending))
-	for id, body := range m.pending {
-		resend[id] = body
-	}
+	// coordinator as one chain-start batch; receivers dedupe on (sender,
+	// local id).
+	resend, ok := m.resendPendingLocked()
 	coord := v.Coordinator()
 	handlers, deliver := m.onView, m.onMsg
 	installed := m.view.clone()
 	m.mu.Unlock()
 
-	for _, tm := range flush {
-		m.deliverTotal(tm, deliver)
-	}
-	ids := make([]int64, 0, len(resend))
-	for id := range resend {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		m.sendTo(coord, orderReq{From: m.cfg.NodeID, LocalID: id, Body: resend[id]})
+	deliverAll(flush, deliver)
+	if ok {
+		m.sendTo(coord, resend)
 	}
 	for _, fn := range handlers {
 		fn(installed)
@@ -710,19 +811,64 @@ func (m *Member) handleFIFO(p fifoMsg) {
 	}
 }
 
+// maxHeldBatches caps the coordinator's hold-back. A batch past the cap
+// is dropped and counted; its sender re-sends it once it stalls.
+const maxHeldBatches = 256
+
+// chain is the coordinator's sequencing state for one sender in the
+// current epoch.
+type chain struct {
+	high int64      // highest LocalID sequenced
+	held []orderReq // hold-back: batches whose Prev is not sequenced yet
+}
+
+// ready reports whether batch p may be sequenced now: it starts its
+// sender's chain, or the batch before it was sequenced in this epoch. A
+// batch chained to one of an earlier view waits for the sender's
+// chain-start re-send of the new view, which carries every id the
+// sender has not seen delivered, so nothing it missed is overtaken.
+func (c *chain) ready(p orderReq) bool {
+	return p.Prev == 0 || p.Prev <= c.high
+}
+
 func (m *Member) handleOrderReq(p orderReq) {
 	m.mu.Lock()
-	if m.state != stateRunning || m.view.Coordinator() != m.cfg.NodeID {
+	if m.state != stateRunning || m.view.Coordinator() != m.cfg.NodeID || len(p.Batch) == 0 {
 		m.mu.Unlock()
 		return
 	}
-	if m.delivered.has(p.From, p.LocalID) {
-		m.mu.Unlock()
-		return // already delivered (resubmission after failover)
+	c := m.chains[p.From]
+	if c == nil {
+		c = &chain{}
+		m.chains[p.From] = c
 	}
-	m.globalSeq++
-	tm := totalMsg{Epoch: m.view.ID, Seq: m.globalSeq, From: p.From, LocalID: p.LocalID, Body: p.Body}
-	m.totalLog[tm.Seq] = tm
+	if !c.ready(p) {
+		// An earlier batch of the sender is still on its way: sequencing
+		// this one first would let it overtake that batch.
+		if m.heldCount < maxHeldBatches {
+			c.held = append(c.held, p)
+			m.heldCount++
+		} else {
+			m.holdOverflows++
+		}
+		m.mu.Unlock()
+		return
+	}
+	var one [1]totalMsg
+	runs := append(one[:0], m.sequenceLocked(c, p))
+	// Sequencing p may release the sender's held batches, in chain order.
+	for len(c.held) > 0 {
+		i := 0
+		for i < len(c.held) && !c.ready(c.held[i]) {
+			i++
+		}
+		if i == len(c.held) {
+			break
+		}
+		runs = append(runs, m.sequenceLocked(c, c.held[i]))
+		c.held = append(c.held[:i], c.held[i+1:]...)
+		m.heldCount--
+	}
 	// Prune on append too: heartbeat acks never arrive in a singleton
 	// view (heartbeats go only to peers), so without this the log of a
 	// lone survivor would grow for the lifetime of the epoch.
@@ -739,7 +885,7 @@ func (m *Member) handleOrderReq(p orderReq) {
 	// eat memory).
 	var survivors, oldMembers []string
 	var overflowViewID int64
-	if m.cfg.MaxTotalLog > 0 && len(m.totalLog) > m.cfg.MaxTotalLog {
+	if m.cfg.MaxTotalLog > 0 && m.totalLog.n > m.cfg.MaxTotalLog {
 		minAck := int64(-1)
 		for _, id := range members {
 			if id == m.cfg.NodeID {
@@ -763,13 +909,29 @@ func (m *Member) handleOrderReq(p orderReq) {
 		}
 	}
 	m.mu.Unlock()
-	var wire any = tm // boxed once: receivers only read it
-	for _, id := range members {
-		m.sendTo(id, wire)
+	for _, tm := range runs {
+		var wire any = tm // boxed once: receivers only read it
+		for _, id := range members {
+			m.sendTo(id, wire)
+		}
 	}
 	if survivors != nil {
 		m.issueView(survivors, overflowViewID, oldMembers)
 	}
+}
+
+// sequenceLocked assigns batch p of chain c the next contiguous run of
+// sequence numbers and logs it. Entries sequenced before (a re-send
+// crossing its original) get a slot again; receivers drop them as
+// duplicates.
+func (m *Member) sequenceLocked(c *chain, p orderReq) totalMsg {
+	tm := totalMsg{Epoch: m.view.ID, Seq: m.globalSeq + 1, From: p.From, Batch: p.Batch}
+	for _, e := range p.Batch {
+		m.globalSeq++
+		m.totalLog.push(m.globalSeq, slot{From: p.From, orderEntry: e})
+	}
+	c.high = max(c.high, p.Batch[len(p.Batch)-1].LocalID)
+	return tm
 }
 
 // pruneTotalLogLocked drops every retransmission-log entry all current
@@ -782,7 +944,7 @@ func (m *Member) handleOrderReq(p orderReq) {
 // eventually excluded, which resets the epoch and the log with it.
 // Callers hold m.mu and are the current coordinator.
 func (m *Member) pruneTotalLogLocked() {
-	if len(m.totalLog) == 0 {
+	if m.totalLog.n == 0 {
 		return
 	}
 	min := m.totalNext - 1 // own delivery watermark
@@ -794,22 +956,18 @@ func (m *Member) pruneTotalLogLocked() {
 			min = ack
 		}
 	}
-	for seq := m.totalLogMin; seq <= min; seq++ {
-		delete(m.totalLog, seq)
-	}
-	if min >= m.totalLogMin {
-		m.totalLogMin = min + 1
-	}
+	m.totalLog.dropThrough(min)
 }
 
 // totalLogSize reports the retransmission log's current size (tests).
 func (m *Member) totalLogSize() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.totalLog)
+	return m.totalLog.n
 }
 
-// handleGapReq retransmits logged messages a stalled member is missing.
+// handleGapReq retransmits up to 64 logged slots a stalled member is
+// missing, one message per run of consecutive slots from one sender.
 func (m *Member) handleGapReq(p gapReq) {
 	m.mu.Lock()
 	if m.state != stateRunning || m.view.Coordinator() != m.cfg.NodeID ||
@@ -818,10 +976,18 @@ func (m *Member) handleGapReq(p gapReq) {
 		return
 	}
 	var resend []totalMsg
-	for seq := p.FromSeq; seq <= m.globalSeq && len(resend) < 64; seq++ {
-		if tm, ok := m.totalLog[seq]; ok {
-			resend = append(resend, tm)
+	found := 0
+	for seq := max(p.FromSeq, m.totalLog.min); seq <= m.globalSeq && found < 64; seq++ {
+		s, ok := m.totalLog.at(seq)
+		if !ok {
+			continue
 		}
+		found++
+		if n := len(resend); n > 0 && resend[n-1].From == s.From && resend[n-1].Seq+int64(len(resend[n-1].Batch)) == seq {
+			resend[n-1].Batch = append(resend[n-1].Batch, s.orderEntry)
+			continue
+		}
+		resend = append(resend, totalMsg{Epoch: m.view.ID, Seq: seq, From: s.From, Batch: []orderEntry{s.orderEntry}})
 	}
 	m.mu.Unlock()
 	for _, tm := range resend {
@@ -844,30 +1010,37 @@ func (m *Member) handleTotal(p totalMsg) {
 	if m.totalNext == 0 {
 		m.totalNext = 1
 	}
-	if p.Seq < m.totalNext {
+	next := m.totalNext
+	if p.Seq+int64(len(p.Batch)) <= next {
 		m.mu.Unlock()
-		return // slot already consumed
+		return // every slot already consumed
 	}
 	// Every sequence slot must be consumed even when its content turns out
 	// to be a duplicate (a resubmission sequenced twice); otherwise the
-	// stream wedges at the duplicate's slot. The message for the next slot
-	// is consumed directly when nothing is buffered — the steady state;
-	// anything else waits in totalBuf until the slots below it fill.
-	var one [1]totalMsg
-	ready := one[:0]
-	next := m.totalNext
-	if p.Seq == next && len(m.totalBuf) == 0 {
-		ready = m.consumeTotalLocked(p, ready)
-		next++
+	// stream wedges at the duplicate's slot. A run that covers the next
+	// slot is consumed in place when nothing is buffered — the steady
+	// state; anything else waits in totalBuf, slot by slot, until the
+	// slots below it fill.
+	var buf [16]Message
+	ready := buf[:0]
+	if p.Seq <= next && len(m.totalBuf) == 0 {
+		for i := next - p.Seq; i < int64(len(p.Batch)); i++ {
+			ready = m.consumeLocked(next, slot{From: p.From, orderEntry: p.Batch[i]}, ready)
+			next++
+		}
 	} else {
-		m.totalBuf[p.Seq] = p
+		for i, e := range p.Batch {
+			if seq := p.Seq + int64(i); seq >= next {
+				m.totalBuf[seq] = slot{From: p.From, orderEntry: e}
+			}
+		}
 		for {
 			q, ok := m.totalBuf[next]
 			if !ok {
 				break
 			}
 			delete(m.totalBuf, next)
-			ready = m.consumeTotalLocked(q, ready)
+			ready = m.consumeLocked(next, q, ready)
 			next++
 		}
 	}
@@ -898,28 +1071,28 @@ func (m *Member) handleTotal(p totalMsg) {
 	if nack != nil && coord != m.cfg.NodeID {
 		m.sendTo(coord, *nack)
 	}
-	for _, r := range ready {
-		m.deliverTotal(r, deliver)
-	}
+	deliverAll(ready, deliver)
 }
 
-// consumeTotalLocked takes one sequenced message off the stream: it joins
-// ready unless its (sender, local id) was already delivered, and an own
-// message stops being pending either way.
-func (m *Member) consumeTotalLocked(q totalMsg, ready []totalMsg) []totalMsg {
-	if m.delivered.mark(q.From, q.LocalID) {
-		ready = append(ready, q)
+// consumeLocked takes slot seq off the stream: it joins ready unless its
+// (sender, local id) was already delivered or lies below an id of that
+// sender delivered before (markInOrder), and an own broadcast stops
+// being pending either way.
+func (m *Member) consumeLocked(seq int64, s slot, ready []Message) []Message {
+	if m.delivered.markInOrder(s.From, s.LocalID) {
+		ready = append(ready, Message{From: s.From, Ordering: Total, Seq: seq, Body: s.Body})
 	}
-	if q.From == m.cfg.NodeID {
-		delete(m.pending, q.LocalID)
+	if s.From == m.cfg.NodeID {
+		m.consumeOwnLocked(s.LocalID)
 	}
 	return ready
 }
 
-func (m *Member) deliverTotal(tm totalMsg, deliver []func(Message)) {
-	ev := Message{From: tm.From, Ordering: Total, Seq: tm.Seq, Body: tm.Body}
-	for _, fn := range deliver {
-		fn(ev)
+func deliverAll(msgs []Message, deliver []func(Message)) {
+	for _, ev := range msgs {
+		for _, fn := range deliver {
+			fn(ev)
+		}
 	}
 }
 
