@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance fuzz-smoke bench bench-module bench-json bench-load ab loc check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance fuzz-smoke bench bench-module bench-json bench-load ab loc reach check
 
 all: check
 
@@ -115,6 +115,15 @@ ab:
 # before and after. Informational only.
 loc:
 	@bash scripts/loc.sh
+
+# The link census (scripts/reach.sh): builds the five product binaries
+# (dosgid, dosgictl, dosgi-sim, dosgi-load, the benchmark driver) with
+# inlining off and fails on a function declared in a non-test file under
+# internal/ that none of them links, unless scripts/reach_allow.txt lists
+# it with a reason, and on an allowlist entry whose function is linked or
+# gone. CI's check job runs it.
+reach:
+	@bash scripts/reach.sh
 
 # The tier-1 gate: formatting, static checks, build, tests — and the
 # benchmark module those do not reach.

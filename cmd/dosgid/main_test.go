@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dosgi/internal/module"
-	"dosgi/internal/obs"
 	"dosgi/internal/services"
 )
 
@@ -401,7 +400,7 @@ func TestMetricsOneStopPull(t *testing.T) {
 				t.Fatalf("METRICS missing provider %s of origin %s:\n%s", prov, origin, joined)
 			}
 		}
-		for _, hist := range obs.HistogramNames() {
+		for _, hist := range histogramNames {
 			for _, q := range []string{".count=", ".p50ns=", ".p99ns=", ".p999ns=", ".maxns="} {
 				if !strings.Contains(joined, origin+" obs:self "+hist+q) {
 					t.Fatalf("METRICS missing %s%s of origin %s:\n%s", hist, q, origin, joined)
@@ -620,3 +619,6 @@ func TestMetricsAndTraceAnnotateUnreachablePeer(t *testing.T) {
 		t.Fatalf("TRACE lost the local spans:\n%s", joined)
 	}
 }
+
+// histogramNames are the attribute prefixes obs.Plane's Provider exports.
+var histogramNames = []string{"chunkFetch", "eventAckLag", "frameRTT", "invoker", "poolWait"}

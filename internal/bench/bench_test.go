@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -185,4 +186,51 @@ func TestGeneratorJitterDeterministic(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("jittered runs diverged: %d vs %d", a, b)
 	}
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() int { return len(h.samples) }
+
+// Mean returns the average sample.
+func (h *Histogram) Mean() time.Duration {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, s := range h.samples {
+		sum += s
+	}
+	return sum / time.Duration(len(h.samples))
+}
+
+// Max returns the largest sample.
+func (h *Histogram) Max() time.Duration {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	if !h.sorted {
+		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		h.sorted = true
+	}
+	return h.samples[len(h.samples)-1]
+}
+
+// Min returns the smallest sample.
+func (h *Histogram) Min() time.Duration {
+	if len(h.samples) == 0 {
+		return 0
+	}
+	if !h.sorted {
+		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		h.sorted = true
+	}
+	return h.samples[0]
+}
+
+// Throughput returns successful responses per second of virtual time.
+func (s LoadStats) Throughput() float64 {
+	if s.Elapsed <= 0 {
+		return 0
+	}
+	return float64(s.OK) / s.Elapsed.Seconds()
 }

@@ -24,9 +24,6 @@ func (h *Histogram) Add(d time.Duration) {
 	h.sorted = false
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
 // Percentile returns the q-quantile (0 < q <= 1) using nearest-rank.
 func (h *Histogram) Percentile(q float64) time.Duration {
 	if len(h.samples) == 0 {
@@ -44,42 +41,6 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 		rank = len(h.samples) - 1
 	}
 	return h.samples[rank]
-}
-
-// Mean returns the average sample.
-func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	return h.samples[len(h.samples)-1]
-}
-
-// Min returns the smallest sample.
-func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	return h.samples[0]
 }
 
 // Table renders aligned experiment output.

@@ -21,14 +21,6 @@ type LoadStats struct {
 	Elapsed     time.Duration
 }
 
-// Throughput returns successful responses per second of virtual time.
-func (s LoadStats) Throughput() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.OK) / s.Elapsed.Seconds()
-}
-
 // The generator's network node and address.
 const (
 	clientID           = "loadgen"

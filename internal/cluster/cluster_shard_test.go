@@ -205,8 +205,8 @@ func TestDirectoryProviderAttributes(t *testing.T) {
 }
 
 // TestNodeProviderSumsGCSState pins the node provider's group
-// communication attributes: message counts and total-order state sizes
-// summed over the main member and every shard member.
+// communication attributes: message counts, total-order state sizes and
+// hold-back counters summed over the main member and every shard member.
 func TestNodeProviderSumsGCSState(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		c := newShardedCluster(t, 3, shards)
@@ -217,13 +217,16 @@ func TestNodeProviderSumsGCSState(t *testing.T) {
 				want.MsgsSent += st.MsgsSent
 				want.TotalLogSize += st.TotalLogSize
 				want.DedupHeld += st.DedupHeld
+				want.HeldBatches += st.HeldBatches
+				want.HoldOverflows += st.HoldOverflows
 			}
 			attrs, ok := c.Metrics().Read("node:" + n.ID())
 			if !ok {
 				t.Fatalf("shards=%d: no node provider for %s", shards, n.ID())
 			}
 			if attrs["dirMsgsSent"] != want.MsgsSent || attrs["gcsTotalLog"] != int64(want.TotalLogSize) ||
-				attrs["gcsDedupHeld"] != int64(want.DedupHeld) {
+				attrs["gcsDedupHeld"] != int64(want.DedupHeld) || attrs["gcsHeldBatches"] != int64(want.HeldBatches) ||
+				attrs["gcsHoldOverflows"] != int64(want.HoldOverflows) {
 				t.Fatalf("shards=%d %s: attrs %v, want sums %+v", shards, n.ID(), attrs, want)
 			}
 		}

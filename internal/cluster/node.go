@@ -147,8 +147,9 @@ func (n *Node) DirectoryMsgCounts() (sent, received int64) {
 	return st.MsgsSent, st.MsgsReceived
 }
 
-// directoryGCSStats sums the message counters and the total-order state
-// sizes (retransmission log, dedup runs held above a gap) over the main
+// directoryGCSStats sums the message counters, the total-order state
+// sizes (retransmission log, dedup runs held above a gap) and the
+// coordinator's hold-back counters (batches held, overflows) over the main
 // member and every shard member; the other fields are left zero.
 func (n *Node) directoryGCSStats() gcs.MemberStats {
 	var sum gcs.MemberStats
@@ -158,6 +159,8 @@ func (n *Node) directoryGCSStats() gcs.MemberStats {
 		sum.MsgsReceived += st.MsgsReceived
 		sum.TotalLogSize += st.TotalLogSize
 		sum.DedupHeld += st.DedupHeld
+		sum.HeldBatches += st.HeldBatches
+		sum.HoldOverflows += st.HoldOverflows
 	}
 	return sum
 }

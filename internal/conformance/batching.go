@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"dosgi/internal/obs"
@@ -13,12 +14,41 @@ import (
 const (
 	wireBatch     = 0x05
 	wireFeatBatch = 0x01
+	wireRequest   = 0x01
+	wireMaxInner  = 1024
 )
+
+// encodeBatch wraps complete request frames into one multi-request frame
+// (§2.1): uvarint count, then count × (uvarint length, frame bytes). Only
+// negotiated peers may be sent one — old decoders drop the connection on
+// the unknown frame kind.
+func encodeBatch(frames [][]byte) ([]byte, error) {
+	if len(frames) == 0 || len(frames) > wireMaxInner {
+		return nil, fmt.Errorf("%w: batch of %d frames", remote.ErrBadValue, len(frames))
+	}
+	size := 1 + binary.MaxVarintLen64
+	for _, f := range frames {
+		size += binary.MaxVarintLen64 + len(f)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, wireBatch)
+	buf = binary.AppendUvarint(buf, uint64(len(frames)))
+	for _, f := range frames {
+		if len(f) == 0 || f[0] != wireRequest {
+			return nil, fmt.Errorf("%w: batch inner frame must be a request", remote.ErrBadValue)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(f)))
+		buf = append(buf, f...)
+	}
+	if len(buf) > remote.MaxFrameSize {
+		return nil, remote.ErrFrameTooLarge
+	}
+	return buf, nil
+}
 
 // rawBatch hand-builds a multi-request frame (§2.1: kind byte, uvarint
 // count, count × (uvarint length, frame bytes)) without going through
-// remote.EncodeBatch — negatives need shapes the encoder refuses to
-// produce.
+// encodeBatch — negatives need shapes the encoder refuses to produce.
 func rawBatch(count uint64, inner ...[]byte) []byte {
 	buf := []byte{wireBatch}
 	buf = binary.AppendUvarint(buf, count)
@@ -73,7 +103,7 @@ func (h *harness) runBatching(t *testing.T) {
 			}
 			inner = append(inner, frame)
 		}
-		batch, err := remote.EncodeBatch(inner)
+		batch, err := encodeBatch(inner)
 		if err != nil {
 			t.Fatal(err)
 		}

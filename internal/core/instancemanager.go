@@ -11,10 +11,6 @@ import (
 	"dosgi/internal/vosgi"
 )
 
-// InstanceManagerClass is the service class under which the manager
-// registers in the host framework.
-const InstanceManagerClass = "dosgi.core.InstanceManager"
-
 // extensionKey is the host-framework snapshot extension carrying the
 // instance registry.
 const extensionKey = "core.instances"
@@ -433,44 +429,4 @@ func (m *Manager) LoadPersisted(start bool) error {
 		}
 	}
 	return firstErr
-}
-
-// ManagerBundleDefinition packages an instance manager as a bundle of the
-// host framework — the design of Figure 3, where the Instance Manager is
-// "yet another bundle in the system". The hooks are supplied by the node
-// embedding the framework.
-func ManagerBundleDefinition(hooks Hooks, onReady func(*Manager)) *module.Definition {
-	return &module.Definition{
-		ManifestText: `Bundle-SymbolicName: dosgi.core
-Bundle-Version: 1.0.0
-Bundle-Activator: dosgi.core.Activator
-Export-Package: dosgi.core
-`,
-		Classes: map[string]any{
-			"dosgi.core.InstanceManager": "interface:InstanceManager",
-		},
-		NewActivator: func() module.Activator {
-			var reg *module.ServiceRegistration
-			return &module.ActivatorFuncs{
-				OnStart: func(ctx *module.Context) error {
-					mgr := NewManager(ctx.Framework(), hooks)
-					var err error
-					reg, err = ctx.RegisterSingle(InstanceManagerClass, mgr, nil)
-					if err != nil {
-						return err
-					}
-					if onReady != nil {
-						onReady(mgr)
-					}
-					return nil
-				},
-				OnStop: func(ctx *module.Context) error {
-					if reg != nil {
-						_ = reg.Unregister()
-					}
-					return nil
-				},
-			}
-		},
-	}
 }

@@ -338,43 +338,6 @@ func TestCreateStartCostIndependentOfPopulation(t *testing.T) {
 	}
 }
 
-func TestManagerBundle(t *testing.T) {
-	host := newHost(t)
-	var mgr *Manager
-	def := ManagerBundleDefinition(Hooks{}, func(m *Manager) { mgr = m })
-	if err := host.Definitions().Add("loc:core", def); err != nil {
-		t.Fatal(err)
-	}
-	b, err := host.InstallBundle("loc:core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if mgr == nil {
-		t.Fatal("onReady not called")
-	}
-	ref, ok := host.SystemContext().ServiceReference(InstanceManagerClass)
-	if !ok {
-		t.Fatal("manager service not registered")
-	}
-	svc, err := host.SystemContext().GetService(ref)
-	if err != nil || svc != mgr {
-		t.Fatalf("service = %v, %v", svc, err)
-	}
-	// The manager works through the service interface (Figure 3).
-	if _, err := svc.(*Manager).Create(tenantDescriptor("via-service")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := host.SystemContext().ServiceReference(InstanceManagerClass); ok {
-		t.Fatal("manager service survived bundle stop")
-	}
-}
-
 func TestListSorted(t *testing.T) {
 	mgr := NewManager(newHost(t), Hooks{})
 	for _, id := range []InstanceID{"c", "a", "b"} {

@@ -37,15 +37,6 @@ func Parse(s string) (*Filter, error) {
 	return &Filter{root: n, text: s}, nil
 }
 
-// MustParse is Parse for statically known filters; it panics on error.
-func MustParse(s string) *Filter {
-	f, err := Parse(s)
-	if err != nil {
-		panic(fmt.Sprintf("filter: MustParse(%q): %v", s, err))
-	}
-	return f
-}
-
 // Matches reports whether props satisfies the filter. Property names are
 // case-insensitive, as in OSGi.
 func (f *Filter) Matches(props map[string]any) bool {

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -272,4 +273,13 @@ func BenchmarkMatch(b *testing.B) {
 			b.Fatal("no match")
 		}
 	}
+}
+
+// MustParse is Parse for statically known filters; it panics on error.
+func MustParse(s string) *Filter {
+	f, err := Parse(s)
+	if err != nil {
+		panic(fmt.Sprintf("filter: MustParse(%q): %v", s, err))
+	}
+	return f
 }

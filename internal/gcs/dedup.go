@@ -14,8 +14,8 @@ import "sort"
 // while — leaves one run that later ids extend in place, so the record
 // costs one entry per gap, never one per id.
 //
-// has and mark are exact set operations over any id sequence: dense,
-// reordered, duplicated or sparse, ids <= 0 included.
+// mark is an exact set operation over any id sequence: dense, reordered,
+// duplicated or sparse, ids <= 0 included.
 type deliveredIDs struct {
 	floor int64
 	// held: sorted, disjoint, non-adjacent runs, none overlapping
@@ -28,14 +28,6 @@ type idRun struct{ lo, hi int64 }
 // run returns the index of the first held run ending at or after id.
 func (d *deliveredIDs) run(id int64) int {
 	return sort.Search(len(d.held), func(i int) bool { return d.held[i].hi >= id })
-}
-
-func (d *deliveredIDs) has(id int64) bool {
-	if id >= 1 && id <= d.floor {
-		return true
-	}
-	i := d.run(id)
-	return i < len(d.held) && d.held[i].lo <= id
 }
 
 // mark adds id to the set and reports whether it was new.
@@ -75,10 +67,10 @@ func (d *deliveredIDs) mark(id int64) bool {
 	return true
 }
 
-// top returns the highest id in the set (the floor when nothing is
-// held).
+// top returns the highest id in the set, or the floor when no held run
+// lies above it (nothing is held, or only ids <= 0 are).
 func (d *deliveredIDs) top() int64 {
-	if n := len(d.held); n > 0 {
+	if n := len(d.held); n > 0 && d.held[n-1].hi > d.floor {
 		return d.held[n-1].hi
 	}
 	return d.floor

@@ -42,16 +42,28 @@ func checkDeliveredIDs(t testing.TB, d *deliveredIDs, model map[int64]bool, prob
 }
 
 // runIDTape marks every id of tape in order, checking each answer and
-// the whole record against a map[int64]bool model.
+// the whole record against a map[int64]bool model. The same tape also
+// runs through deliveredSet.markInOrder, the call production delivers
+// by: it must report "new and above the previous top", and top must be
+// the model's largest id (0 while none is positive: the floor).
 func runIDTape(t testing.TB, tape []int64) {
 	t.Helper()
 	var d deliveredIDs
+	inOrder := deliveredSet{}
 	model := make(map[int64]bool)
+	var top int64
 	for i, id := range tape {
 		want := !model[id]
 		model[id] = true
 		if got := d.mark(id); got != want {
 			t.Fatalf("op %d: mark(%d) = %v, model %v", i, id, got, want)
+		}
+		if got := inOrder.markInOrder("p", id); got != (want && id > top) {
+			t.Fatalf("op %d: markInOrder(%d) = %v, model new=%v above top %d", i, id, got, want, top)
+		}
+		top = max(top, id)
+		if got := d.top(); got != top {
+			t.Fatalf("op %d: top() = %d, model %d (floor %d, held %v)", i, got, top, d.floor, d.held)
 		}
 		checkDeliveredIDs(t, &d, model, tape[:i+1])
 	}
@@ -316,4 +328,14 @@ func TestTotalOrderDedupStateBounded(t *testing.T) {
 			t.Fatalf("%s dedup state after %d messages: %d senders, %d held runs", id, total, st.DedupSenders, st.DedupHeld)
 		}
 	}
+}
+
+// has reports whether id is in the set: the membership probe of the
+// model checks (production asks markInOrder instead).
+func (d *deliveredIDs) has(id int64) bool {
+	if id >= 1 && id <= d.floor {
+		return true
+	}
+	i := d.run(id)
+	return i < len(d.held) && d.held[i].lo <= id
 }

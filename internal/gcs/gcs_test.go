@@ -528,7 +528,7 @@ func TestTotalOrderRetransmissionBeyondFixedCap(t *testing.T) {
 	}
 	h.eng.RunFor(100 * time.Millisecond)
 	// The whole backlog is still retransmittable: node02 never acked.
-	if got := h.members["node00"].totalLogSize(); got < stalled {
+	if got := h.members["node00"].Stats().TotalLogSize; got < stalled {
 		t.Fatalf("coordinator log holds %d of %d unacked messages", got, stalled)
 	}
 	h.net.Heal("node00", "node02")
@@ -555,7 +555,7 @@ func TestTotalOrderRetransmissionBeyondFixedCap(t *testing.T) {
 	// Exact pruning: once every member's heartbeat acked the full
 	// stream, the coordinator's log drains completely — no fixed floor.
 	h.eng.RunFor(500 * time.Millisecond)
-	if got := h.members["node00"].totalLogSize(); got != 0 {
+	if got := h.members["node00"].Stats().TotalLogSize; got != 0 {
 		t.Fatalf("log holds %d entries after all members acked", got)
 	}
 }
@@ -572,7 +572,7 @@ func TestTotalOrderLogPrunesToWatermark(t *testing.T) {
 		}
 	}
 	h.eng.RunFor(time.Second)
-	if got := h.members["node00"].totalLogSize(); got != 0 {
+	if got := h.members["node00"].Stats().TotalLogSize; got != 0 {
 		t.Fatalf("log holds %d entries in steady state, want 0", got)
 	}
 }
@@ -590,7 +590,7 @@ func TestTotalOrderLogBoundedInSingletonView(t *testing.T) {
 		}
 	}
 	h.eng.RunFor(time.Second)
-	if got := h.members["node00"].totalLogSize(); got != 0 {
+	if got := h.members["node00"].Stats().TotalLogSize; got != 0 {
 		t.Fatalf("singleton log holds %d entries after deliveries, want 0", got)
 	}
 }
@@ -694,7 +694,7 @@ func TestOneWayLossLogOverflowForcesViewChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.eng.RunFor(5 * time.Millisecond)
-		if n := coord.totalLogSize(); n > logPeak {
+		if n := coord.Stats().TotalLogSize; n > logPeak {
 			logPeak = n
 		}
 	}

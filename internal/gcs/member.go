@@ -959,13 +959,6 @@ func (m *Member) pruneTotalLogLocked() {
 	m.totalLog.dropThrough(min)
 }
 
-// totalLogSize reports the retransmission log's current size (tests).
-func (m *Member) totalLogSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalLog.n
-}
-
 // handleGapReq retransmits up to 64 logged slots a stalled member is
 // missing, one message per run of consecutive slots from one sender.
 func (m *Member) handleGapReq(p gapReq) {

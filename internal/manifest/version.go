@@ -54,15 +54,6 @@ func ParseVersion(s string) (Version, error) {
 	return v, nil
 }
 
-// MustParseVersion panics on parse failure; for statically known versions.
-func MustParseVersion(s string) Version {
-	v, err := ParseVersion(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func parseSegment(s string) (int, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(s))
 	if err != nil {
@@ -176,15 +167,6 @@ func ParseVersionRange(s string) (VersionRange, error) {
 		return VersionRange{}, fmt.Errorf("manifest: version range %q is empty", s)
 	}
 	return r, nil
-}
-
-// MustParseVersionRange panics on parse failure.
-func MustParseVersionRange(s string) VersionRange {
-	r, err := ParseVersionRange(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Includes reports whether v lies within the range.

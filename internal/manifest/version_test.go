@@ -165,3 +165,21 @@ func TestVersionCompareProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MustParseVersion panics on parse failure; for statically known versions.
+func MustParseVersion(s string) Version {
+	v, err := ParseVersion(s)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// MustParseVersionRange panics on parse failure.
+func MustParseVersionRange(s string) VersionRange {
+	r, err := ParseVersionRange(s)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

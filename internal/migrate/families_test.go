@@ -141,7 +141,9 @@ func testRecordFamily(t *testing.T, shards int, fc familyCase) {
 	// subscriber.
 	before = stats("node00")
 	for _, n := range tc.nodes {
-		n.mod.antiEntropy()
+		for _, s := range n.mod.shards {
+			s.antiEntropy()
+		}
 	}
 	tc.eng.RunFor(100 * time.Millisecond)
 	after = stats("node00")

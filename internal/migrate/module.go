@@ -295,15 +295,6 @@ func (m *Module) shardFor(key string) *dirShard {
 	return m.shards[m.router.Shard(key)]
 }
 
-// antiEntropy triggers one immediate resync on every shard. Production
-// resync runs on the per-shard timers; this is the forced-resync hook
-// tests use to race a sync against failure detection.
-func (m *Module) antiEntropy() {
-	for _, s := range m.shards {
-		s.antiEntropy()
-	}
-}
-
 // AnnounceEndpoint records and broadcasts a remotely invocable service
 // exported by this node's host framework (the remote.Exporter hook calls
 // it). Addr is the node's remote-services listener, "ip:port".

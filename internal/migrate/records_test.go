@@ -131,7 +131,9 @@ func TestArtifactPruningDeterministicUnderChurn(t *testing.T) {
 			victim := tc.nodes["node03"]
 			victim.mod.AnnounceArtifact(art("late-a", "node03"))
 			victim.mod.AnnounceArtifact(art("late-b", "node03"))
-			victim.mod.antiEntropy()
+			for _, s := range victim.mod.shards {
+				s.antiEntropy()
+			}
 			tc.eng.RunFor(time.Duration(seed) * 700 * time.Microsecond)
 			tc.crash("node03")
 			tc.eng.RunFor(3 * time.Second)

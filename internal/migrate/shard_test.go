@@ -187,7 +187,9 @@ func TestShardedPruningDeterministicUnderChurn(t *testing.T) {
 					victim.mod.AnnounceArtifact(art(fmt.Sprintf("late-%d", i), "node03"))
 					victim.mod.AnnounceEndpoint(fmt.Sprintf("late-svc-%d", i), "x:1")
 				}
-				victim.mod.antiEntropy()
+				for _, s := range victim.mod.shards {
+					s.antiEntropy()
+				}
 				tc.eng.RunFor(time.Duration(seed) * 700 * time.Microsecond)
 				tc.crash("node03")
 				tc.eng.RunFor(3 * time.Second)

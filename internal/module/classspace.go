@@ -67,9 +67,6 @@ func (f *Framework) loadClass(b *Bundle, name string) (Class, error) {
 	// 5. Parent delegation, outside the lock (the parent framework has its
 	// own lock discipline).
 	if parent != nil {
-		if err := f.checkPackageImport(b, pkg); err != nil {
-			return Class{}, err
-		}
 		cls, err := parent.DelegateLoadClass(name)
 		if err == nil {
 			return cls, nil

@@ -48,9 +48,3 @@ type ClassNotFoundError struct {
 func (e *ClassNotFoundError) Error() string {
 	return fmt.Sprintf("module: class %s not found from bundle %s", e.Class, e.Bundle)
 }
-
-// IsClassNotFound reports whether err is a ClassNotFoundError.
-func IsClassNotFound(err error) bool {
-	var cnf *ClassNotFoundError
-	return errors.As(err, &cnf)
-}

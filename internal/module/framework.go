@@ -18,18 +18,6 @@ type ParentDelegate interface {
 	DelegateLoadClass(name string) (Class, error)
 }
 
-// PermissionChecker lets an embedder veto sensitive operations, the analog
-// of the Java SecurityManager checks the paper relies on for isolation.
-type PermissionChecker interface {
-	// CheckServiceRegister guards service registration.
-	CheckServiceRegister(b *Bundle, classes []string) error
-	// CheckServiceGet guards service acquisition.
-	CheckServiceGet(b *Bundle, ref *ServiceReference) error
-	// CheckPackageImport guards class loads that would cross the
-	// parent-delegation boundary.
-	CheckPackageImport(b *Bundle, pkg string) error
-}
-
 // Class is a loaded class entry. Definer conveys class identity: two loads
 // that return the same Definer and Name are "the same class", which is what
 // lets virtual instances share a single copy of a pulled-down bundle
@@ -51,7 +39,6 @@ type config struct {
 	name       string
 	defs       *DefinitionRegistry
 	parent     ParentDelegate
-	perm       PermissionChecker
 	startLevel int
 }
 
@@ -67,9 +54,6 @@ func WithDefinitions(defs *DefinitionRegistry) Option {
 // frameworks.
 func WithParent(p ParentDelegate) Option { return func(c *config) { c.parent = p } }
 
-// WithPermissionChecker attaches a security policy.
-func WithPermissionChecker(p PermissionChecker) Option { return func(c *config) { c.perm = p } }
-
 // WithStartLevel sets the framework's active start level reached by Start.
 func WithStartLevel(level int) Option {
 	return func(c *config) { c.startLevel = level }
@@ -84,7 +68,6 @@ type Framework struct {
 	name   string
 	defs   *DefinitionRegistry
 	parent ParentDelegate
-	perm   PermissionChecker
 	props  map[string]string
 
 	state            BundleState
@@ -124,7 +107,6 @@ func New(opts ...Option) *Framework {
 		name:             cfg.name,
 		defs:             cfg.defs,
 		parent:           cfg.parent,
-		perm:             cfg.perm,
 		props:            make(map[string]string),
 		state:            StateResolved,
 		startLevel:       0,
@@ -799,26 +781,4 @@ func (f *Framework) reportError(b *Bundle, err error) {
 // context when that bundle stops.
 func (f *Framework) removeListenersOf(b *Bundle) {
 	f.registry.removeListenersOf(b)
-}
-
-// checkServiceRegister applies the permission policy.
-func (f *Framework) checkServiceRegister(b *Bundle, classes []string) error {
-	if f.perm == nil {
-		return nil
-	}
-	return f.perm.CheckServiceRegister(b, classes)
-}
-
-func (f *Framework) checkServiceGet(b *Bundle, ref *ServiceReference) error {
-	if f.perm == nil {
-		return nil
-	}
-	return f.perm.CheckServiceGet(b, ref)
-}
-
-func (f *Framework) checkPackageImport(b *Bundle, pkg string) error {
-	if f.perm == nil {
-		return nil
-	}
-	return f.perm.CheckPackageImport(b, pkg)
 }

@@ -186,9 +186,6 @@ func (sr *serviceRegistry) register(owner *Bundle, classes []string, svc any, pr
 	if svc == nil {
 		return nil, fmt.Errorf("module: service object must not be nil")
 	}
-	if err := sr.fw.checkServiceRegister(owner, classes); err != nil {
-		return nil, err
-	}
 	sr.mu.Lock()
 	id := sr.nextID
 	sr.nextID++
@@ -296,9 +293,6 @@ func (sr *serviceRegistry) references(class string, flt *filter.Filter) []*Servi
 // getService acquires the service for requester, incrementing its use
 // count.
 func (sr *serviceRegistry) getService(requester *Bundle, ref *ServiceReference) (any, error) {
-	if err := sr.fw.checkServiceGet(requester, ref); err != nil {
-		return nil, err
-	}
 	reg := ref.reg
 	sr.mu.Lock()
 	if reg.unregistered {

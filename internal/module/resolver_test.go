@@ -377,3 +377,9 @@ func TestResolutionDeterminismProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsClassNotFound reports whether err is a ClassNotFoundError.
+func IsClassNotFound(err error) bool {
+	var cnf *ClassNotFoundError
+	return errors.As(err, &cnf)
+}

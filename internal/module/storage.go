@@ -38,15 +38,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// DecodeSnapshot parses an encoded snapshot.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("module: decoding snapshot: %w", err)
-	}
-	return &s, nil
-}
-
 // Snapshot captures the framework's persistent state: installed bundles,
 // their start intent and data areas, framework properties and embedder
 // extensions.

@@ -1,6 +1,8 @@
 package module
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -177,4 +179,13 @@ func TestStartLevelPersisted(t *testing.T) {
 	if lib2.StartLevel() != 4 {
 		t.Fatalf("restored bundle level = %d", lib2.StartLevel())
 	}
+}
+
+// DecodeSnapshot parses an encoded snapshot.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("module: decoding snapshot: %w", err)
+	}
+	return &s, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"time"
 )
 
@@ -54,12 +53,4 @@ func (p *Plane) Provider() func() map[string]any {
 		out["spans"] = int64(p.Tracer.Store().Len())
 		return out
 	}
-}
-
-// HistogramNames are the attribute prefixes Provider exports, sorted —
-// the admin plane uses them to render percentiles uniformly.
-func HistogramNames() []string {
-	names := []string{"invoker", "poolWait", "frameRTT", "eventAckLag", "chunkFetch"}
-	sort.Strings(names)
-	return names
 }

@@ -22,15 +22,6 @@ func Parse(src string) ([]*Rule, error) {
 	return rules, nil
 }
 
-// MustParse panics on error; for statically known policies.
-func MustParse(src string) []*Rule {
-	rules, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return rules
-}
-
 type parser struct {
 	lex *lexer
 	cur token

@@ -263,3 +263,12 @@ func TestComments(t *testing.T) {
 		t.Fatalf("rules = %v, err = %v", rules, err)
 	}
 }
+
+// MustParse panics on error; for statically known policies.
+func MustParse(src string) []*Rule {
+	rules, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return rules
+}

@@ -99,14 +99,6 @@ func (t *provenTable) add(digest string, entry []byte) {
 	t.bytes += charge
 }
 
-// usage returns the bytes charged to the entries held and the evictions
-// so far.
-func (t *provenTable) usage() (held, evictions int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes, t.evictions
-}
-
 // proveDigest checks that payload's SHA-256 is art.Digest: by comparing
 // bytes with the proven copy when the table holds one, by hashing in full
 // on a miss or a mismatch. It returns the proven copy when that is what

@@ -343,3 +343,11 @@ func BenchmarkFetchVerify(b *testing.B) {
 	}
 	b.ReportMetric(float64(payloadHashes.Load()-passes0)/float64(b.N), "sha256_passes/op")
 }
+
+// usage returns the bytes charged to the entries held and the evictions
+// so far.
+func (t *provenTable) usage() (held, evictions int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes, t.evictions
+}

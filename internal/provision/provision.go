@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"dosgi/internal/manifest"
@@ -202,16 +201,4 @@ func ActivatorFactory(name string) (func() module.Activator, bool) {
 	defer activatorMu.Unlock()
 	fn, ok := activatorFactories[name]
 	return fn, ok
-}
-
-// RegisteredActivators lists registered activator class names, sorted.
-func RegisteredActivators() []string {
-	activatorMu.Lock()
-	defer activatorMu.Unlock()
-	out := make([]string, 0, len(activatorFactories))
-	for name := range activatorFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -157,11 +157,16 @@ func TestStoreFindBundle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	art, ok := s.FindBundle("lib", manifest.MustParseVersionRange("[1.0,2.0)"))
+	v1, err1 := manifest.ParseVersionRange("[1.0,2.0)")
+	v3, err3 := manifest.ParseVersionRange("[3.0,4.0)")
+	if err1 != nil || err3 != nil {
+		t.Fatal(err1, err3)
+	}
+	art, ok := s.FindBundle("lib", v1)
 	if !ok || art.Version != "1.4.0" {
 		t.Fatalf("FindBundle picked %v (ok=%v), want 1.4.0", art.Version, ok)
 	}
-	if _, ok := s.FindBundle("lib", manifest.MustParseVersionRange("[3.0,4.0)")); ok {
+	if _, ok := s.FindBundle("lib", v3); ok {
 		t.Fatal("FindBundle matched an impossible range")
 	}
 	if _, ok := s.FindBundle("ghost", manifest.AnyVersion); ok {

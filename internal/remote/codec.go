@@ -213,34 +213,6 @@ func EncodeRequest(r *Request) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeBatch wraps complete request frames into one multi-request frame
-// (§2.1): uvarint count, then count × (uvarint length, frame bytes). Only
-// negotiated peers may be sent one — old decoders drop the connection on
-// the unknown frame kind.
-func EncodeBatch(frames [][]byte) ([]byte, error) {
-	if len(frames) == 0 || len(frames) > maxBatchInner {
-		return nil, fmt.Errorf("%w: batch of %d frames", ErrBadValue, len(frames))
-	}
-	size := 1 + binary.MaxVarintLen64
-	for _, f := range frames {
-		size += binary.MaxVarintLen64 + len(f)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, frameBatch)
-	buf = binary.AppendUvarint(buf, uint64(len(frames)))
-	for _, f := range frames {
-		if len(f) == 0 || f[0] != frameRequest {
-			return nil, fmt.Errorf("%w: batch inner frame must be a request", ErrBadValue)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(f)))
-		buf = append(buf, f...)
-	}
-	if len(buf) > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	return buf, nil
-}
-
 // DecodeBatch splits a batch frame into its inner request frames. The
 // returned slices alias buf — decode them (copying) before the buffer is
 // reused. Every malformation — zero count, truncated inner frame, an inner

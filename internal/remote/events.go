@@ -111,15 +111,10 @@ func (ev ServiceEvent) MatchesFilter(filter string) bool {
 	return manifest.MatchesPattern(filter, ev.Service)
 }
 
-// EncodeNotify builds the dosgi.events push frame of ev for subscription
-// subID. The event's Seq travels as the frame's correlation id.
-func EncodeNotify(subID int64, ev ServiceEvent) ([]byte, error) {
-	return EncodeNotifyAs(EventsServiceName, subID, ev)
-}
-
-// EncodeNotifyAs builds the push frame of ev on any event-stream service
-// name (dosgi.events, dosgi.health) — the frame shape is identical, the
-// service name routes it to the right broker/subscriber.
+// EncodeNotifyAs builds the push frame of ev for subscription subID on any
+// event-stream service name (dosgi.events, dosgi.health) — the frame shape
+// is identical, the service name routes it to the right broker/subscriber.
+// The event's Seq travels as the frame's correlation id.
 func EncodeNotifyAs(service string, subID int64, ev ServiceEvent) ([]byte, error) {
 	return EncodeRequest(&Request{
 		Corr:    ev.Seq,
@@ -127,11 +122,6 @@ func EncodeNotifyAs(service string, subID int64, ev ServiceEvent) ([]byte, error
 		Method:  MethodNotify,
 		Args:    []any{subID, string(ev.Type), ev.Service, ev.Node, ev.Addr, ev.Instance},
 	})
-}
-
-// DecodeNotify parses a pushed dosgi.events Notify request.
-func DecodeNotify(req *Request) (subID int64, ev ServiceEvent, err error) {
-	return DecodeNotifyAs(EventsServiceName, req)
 }
 
 // DecodeNotifyAs parses a pushed Notify request of the named event-stream

@@ -18,7 +18,7 @@ func TestNotifyRoundtrip(t *testing.T) {
 		Type: ServiceRegistered, Service: "svc.kv", Node: "n1",
 		Addr: "10.0.0.1:7100", Instance: "tenant-a", Seq: 9,
 	}
-	frame, err := EncodeNotify(7, ev)
+	frame, err := EncodeNotifyAs(EventsServiceName, 7, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,15 +26,15 @@ func TestNotifyRoundtrip(t *testing.T) {
 	if err != nil || kind != frameRequest {
 		t.Fatalf("DecodeFrame: kind=%#x err=%v", kind, err)
 	}
-	subID, got, err := DecodeNotify(req)
+	subID, got, err := DecodeNotifyAs(EventsServiceName, req)
 	if err != nil || subID != 7 {
-		t.Fatalf("DecodeNotify: sub=%d err=%v", subID, err)
+		t.Fatalf("DecodeNotifyAs: sub=%d err=%v", subID, err)
 	}
 	if !reflect.DeepEqual(got, ev) {
 		t.Fatalf("event roundtrip:\n got %+v\nwant %+v", got, ev)
 	}
 	// A non-Notify request is rejected.
-	if _, _, err := DecodeNotify(&Request{Service: "calc", Method: "Add"}); err == nil {
+	if _, _, err := DecodeNotifyAs(EventsServiceName, &Request{Service: "calc", Method: "Add"}); err == nil {
 		t.Fatal("non-Notify request accepted")
 	}
 }

@@ -43,7 +43,7 @@ func readNotifies(conn net.Conn, n int) (services []string, frames, batches int,
 			if err != nil || kind != frameRequest {
 				return services, frames, batches, fmt.Errorf("frame %d: kind=0x%02x err=%v", frames, kind, err)
 			}
-			_, ev, err := DecodeNotify(req)
+			_, ev, err := DecodeNotifyAs(EventsServiceName, req)
 			if err != nil {
 				return services, frames, batches, err
 			}

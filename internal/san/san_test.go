@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dosgi/internal/security"
 	"dosgi/internal/sim"
 )
 
@@ -128,37 +127,6 @@ func TestStats(t *testing.T) {
 	st := s.Stats()
 	if st.Writes != 1 || st.Reads != 1 || st.Deletes != 1 || st.BytesWrite != 10 || st.BytesRead != 10 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestSecureClient(t *testing.T) {
-	eng := sim.New(1)
-	s := NewStore(eng)
-	policy := security.NewPolicy(false)
-	policy.Grant("tenant-a",
-		security.FilePermission("data/tenant-a/*", security.ActionRead, security.ActionWrite, security.ActionDelete))
-	client := NewSecureClient(s, "tenant-a", policy)
-
-	if _, err := client.Put("data/tenant-a/db", []byte("x")); err != nil {
-		t.Fatalf("own write denied: %v", err)
-	}
-	if _, err := client.Get("data/tenant-a/db"); err != nil {
-		t.Fatalf("own read denied: %v", err)
-	}
-	if _, err := client.Put("data/tenant-b/db", []byte("x")); err == nil {
-		t.Fatal("foreign write allowed")
-	}
-	if _, err := client.Get("data/tenant-b/db"); err == nil {
-		t.Fatal("foreign read allowed")
-	}
-	if err := client.Delete("data/tenant-a/db"); err != nil {
-		t.Fatalf("own delete denied: %v", err)
-	}
-	if _, err := client.List("data/tenant-a/"); err != nil {
-		t.Fatalf("own list denied: %v", err)
-	}
-	if _, err := client.List("data/"); err == nil {
-		t.Fatal("broad list allowed")
 	}
 }
 

@@ -1,9 +1,11 @@
-// Package security reconstructs the role the Java SecurityManager plays in
-// the paper: per-subject permissions enforced at the filesystem (SAN),
-// network (netsim) and service/package (module) boundaries. "To address
-// isolation at the filesystem and network levels we rely on the
-// SecurityManager provided by the JAVA platform that should be configured
-// by the administrator according to the business policies" (§2).
+// Package security holds the per-subject permission policy that stands in
+// for the Java SecurityManager the paper relies on: "To address isolation
+// at the filesystem and network levels we rely on the SecurityManager
+// provided by the JAVA platform that should be configured by the
+// administrator according to the business policies" (§2). The one check
+// enforced today is provisioning's deploy gate (provision.Verifier: the
+// signer subject must hold the deploy permission for the install
+// location); the other permission types are modelled but guard nothing.
 package security
 
 import (
@@ -70,33 +72,6 @@ type Permission struct {
 // NewPermission builds a permission.
 func NewPermission(t PermissionType, target string, actions ...string) Permission {
 	return Permission{Type: t, Target: target, Actions: actions}
-}
-
-// FilePermission guards SAN paths.
-func FilePermission(path string, actions ...string) Permission {
-	return NewPermission(PermFile, path, actions...)
-}
-
-// SocketPermission guards network endpoints ("ip:port", either side may be
-// "*").
-func SocketPermission(endpoint string, actions ...string) Permission {
-	return NewPermission(PermSocket, endpoint, actions...)
-}
-
-// ServicePermission guards service class names.
-func ServicePermission(class string, actions ...string) Permission {
-	return NewPermission(PermService, class, actions...)
-}
-
-// PackagePermission guards package delegation across the virtual-instance
-// boundary.
-func PackagePermission(pkg string, actions ...string) Permission {
-	return NewPermission(PermPackage, pkg, actions...)
-}
-
-// AdminPermission guards management operations.
-func AdminPermission(actions ...string) Permission {
-	return NewPermission(PermAdmin, "*", actions...)
 }
 
 // implies reports whether granted covers requested.

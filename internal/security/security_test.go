@@ -9,7 +9,7 @@ import (
 func TestPolicyDefaultStance(t *testing.T) {
 	allow := NewPolicy(true)
 	deny := NewPolicy(false)
-	perm := FilePermission("/data/x", ActionRead)
+	perm := NewPermission(PermFile, "/data/x", ActionRead)
 	if err := allow.Check("unknown", perm); err != nil {
 		t.Errorf("default-allow denied: %v", err)
 	}
@@ -21,10 +21,10 @@ func TestPolicyDefaultStance(t *testing.T) {
 func TestGrantAndCheck(t *testing.T) {
 	p := NewPolicy(false)
 	p.Grant("tenant-a",
-		FilePermission("/data/tenant-a/*", ActionRead, ActionWrite),
-		SocketPermission("10.0.0.5:8080", ActionBind, ActionListen),
-		ServicePermission("log.Service", ActionGet),
-		PackagePermission("com.base.*", ActionImport),
+		NewPermission(PermFile, "/data/tenant-a/*", ActionRead, ActionWrite),
+		NewPermission(PermSocket, "10.0.0.5:8080", ActionBind, ActionListen),
+		NewPermission(PermService, "log.Service", ActionGet),
+		NewPermission(PermPackage, "com.base.*", ActionImport),
 	)
 
 	tests := []struct {
@@ -33,17 +33,17 @@ func TestGrantAndCheck(t *testing.T) {
 		perm    Permission
 		allowed bool
 	}{
-		{"own file read", "tenant-a", FilePermission("/data/tenant-a/db", ActionRead), true},
-		{"own file write", "tenant-a", FilePermission("/data/tenant-a/db", ActionWrite), true},
-		{"own file delete denied", "tenant-a", FilePermission("/data/tenant-a/db", ActionDelete), false},
-		{"foreign file", "tenant-a", FilePermission("/data/tenant-b/db", ActionRead), false},
-		{"exact socket bind", "tenant-a", SocketPermission("10.0.0.5:8080", ActionBind), true},
-		{"other port", "tenant-a", SocketPermission("10.0.0.5:9090", ActionBind), false},
-		{"service get", "tenant-a", ServicePermission("log.Service", ActionGet), true},
-		{"service register denied", "tenant-a", ServicePermission("log.Service", ActionRegister), false},
-		{"package prefix", "tenant-a", PackagePermission("com.base.util", ActionImport), true},
-		{"package outside prefix", "tenant-a", PackagePermission("com.other", ActionImport), false},
-		{"unknown subject", "tenant-b", FilePermission("/data/tenant-a/db", ActionRead), false},
+		{"own file read", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionRead), true},
+		{"own file write", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionWrite), true},
+		{"own file delete denied", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionDelete), false},
+		{"foreign file", "tenant-a", NewPermission(PermFile, "/data/tenant-b/db", ActionRead), false},
+		{"exact socket bind", "tenant-a", NewPermission(PermSocket, "10.0.0.5:8080", ActionBind), true},
+		{"other port", "tenant-a", NewPermission(PermSocket, "10.0.0.5:9090", ActionBind), false},
+		{"service get", "tenant-a", NewPermission(PermService, "log.Service", ActionGet), true},
+		{"service register denied", "tenant-a", NewPermission(PermService, "log.Service", ActionRegister), false},
+		{"package prefix", "tenant-a", NewPermission(PermPackage, "com.base.util", ActionImport), true},
+		{"package outside prefix", "tenant-a", NewPermission(PermPackage, "com.other", ActionImport), false},
+		{"unknown subject", "tenant-b", NewPermission(PermFile, "/data/tenant-a/db", ActionRead), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -63,46 +63,46 @@ func TestGrantAndCheck(t *testing.T) {
 
 func TestWildcardActions(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("admin", AdminPermission("*"))
-	if !p.Allowed("admin", AdminPermission(ActionLifecyle)) {
+	p.Grant("admin", NewPermission(PermAdmin, "*", "*"))
+	if !p.Allowed("admin", NewPermission(PermAdmin, "*", ActionLifecyle)) {
 		t.Error("wildcard action grant failed")
 	}
 }
 
 func TestSocketWildcards(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("svc", SocketPermission("10.0.0.5:*", ActionBind))
-	p.Grant("svc", SocketPermission("*:80", ActionConnect))
-	if !p.Allowed("svc", SocketPermission("10.0.0.5:1234", ActionBind)) {
+	p.Grant("svc", NewPermission(PermSocket, "10.0.0.5:*", ActionBind))
+	p.Grant("svc", NewPermission(PermSocket, "*:80", ActionConnect))
+	if !p.Allowed("svc", NewPermission(PermSocket, "10.0.0.5:1234", ActionBind)) {
 		t.Error("host:* failed")
 	}
-	if p.Allowed("svc", SocketPermission("10.0.0.6:1234", ActionBind)) {
+	if p.Allowed("svc", NewPermission(PermSocket, "10.0.0.6:1234", ActionBind)) {
 		t.Error("wrong host allowed")
 	}
-	if !p.Allowed("svc", SocketPermission("192.168.1.1:80", ActionConnect)) {
+	if !p.Allowed("svc", NewPermission(PermSocket, "192.168.1.1:80", ActionConnect)) {
 		t.Error("*:port failed")
 	}
-	if p.Allowed("svc", SocketPermission("192.168.1.1:81", ActionConnect)) {
+	if p.Allowed("svc", NewPermission(PermSocket, "192.168.1.1:81", ActionConnect)) {
 		t.Error("wrong port allowed")
 	}
 }
 
 func TestRevoke(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("s", FilePermission("/x", ActionRead))
-	if !p.Allowed("s", FilePermission("/x", ActionRead)) {
+	p.Grant("s", NewPermission(PermFile, "/x", ActionRead))
+	if !p.Allowed("s", NewPermission(PermFile, "/x", ActionRead)) {
 		t.Fatal("grant missing")
 	}
 	p.Revoke("s")
-	if p.Allowed("s", FilePermission("/x", ActionRead)) {
+	if p.Allowed("s", NewPermission(PermFile, "/x", ActionRead)) {
 		t.Fatal("revoke ineffective")
 	}
 }
 
 func TestTypeMismatchNeverImplies(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("s", FilePermission("*", "*"))
-	if p.Allowed("s", SocketPermission("1.2.3.4:80", ActionConnect)) {
+	p.Grant("s", NewPermission(PermFile, "*", "*"))
+	if p.Allowed("s", NewPermission(PermSocket, "1.2.3.4:80", ActionConnect)) {
 		t.Fatal("file grant implied socket permission")
 	}
 }
@@ -127,12 +127,12 @@ func TestImpliesProperty(t *testing.T) {
 	}
 	prop := func(rawTarget, rawSuffix string) bool {
 		target, suffix := sanitize(rawTarget), sanitize(rawSuffix)
-		self := FilePermission(target, ActionRead)
+		self := NewPermission(PermFile, target, ActionRead)
 		if !self.implies(self) {
 			return false
 		}
-		wild := FilePermission(target+"*", ActionRead)
-		return wild.implies(FilePermission(target+suffix, ActionRead))
+		wild := NewPermission(PermFile, target+"*", ActionRead)
+		return wild.implies(NewPermission(PermFile, target+suffix, ActionRead))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestImpliesProperty(t *testing.T) {
 
 func TestSubjects(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("a", AdminPermission("*"))
-	p.Grant("b", AdminPermission("*"))
+	p.Grant("a", NewPermission(PermAdmin, "*", "*"))
+	p.Grant("b", NewPermission(PermAdmin, "*", "*"))
 	subs := p.Subjects()
 	if len(subs) != 2 {
 		t.Fatalf("Subjects = %v", subs)

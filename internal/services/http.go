@@ -7,7 +7,6 @@ import (
 
 	"dosgi/internal/clock"
 	"dosgi/internal/ipvs"
-	"dosgi/internal/module"
 	"dosgi/internal/netsim"
 	"dosgi/internal/vjvm"
 )
@@ -198,39 +197,4 @@ func (s *HTTPService) reply(to netsim.Addr, req HTTPRequest, status int) {
 		hook(req, status, latency)
 	}
 	_ = s.nic.Send(s.addr, to, HTTPResponse{ID: req.ID, Path: req.Path, Status: status, Bytes: req.Bytes}, 64+req.Bytes)
-}
-
-// HTTPBundleDefinition packages an HTTPService as an installable bundle:
-// starting the bundle binds the endpoint, stopping unbinds it.
-func HTTPBundleDefinition(symbolicName string, svc *HTTPService) *module.Definition {
-	return &module.Definition{
-		ManifestText: "Bundle-SymbolicName: " + symbolicName + "\n" +
-			"Bundle-Version: 1.0.0\nBundle-Activator: " + symbolicName + ".Activator\n" +
-			"Export-Package: org.osgi.service.http\n",
-		Classes: map[string]any{
-			"org.osgi.service.http.HttpService": "interface:HttpService",
-		},
-		NewActivator: func() module.Activator {
-			var reg *module.ServiceRegistration
-			return &module.ActivatorFuncs{
-				OnStart: func(ctx *module.Context) error {
-					if err := svc.Start(); err != nil {
-						return err
-					}
-					var err error
-					reg, err = ctx.RegisterSingle(HTTPServiceClass, svc, module.Properties{
-						"endpoint": svc.Addr().String(),
-					})
-					return err
-				},
-				OnStop: func(ctx *module.Context) error {
-					if reg != nil {
-						_ = reg.Unregister()
-					}
-					svc.Stop()
-					return nil
-				},
-			}
-		},
-	}
 }

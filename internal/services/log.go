@@ -19,7 +19,6 @@ import (
 // Service class names under which the base services register.
 const (
 	LogServiceClass     = "org.osgi.service.log.LogService"
-	HTTPServiceClass    = "org.osgi.service.http.HttpService"
 	MetricsServiceClass = "javax.management.MBeanServer"
 )
 

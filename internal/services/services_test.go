@@ -224,37 +224,6 @@ func TestHTTPServiceUnavailableWhenDomainGone(t *testing.T) {
 	}
 }
 
-func TestHTTPBundleLifecycle(t *testing.T) {
-	fx := newHTTPFixture(t)
-	fx.svc.RegisterServlet("/", nil)
-	defs := module.NewDefinitionRegistry()
-	defs.MustAdd("loc:http", HTTPBundleDefinition("com.tenant.http", fx.svc))
-	f := module.New(module.WithDefinitions(defs))
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.InstallBundle("loc:http")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fx.send(HTTPRequest{ID: 1, Path: "/", CPUCost: time.Millisecond})
-	fx.eng.Run()
-	if len(fx.resps) != 1 {
-		t.Fatal("bundle-managed service did not serve")
-	}
-	if err := b.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	fx.send(HTTPRequest{ID: 2, Path: "/", CPUCost: time.Millisecond})
-	fx.eng.Run()
-	if len(fx.resps) != 1 {
-		t.Fatal("stopped bundle still serving")
-	}
-}
-
 func TestMetricsService(t *testing.T) {
 	m := NewMetricsService()
 	m.RegisterProvider("node", func() map[string]any {

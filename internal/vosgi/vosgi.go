@@ -69,18 +69,6 @@ func (p SharePolicy) AllowsService(classes []string) bool {
 	return false
 }
 
-// Option configures a VirtualFramework.
-type Option func(*config)
-
-type config struct {
-	perm module.PermissionChecker
-}
-
-// WithPermissionChecker installs a security policy on the child framework.
-func WithPermissionChecker(p module.PermissionChecker) Option {
-	return func(c *config) { c.perm = p }
-}
-
 // VirtualFramework is one customer's sandboxed OSGi environment hosted
 // inside a parent framework.
 type VirtualFramework struct {
@@ -117,28 +105,24 @@ func (d *delegate) DelegateLoadClass(name string) (module.Class, error) {
 
 // New builds a virtual framework named name inside parent, governed by
 // policy. The instance is created stopped; call Start.
-func New(name string, parent *module.Framework, policy SharePolicy, opts ...Option) (*VirtualFramework, error) {
-	return build(name, parent, policy, nil, opts...)
+func New(name string, parent *module.Framework, policy SharePolicy) (*VirtualFramework, error) {
+	return build(name, parent, policy, nil)
 }
 
 // Restore rebuilds a virtual framework from a snapshot taken with
 // Snapshot, typically on a different node. Bundles and their data areas are
 // reinstalled from the definition registry; persistently started bundles
 // restart on Start.
-func Restore(name string, parent *module.Framework, policy SharePolicy, snap *module.Snapshot, opts ...Option) (*VirtualFramework, error) {
+func Restore(name string, parent *module.Framework, policy SharePolicy, snap *module.Snapshot) (*VirtualFramework, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("vosgi: nil snapshot for %q", name)
 	}
-	return build(name, parent, policy, snap, opts...)
+	return build(name, parent, policy, snap)
 }
 
-func build(name string, parent *module.Framework, policy SharePolicy, snap *module.Snapshot, opts ...Option) (*VirtualFramework, error) {
+func build(name string, parent *module.Framework, policy SharePolicy, snap *module.Snapshot) (*VirtualFramework, error) {
 	if parent == nil {
 		return nil, fmt.Errorf("vosgi: nil parent framework for %q", name)
-	}
-	cfg := &config{}
-	for _, opt := range opts {
-		opt(cfg)
 	}
 	vf := &VirtualFramework{
 		name:    name,
@@ -154,9 +138,6 @@ func build(name string, parent *module.Framework, policy SharePolicy, snap *modu
 		module.WithDefinitions(parent.Definitions()),
 		module.WithParent(&delegate{vf: vf}),
 		module.WithStartLevel(1),
-	}
-	if cfg.perm != nil {
-		mopts = append(mopts, module.WithPermissionChecker(cfg.perm))
 	}
 	var child *module.Framework
 	var err error
