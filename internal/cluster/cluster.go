@@ -377,18 +377,21 @@ func (c *Cluster) nodeProvider(n *Node) func() map[string]any {
 		cpuUsed, cpuTotal, memUsed, memTotal := n.mon.NodeUsage()
 		gst := n.directoryGCSStats()
 		return map[string]any{
-			"powered":          n.Powered(),
-			"cpuUsed":          int64(cpuUsed),
-			"cpuTotal":         int64(cpuTotal),
-			"memUsed":          memUsed,
-			"memTotal":         memTotal,
-			"tenants":          len(n.Instances()),
-			"dirMsgsSent":      gst.MsgsSent,
-			"dirMsgsRecv":      gst.MsgsReceived,
-			"gcsTotalLog":      int64(gst.TotalLogSize),
-			"gcsDedupHeld":     int64(gst.DedupHeld),
-			"gcsHeldBatches":   int64(gst.HeldBatches),
-			"gcsHoldOverflows": int64(gst.HoldOverflows),
+			"powered":               n.Powered(),
+			"cpuUsed":               int64(cpuUsed),
+			"cpuTotal":              int64(cpuTotal),
+			"memUsed":               memUsed,
+			"memTotal":              memTotal,
+			"tenants":               len(n.Instances()),
+			"dirMsgsSent":           gst.MsgsSent,
+			"dirMsgsRecv":           gst.MsgsReceived,
+			"gcsTotalLog":           int64(gst.TotalLogSize),
+			"gcsDedupHeld":          int64(gst.DedupHeld),
+			"gcsHeldBatches":        int64(gst.HeldBatches),
+			"gcsHoldOverflows":      int64(gst.HoldOverflows),
+			"gcsSuspicions":         int64(gst.Suspicions),
+			"gcsEvidenceProbes":     int64(gst.EvidenceProbes),
+			"gcsEvidenceExclusions": int64(gst.EvidenceExclusions),
 		}
 	}
 }

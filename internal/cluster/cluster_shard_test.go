@@ -206,10 +206,16 @@ func TestDirectoryProviderAttributes(t *testing.T) {
 
 // TestNodeProviderSumsGCSState pins the node provider's group
 // communication attributes: message counts, total-order state sizes and
-// hold-back counters summed over the main member and every shard member.
+// hold-back counters and evidence counters summed over the main member
+// and every shard member.
 func TestNodeProviderSumsGCSState(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		c := newShardedCluster(t, 3, shards)
+		// Evidence against a live node reaches one member of every group,
+		// which keeps the node.
+		c.Nodes()[2].suspectNode("node00")
+		c.Settle(100 * time.Millisecond)
+		var suspicions, exclusions int64
 		for _, n := range c.Nodes() {
 			var want gcs.MemberStats
 			for _, m := range append([]*gcs.Member{n.Member()}, n.ShardMembers()...) {
@@ -219,6 +225,9 @@ func TestNodeProviderSumsGCSState(t *testing.T) {
 				want.DedupHeld += st.DedupHeld
 				want.HeldBatches += st.HeldBatches
 				want.HoldOverflows += st.HoldOverflows
+				want.Suspicions += st.Suspicions
+				want.EvidenceProbes += st.EvidenceProbes
+				want.EvidenceExclusions += st.EvidenceExclusions
 			}
 			attrs, ok := c.Metrics().Read("node:" + n.ID())
 			if !ok {
@@ -226,9 +235,16 @@ func TestNodeProviderSumsGCSState(t *testing.T) {
 			}
 			if attrs["dirMsgsSent"] != want.MsgsSent || attrs["gcsTotalLog"] != int64(want.TotalLogSize) ||
 				attrs["gcsDedupHeld"] != int64(want.DedupHeld) || attrs["gcsHeldBatches"] != int64(want.HeldBatches) ||
-				attrs["gcsHoldOverflows"] != int64(want.HoldOverflows) {
+				attrs["gcsHoldOverflows"] != int64(want.HoldOverflows) ||
+				attrs["gcsSuspicions"] != int64(want.Suspicions) || attrs["gcsEvidenceProbes"] != int64(want.EvidenceProbes) ||
+				attrs["gcsEvidenceExclusions"] != int64(want.EvidenceExclusions) {
 				t.Fatalf("shards=%d %s: attrs %v, want sums %+v", shards, n.ID(), attrs, want)
 			}
+			suspicions += attrs["gcsSuspicions"].(int64)
+			exclusions += attrs["gcsEvidenceExclusions"].(int64)
+		}
+		if groups := int64(1 + len(c.Nodes()[0].ShardMembers())); suspicions != groups || exclusions != 0 {
+			t.Fatalf("shards=%d: %d suspicions and %d exclusions, want %d and 0", shards, suspicions, exclusions, groups)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dosgi/internal/core"
+	"dosgi/internal/migrate"
 )
 
 const failoverBenchNodes = 4
@@ -50,10 +51,17 @@ func TestClusterBuildAllocation(t *testing.T) {
 // repository benchmark's instance_failover workload runs it: build 4
 // nodes, deploy 16 exporting instances on one, crash it, and settle until
 // every instance answers from a survivor. -benchmem gives the exact bytes
-// and mallocs per round.
+// and mallocs per round; the virtual times and counts are exact per seed:
+// detect_virtual_ms (crash to the first NODE_LOST), outage_virtual_ms
+// (crash to the first answer from a survivor), msgs_per_failover (group
+// messages the survivors' main members sent from the crash on, per
+// restored instance) and view_changes (views the survivors installed from
+// the crash on), each averaged over the rounds.
 func BenchmarkFailoverRound(b *testing.B) {
 	const k = 16
 	b.ReportAllocs()
+	var detect, outage time.Duration
+	var msgs, views int64
 	for i := 0; i < b.N; i++ {
 		c, nodes := buildFailoverCluster(b, int64(i+1))
 		victim, observer := nodes[0], nodes[1]
@@ -65,6 +73,16 @@ func BenchmarkFailoverRound(b *testing.B) {
 			}
 		}
 		c.Settle(500 * time.Millisecond) // checkpoints on the SAN, endpoints announced
+		survivors := nodes[1:]
+		var lostAt, firstAnswer time.Duration
+		for _, n := range survivors {
+			n.Migration().OnEvent(func(ev migrate.Event) {
+				if ev.Type == migrate.EventNodeLost && lostAt == 0 {
+					lostAt = c.Now()
+				}
+			})
+		}
+		views0, msgs0 := survivorGCSCounts(survivors)
 		crashAt := c.Now()
 		if err := c.Crash(victim.ID()); err != nil {
 			b.Fatal(err)
@@ -79,6 +97,9 @@ func BenchmarkFailoverRound(b *testing.B) {
 				observer.InvokeRemote("svc."+id, "Tick", []any{int64(j)}, func(res []any, err error) {
 					if err == nil && len(res) == 1 && res[0] == fmt.Sprintf("tick %d from %s", j, id) {
 						answered[id] = true
+						if firstAnswer == 0 {
+							firstAnswer = c.Now()
+						}
 					}
 				})
 			}
@@ -89,5 +110,26 @@ func BenchmarkFailoverRound(b *testing.B) {
 				b.Fatalf("round %d: %s is not running on a survivor", i, id)
 			}
 		}
+		views1, msgs1 := survivorGCSCounts(survivors)
+		detect += lostAt - crashAt
+		outage += firstAnswer - crashAt
+		msgs += msgs1 - msgs0
+		views += views1 - views0
 	}
+	rounds := float64(b.N)
+	b.ReportMetric(float64(detect.Microseconds())/1e3/rounds, "detect_virtual_ms")
+	b.ReportMetric(float64(outage.Microseconds())/1e3/rounds, "outage_virtual_ms")
+	b.ReportMetric(float64(msgs)/(rounds*k), "msgs_per_failover")
+	b.ReportMetric(float64(views)/rounds, "view_changes")
+}
+
+// survivorGCSCounts sums the views installed and the messages sent by the
+// survivors' main group members.
+func survivorGCSCounts(survivors []*Node) (views, msgs int64) {
+	for _, n := range survivors {
+		st := n.Member().Stats()
+		views += int64(st.ViewChanges)
+		msgs += st.MsgsSent
+	}
+	return views, msgs
 }

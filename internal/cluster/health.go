@@ -212,6 +212,8 @@ func (n *Node) setupHealth() {
 	if err := eng.LoadPolicies(healthPolicy); err != nil {
 		panic("cluster: health policy: " + err.Error())
 	}
+	n.healthSubjs = make(map[health.Record]autonomic.Subject)
+	n.healthNext = make(map[health.Record]autonomic.Subject)
 	eng.SetSubjects(n.healthSubjects)
 	n.healthCtl = autonomic.NewController("health:"+n.cfg.ID, eng)
 	n.healthCtl.Start()
@@ -219,31 +221,41 @@ func (n *Node) setupHealth() {
 
 // healthSubjects exposes every other node's replicated health records as
 // autonomic subjects: health.component/node/status/level/cause plus the
-// demote()/restore() verbs acting on this node's invoker.
+// demote()/restore() verbs acting on this node's invoker. A record value's
+// subject is built once and kept while the directory holds that value, so
+// a steady tick builds none. It runs on the engine's turn, like every tick.
 func (n *Node) healthSubjects() []autonomic.Subject {
-	var out []autonomic.Subject
-	for _, rec := range n.mod.Directory().HealthRecords() {
+	recs := n.mod.Directory().HealthRecords()
+	out := make([]autonomic.Subject, 0, len(recs))
+	for _, rec := range recs {
 		if rec.Node == n.cfg.ID {
 			continue
 		}
-		node := rec.Node
-		out = append(out, autonomic.Subject{
-			ID: rec.Component + "@" + rec.Node,
-			Env: &policy.MapEnv{
-				Vars: map[string]any{
-					"health.component": rec.Component,
-					"health.node":      rec.Node,
-					"health.status":    rec.Status.String(),
-					"health.level":     int64(rec.Status),
-					"health.cause":     rec.Cause,
+		subj, ok := n.healthSubjs[rec]
+		if !ok {
+			node := rec.Node
+			subj = autonomic.Subject{
+				ID: rec.Component + "@" + rec.Node,
+				Env: &policy.MapEnv{
+					Vars: map[string]any{
+						"health.component": rec.Component,
+						"health.node":      rec.Node,
+						"health.status":    rec.Status.String(),
+						"health.level":     int64(rec.Status),
+						"health.cause":     rec.Cause,
+					},
+					Funcs: map[string]func([]any) (any, error){
+						"demote":  func([]any) (any, error) { n.setNodeDemoted(node, true); return nil, nil },
+						"restore": func([]any) (any, error) { n.setNodeDemoted(node, false); return nil, nil },
+					},
 				},
-				Funcs: map[string]func([]any) (any, error){
-					"demote":  func([]any) (any, error) { n.setNodeDemoted(node, true); return nil, nil },
-					"restore": func([]any) (any, error) { n.setNodeDemoted(node, false); return nil, nil },
-				},
-			},
-		})
+			}
+		}
+		n.healthNext[rec] = subj
+		out = append(out, subj)
 	}
+	clear(n.healthSubjs)
+	n.healthSubjs, n.healthNext = n.healthNext, n.healthSubjs
 	return out
 }
 

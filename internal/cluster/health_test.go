@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dosgi/internal/health"
+	"dosgi/internal/policy"
 	"dosgi/internal/remote"
 )
 
@@ -196,5 +197,27 @@ func TestHealthRecordsPrunedOnCrash(t *testing.T) {
 	}
 	if len(gone) != 4 {
 		t.Fatalf("withdrawal alerts for crashed node's components = %v, events: %+v", gone, alerts)
+	}
+}
+
+// TestSteadyHealthTickReusesSubjects: once the records are replicated, a
+// health tick whose records did not change builds no subject. What it
+// allocates is the directory's record listing and the subject slice,
+// however many records there are (it was two maps, two closures, an id
+// string and an env per record).
+func TestSteadyHealthTickReusesSubjects(t *testing.T) {
+	c := newCluster(t, 4)
+	n := c.Nodes()[0]
+	subjects := n.healthSubjects()
+	if len(subjects) != 3*4 { // three other nodes, four components each
+		t.Fatalf("%d subjects, want 12", len(subjects))
+	}
+	allocs := testing.AllocsPerRun(100, func() { subjects = n.healthSubjects() })
+	t.Logf("steady health tick over %d records: %.0f allocations", len(subjects), allocs)
+	if allocs > 3 {
+		t.Fatalf("steady health tick allocated %.0f times, want at most 3", allocs)
+	}
+	if env := subjects[0].Env.(*policy.MapEnv); env.Vars["health.node"] == n.ID() {
+		t.Fatalf("a subject for the node's own record: %+v", env.Vars)
 	}
 }

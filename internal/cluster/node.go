@@ -102,6 +102,10 @@ type Node struct {
 	healthBroker *remote.EventBroker
 	healthTimer  clock.Timer
 	healthCtl    *autonomic.Controller
+	// healthSubjs holds the autonomic subject of every remote health
+	// record value the last tick saw; healthNext is the spare map the
+	// next tick fills (healthSubjects).
+	healthSubjs, healthNext map[health.Record]autonomic.Subject
 
 	// instExp exports services registered inside started virtual
 	// frameworks (one exporter per instance).
@@ -148,9 +152,10 @@ func (n *Node) DirectoryMsgCounts() (sent, received int64) {
 }
 
 // directoryGCSStats sums the message counters, the total-order state
-// sizes (retransmission log, dedup runs held above a gap) and the
-// coordinator's hold-back counters (batches held, overflows) over the main
-// member and every shard member; the other fields are left zero.
+// sizes (retransmission log, dedup runs held above a gap), the
+// coordinator's hold-back counters (batches held, overflows) and the
+// evidence counters (suspicions, probes, exclusions) over the main member
+// and every shard member; the other fields are left zero.
 func (n *Node) directoryGCSStats() gcs.MemberStats {
 	var sum gcs.MemberStats
 	for _, m := range append([]*gcs.Member{n.member}, n.shardMembers...) {
@@ -161,6 +166,9 @@ func (n *Node) directoryGCSStats() gcs.MemberStats {
 		sum.DedupHeld += st.DedupHeld
 		sum.HeldBatches += st.HeldBatches
 		sum.HoldOverflows += st.HoldOverflows
+		sum.Suspicions += st.Suspicions
+		sum.EvidenceProbes += st.EvidenceProbes
+		sum.EvidenceExclusions += st.EvidenceExclusions
 	}
 	return sum
 }

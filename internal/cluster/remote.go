@@ -31,7 +31,9 @@ const RemotePort = 7100
 
 // RemoteCallTimeout bounds one call attempt; it sits well inside the
 // default failure-detector window (4 × 50ms) so a partitioned call fails
-// over before the membership view changes.
+// over before the membership view changes. A timed-out attempt is also
+// evidence against its node (suspectNode), which the group confirms by
+// probing before it acts.
 const RemoteCallTimeout = 100 * time.Millisecond
 
 // EventRenewInterval is how often cluster subscribers renew their event
@@ -121,7 +123,8 @@ func (n *Node) setupRemote() error {
 	pool := remote.NewPool(transport,
 		remote.WithPoolObserver(n.cluster.eng.Now, n.obsPlane.PoolWait))
 	n.invoker = remote.NewInvoker(pool, directoryResolver{mod: n.mod},
-		remote.WithInvokerObservability(n.obsPlane.Tracer, n.obsPlane.InvokerCall))
+		remote.WithInvokerObservability(n.obsPlane.Tracer, n.obsPlane.InvokerCall),
+		remote.WithTimeoutEvidence(n.suspectNode))
 	n.importer = remote.NewImporter(n.host.SystemContext(), n.invoker)
 
 	// The plane's histograms and span-store depth surface per node, next
@@ -197,6 +200,16 @@ func (n *Node) setupRemote() error {
 	// of the dosgi.health broker, demotion into the invoker.
 	n.setupHealth()
 	return nil
+}
+
+// suspectNode hands a call timeout against node to the failure detector
+// of every group this node shares with it: the main member, and each
+// shard member under node's ranked id in that shard's group.
+func (n *Node) suspectNode(node string) {
+	n.member.Suspect(node)
+	for s, sm := range n.shardMembers {
+		sm.Suspect(gcs.RankedID(shardGroupName(s), node))
+	}
 }
 
 // attachInstanceExporter starts exporting a started instance's

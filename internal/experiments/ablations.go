@@ -106,95 +106,127 @@ func FormatA2(rows []A2Row) string {
 // ---------------------------------------------------------------------------
 // A3 — failure-detector timeout trade-off.
 
-// A3Row reports one timeout setting.
+// A3Row reports one timeout setting, with or without client evidence.
 type A3Row struct {
-	FailTimeout      time.Duration
-	DetectionLatency time.Duration
-	FalseSuspicions  int
+	FailTimeout time.Duration
+	// Evidence: every 100 ms each member reports evidence
+	// (gcs.Member.Suspect) against every other member of its view, which
+	// is what clients whose calls time out on a lossy link would report.
+	Evidence         bool
+	DetectionLatency time.Duration // mean over the seeds
+	FalseSuspicions  int           // summed over the seeds
 }
 
+// a3Seeds runs of 60 s lossy steady state make each A3 row.
+const a3Seeds = 5
+
 // A3FailureDetector measures crash-detection latency and false suspicions
-// on a lossy network for a range of timeouts.
+// on a lossy network for a range of timeouts: one row per timeout without
+// evidence, then one per timeout with it, in the order given.
 func A3FailureDetector(timeouts []time.Duration, lossRate float64) ([]A3Row, error) {
 	var rows []A3Row
-	for _, timeout := range timeouts {
-		eng := sim.New(31)
-		net := netsim.NewNetwork(eng,
-			netsim.WithLatency(time.Millisecond),
-			netsim.WithLoss(lossRate, eng.Rand()))
-		dir := gcs.NewDirectory()
-		const size = 4
-		members := make([]*gcs.Member, size)
-		for i := 0; i < size; i++ {
-			id := fmt.Sprintf("node%02d", i)
-			nic := net.AttachNode(id)
-			ip := netsim.IP("ip-" + id)
-			if err := net.AssignIP(ip, id); err != nil {
-				return nil, err
-			}
-			m, err := gcs.NewMember(eng, gcs.Config{
-				NodeID: id, Addr: netsim.Addr{IP: ip, Port: 7000},
-				NIC: nic, Directory: dir,
-				HeartbeatInterval: 25 * time.Millisecond,
-				FailTimeout:       timeout,
-			})
-			if err != nil {
-				return nil, err
-			}
-			members[i] = m
-		}
-		// A false suspicion = a live member observed leaving a view while
-		// it never crashed.
-		falseSusp := 0
-		crashed := false
-		members[0].OnViewChange(func(v gcs.View) {
-			for i := 0; i < size-1; i++ { // node03 is the one we crash
-				if !v.Contains(fmt.Sprintf("node%02d", i)) {
-					falseSusp++
+	for _, evidence := range []bool{false, true} {
+		for _, timeout := range timeouts {
+			row := A3Row{FailTimeout: timeout, Evidence: evidence}
+			for seed := int64(31); seed < 31+a3Seeds; seed++ {
+				detection, falseSusp, err := a3Run(timeout, lossRate, evidence, seed)
+				if err != nil {
+					return nil, err
 				}
+				row.DetectionLatency += detection / a3Seeds
+				row.FalseSuspicions += falseSusp
 			}
-			if !crashed && !v.Contains("node03") {
-				falseSusp++
-			}
-		})
-		for _, m := range members {
-			if err := m.Start(); err != nil {
-				return nil, err
-			}
+			rows = append(rows, row)
 		}
-		eng.RunFor(10 * time.Second) // lossy steady state
-
-		crashed = true
-		crashAt := eng.Now()
-		var detectedAt time.Duration
-		members[0].OnViewChange(func(v gcs.View) {
-			if detectedAt == 0 && !v.Contains("node03") {
-				detectedAt = eng.Now()
-			}
-		})
-		members[size-1].Crash()
-		if nic, ok := net.NIC("node03"); ok {
-			nic.SetUp(false)
-		}
-		eng.RunFor(5 * time.Second)
-		detection := time.Duration(0)
-		if detectedAt > 0 {
-			detection = detectedAt - crashAt
-		}
-		rows = append(rows, A3Row{
-			FailTimeout:      timeout,
-			DetectionLatency: detection,
-			FalseSuspicions:  falseSusp,
-		})
 	}
 	return rows, nil
 }
 
+// a3Run is one seed of one A3 row: 60 s of lossy steady state, then
+// node03 crashes and the run measures how long until node00's view drops
+// it.
+func a3Run(timeout time.Duration, lossRate float64, evidence bool, seed int64) (time.Duration, int, error) {
+	eng := sim.New(seed)
+	net := netsim.NewNetwork(eng,
+		netsim.WithLatency(time.Millisecond),
+		netsim.WithLoss(lossRate, eng.Rand()))
+	dir := gcs.NewDirectory()
+	const size = 4
+	members := make([]*gcs.Member, size)
+	for i := range members {
+		id := fmt.Sprintf("node%02d", i)
+		nic := net.AttachNode(id)
+		ip := netsim.IP("ip-" + id)
+		if err := net.AssignIP(ip, id); err != nil {
+			return 0, 0, err
+		}
+		m, err := gcs.NewMember(eng, gcs.Config{
+			NodeID: id, Addr: netsim.Addr{IP: ip, Port: 7000},
+			NIC: nic, Directory: dir,
+			HeartbeatInterval: 25 * time.Millisecond,
+			FailTimeout:       timeout,
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		members[i] = m
+	}
+	// A false suspicion = a live member observed leaving a view while
+	// it never crashed, once the group first formed: the views that
+	// assemble it lack members nobody suspected.
+	falseSusp := 0
+	crashed, formed := false, false
+	members[0].OnViewChange(func(v gcs.View) {
+		if !formed {
+			formed = len(v.Members) == size
+			return
+		}
+		for i := 0; i < size-1; i++ { // node03 is the one we crash
+			if !v.Contains(fmt.Sprintf("node%02d", i)) {
+				falseSusp++
+			}
+		}
+		if !crashed && !v.Contains("node03") {
+			falseSusp++
+		}
+	})
+	for _, m := range members {
+		if err := m.Start(); err != nil {
+			return 0, 0, err
+		}
+	}
+	if evidence {
+		eng.Every(100*time.Millisecond, func() {
+			for _, m := range members {
+				for _, peer := range m.View().Members {
+					m.Suspect(peer)
+				}
+			}
+		})
+	}
+	eng.RunFor(60 * time.Second) // lossy steady state
+
+	crashed = true
+	crashAt := eng.Now()
+	var detectedAt time.Duration
+	members[0].OnViewChange(func(v gcs.View) {
+		if detectedAt == 0 && !v.Contains("node03") {
+			detectedAt = eng.Now()
+		}
+	})
+	members[size-1].Crash()
+	if nic, ok := net.NIC("node03"); ok {
+		nic.SetUp(false)
+	}
+	eng.RunFor(5 * time.Second)
+	return max(detectedAt-crashAt, 0), falseSusp, nil // 0: not detected
+}
+
 // FormatA3 renders A3 rows.
 func FormatA3(rows []A3Row) string {
-	t := bench.NewTable("fail-timeout", "detection latency", "false suspicions (10s lossy)")
+	t := bench.NewTable("fail-timeout", "evidence", "detection latency", "false suspicions (5 x 60s lossy)")
 	for _, r := range rows {
-		t.AddRow(r.FailTimeout, r.DetectionLatency, r.FalseSuspicions)
+		t.AddRow(r.FailTimeout, r.Evidence, r.DetectionLatency, r.FalseSuspicions)
 	}
 	return t.String()
 }

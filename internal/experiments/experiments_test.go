@@ -206,6 +206,18 @@ func TestA3Tradeoff(t *testing.T) {
 		t.Errorf("false suspicions not decreasing: %d vs %d",
 			rows[0].FalseSuspicions, rows[2].FalseSuspicions)
 	}
+	// At the default timeout (4 heartbeats), client evidence does not
+	// raise false suspicions: the probes refute it on a live member.
+	for _, loss := range []float64{0.05, 0.30} {
+		rows, err := A3FailureDetector([]time.Duration{100 * time.Millisecond}, loss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without, with := rows[0], rows[1]; with.FalseSuspicions > without.FalseSuspicions {
+			t.Errorf("loss %.2f: evidence raised false suspicions from %d to %d",
+				loss, without.FalseSuspicions, with.FalseSuspicions)
+		}
+	}
 }
 
 func TestA4TotalOrderNeverDiverges(t *testing.T) {

@@ -6,12 +6,34 @@
 //   - a membership service with monotonically numbered views, driven by a
 //     deterministic coordinator (the lowest-id live member);
 //   - an all-to-all heartbeat failure detector whose timeout trades
-//     detection latency against false suspicion (ablation A3);
+//     detection latency against false suspicion (ablation A3), sped up
+//     by probe-confirmed evidence from clients (Suspect);
 //   - FIFO-ordered reliable broadcast (per-sender order);
 //   - total-order broadcast via a coordinator sequencer, with
 //     resubmission and duplicate suppression across coordinator failover —
 //     the property that makes decentralized redeployment decisions
 //     replica-consistent (ablation A4).
+//
+// Without other evidence the failure detector's only rule is FailTimeout:
+// a member silent for longer is excluded. Suspect adds evidence: a client
+// whose call to a member's node timed out reports it, and the report goes
+// to the member that would coordinate without the suspect. That member
+// confirms before it acts. If the suspect has been silent for more than
+// one heartbeat interval, it sends evidenceProbes (3) probes,
+// HeartbeatInterval/10 apart, each answered at once by a live member's
+// heartbeat. One spacing after the last probe it installs the successor
+// view without the suspect, but only if nothing arrived from the suspect
+// since the evidence and its silence exceeds two heartbeat intervals
+// (never more than FailTimeout). Otherwise nothing changes. So a crashed
+// member silent for two intervals leaves the view three spacings after
+// the next client call to it times out, not FailTimeout after its last
+// heartbeat. The scope under loss: evidence lowers the silence an
+// exclusion needs from FailTimeout to two intervals, and only the probes
+// stand between a lossy link and a false suspicion. At the default
+// FailTimeout (four intervals) they hold false suspicions flat (ablation
+// A3's evidence axis); with a FailTimeout much longer than two intervals,
+// evidence on a lossy link excludes members that FailTimeout alone would
+// keep.
 //
 // Total order is also FIFO per sender: every member delivers one
 // sender's broadcasts in the order that sender made them, so a
@@ -233,6 +255,18 @@ type totalMsg struct {
 	Seq   int64 // sequence of Batch[0]
 	From  string
 	Batch []orderEntry
+}
+
+// suspectMsg carries evidence against a member — a client call to its
+// node timed out — to the member that would coordinate without it.
+type suspectMsg struct {
+	From    string
+	Suspect string
+}
+
+// probeMsg asks a suspected member for an immediate heartbeat.
+type probeMsg struct {
+	From string
 }
 
 // gapReq asks the coordinator to retransmit the sequenced messages the

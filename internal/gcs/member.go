@@ -152,6 +152,14 @@ type Member struct {
 	// cap — each one is a one-directional-fault alarm.
 	logOverflows int
 
+	// Evidence (Suspect): confirming holds the suspects under
+	// confirmation; installView drops them all. The counters feed
+	// MemberStats.
+	confirming         map[string]bool
+	suspicions         int
+	evidenceProbes     int
+	evidenceExclusions int
+
 	// msgsSent/msgsReceived count wire messages through this member —
 	// heartbeats, views, order requests, sequenced broadcasts, gap
 	// retransmissions — the per-member traffic numbers the directory
@@ -181,8 +189,14 @@ type MemberStats struct {
 	// re-send them on stall).
 	HeldBatches   int
 	HoldOverflows int
-	MsgsSent      int64 // wire messages transmitted by this member
-	MsgsReceived  int64 // wire messages handled by this member
+	// Suspicions counts the evidence this member received (Suspect),
+	// EvidenceProbes the probes it sent to confirm it, and
+	// EvidenceExclusions the views it installed on confirmed evidence.
+	Suspicions         int
+	EvidenceProbes     int
+	EvidenceExclusions int
+	MsgsSent           int64 // wire messages transmitted by this member
+	MsgsReceived       int64 // wire messages handled by this member
 }
 
 // Stats returns the member's health counters.
@@ -190,15 +204,18 @@ func (m *Member) Stats() MemberStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemberStats{
-		ViewChanges:   m.viewChanges,
-		TotalLogSize:  m.totalLog.n,
-		DedupSenders:  len(m.delivered),
-		DedupHeld:     m.delivered.held(),
-		LogOverflows:  m.logOverflows,
-		HeldBatches:   m.heldCount,
-		HoldOverflows: m.holdOverflows,
-		MsgsSent:      m.msgsSent.Load(),
-		MsgsReceived:  m.msgsReceived.Load(),
+		ViewChanges:        m.viewChanges,
+		TotalLogSize:       m.totalLog.n,
+		DedupSenders:       len(m.delivered),
+		DedupHeld:          m.delivered.held(),
+		LogOverflows:       m.logOverflows,
+		HeldBatches:        m.heldCount,
+		HoldOverflows:      m.holdOverflows,
+		Suspicions:         m.suspicions,
+		EvidenceProbes:     m.evidenceProbes,
+		EvidenceExclusions: m.evidenceExclusions,
+		MsgsSent:           m.msgsSent.Load(),
+		MsgsReceived:       m.msgsReceived.Load(),
 	}
 }
 
@@ -212,16 +229,17 @@ func NewMember(sched clock.Scheduler, cfg Config) (*Member, error) {
 		return nil, errors.New("gcs: nic and directory are required")
 	}
 	m := &Member{
-		sched:     sched,
-		cfg:       cfg,
-		state:     stateNew,
-		lastSeen:  make(map[string]time.Duration),
-		fifoNext:  make(map[string]int64),
-		fifoBuf:   make(map[string]map[int64]fifoMsg),
-		chains:    make(map[string]*chain),
-		totalBuf:  make(map[int64]slot),
-		delivered: make(deliveredSet),
-		ackSeqs:   make(map[string]int64),
+		sched:      sched,
+		cfg:        cfg,
+		state:      stateNew,
+		lastSeen:   make(map[string]time.Duration),
+		fifoNext:   make(map[string]int64),
+		fifoBuf:    make(map[string]map[int64]fifoMsg),
+		chains:     make(map[string]*chain),
+		totalBuf:   make(map[int64]slot),
+		delivered:  make(deliveredSet),
+		ackSeqs:    make(map[string]int64),
+		confirming: make(map[string]bool),
 	}
 	m.flushFn = m.flush
 	return m, nil
@@ -323,13 +341,7 @@ func (m *Member) Stop() error {
 
 	if running {
 		if isCoord {
-			var rest []string
-			for _, id := range view.Members {
-				if id != m.cfg.NodeID {
-					rest = append(rest, id)
-				}
-			}
-			if len(rest) > 0 {
+			if rest := without(view.Members, m.cfg.NodeID); len(rest) > 0 {
 				m.issueView(rest, view.ID+1, view.Members)
 			}
 		} else {
@@ -649,6 +661,7 @@ func (m *Member) installView(v View) {
 	m.ackSeqs = make(map[string]int64)
 	m.gapReqSeq = 0
 	m.gapReqAt = 0
+	clear(m.confirming)
 	// Re-submit unacknowledged total-order requests to the new
 	// coordinator as one chain-start batch; receivers dedupe on (sender,
 	// local id).
@@ -715,6 +728,10 @@ func (m *Member) handle(nm netsim.Message) {
 		m.handleTotal(p)
 	case gapReq:
 		m.handleGapReq(p)
+	case suspectMsg:
+		m.handleSuspect(p)
+	case probeMsg:
+		m.answerProbe(p)
 	}
 }
 
@@ -747,16 +764,22 @@ func (m *Member) handleLeave(p leaveMsg) {
 		m.mu.Unlock()
 		return
 	}
-	var rest []string
-	for _, id := range m.view.Members {
-		if id != p.From {
-			rest = append(rest, id)
-		}
-	}
+	rest := without(m.view.Members, p.From)
 	id := m.view.ID + 1
 	old := append([]string(nil), m.view.Members...)
 	m.mu.Unlock()
 	m.issueView(rest, id, old)
+}
+
+// without returns a copy of members minus id.
+func without(members []string, id string) []string {
+	var rest []string
+	for _, member := range members {
+		if member != id {
+			rest = append(rest, member)
+		}
+	}
+	return rest
 }
 
 func (m *Member) handleFIFO(p fifoMsg) {

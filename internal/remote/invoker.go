@@ -99,6 +99,14 @@ func WithInvokerObservability(tracer *obs.Tracer, callHist *obs.Histogram) Invok
 	}
 }
 
+// WithTimeoutEvidence hands onTimeout the node of every endpoint whose
+// call attempt timed out (ErrTimeout; endpoints without a node are
+// skipped): evidence for a failure detector, which must confirm it,
+// since a timeout also comes from a slow or partitioned replica.
+func WithTimeoutEvidence(onTimeout func(node string)) InvokerOption {
+	return func(inv *Invoker) { inv.onTimeout = onTimeout }
+}
+
 // Invoker is the import-side entry point: it resolves a service to its
 // replicas, spreads calls across them round-robin (the ipvs discipline at
 // the client), and on a retryable failure — connection loss, call timeout,
@@ -119,6 +127,7 @@ type Invoker struct {
 	callHist  *obs.Histogram
 	tokenSalt uint64
 	tokenSeq  atomic.Uint64
+	onTimeout func(node string)
 
 	mu      sync.Mutex
 	rr      map[string]int
@@ -317,6 +326,9 @@ func (inv *Invoker) attempt(service, method string, args []any, eps []Endpoint, 
 		})
 	}
 	next := func(cause error) {
+		if inv.onTimeout != nil && eps[i].Node != "" && errors.Is(cause, ErrTimeout) {
+			inv.onTimeout(eps[i].Node)
+		}
 		if ct != nil {
 			ct.cause = cause.Error()
 		}
