@@ -287,26 +287,26 @@ func BenchmarkE12EventBackpressure(b *testing.B) {
 	b.ReportMetric(float64(rows[1].SlowPeakQueue), "bp-slow-peak-queue")
 }
 
-// BenchmarkE13DirectorySharding measures directory convergence for a
-// single replicated group against the rendezvous-sharded layout on the
+// BenchmarkE13Directory measures directory convergence on the
 // deterministic simulator: convergence time and the hottest node's GCS
-// message count while the endpoint population fills. The benchmark runs
-// the 10k-endpoint column (the 100k column lives in `make bench-json` /
-// BENCH_directory.json); metrics are simulated units, so they are
-// identical on every machine.
-func BenchmarkE13DirectorySharding(b *testing.B) {
-	var rows []experiments.E13Row
+// message count while the endpoint population fills, paced and in
+// bursts. The benchmark runs the 10k-endpoint column (the 100k column
+// lives in `make bench-json` / BENCH_directory.json); metrics are
+// simulated units, so they are identical on every machine.
+func BenchmarkE13Directory(b *testing.B) {
+	var paced, bursts []experiments.E13Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.E13DirectorySharding([]int{10000}, []int{1, 4, 16}, 8)
-		if err != nil {
+		if paced, err = experiments.E13Directory([]int{10000}, 8); err != nil {
+			b.Fatal(err)
+		}
+		if bursts, err = experiments.E13DirectoryBursts([]int{10000}, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(rows[0].MaxNodeSent), "1shard-max-node-sent")
-	b.ReportMetric(float64(rows[1].MaxNodeSent), "4shard-max-node-sent")
-	b.ReportMetric(float64(rows[2].MaxNodeSent), "16shard-max-node-sent")
-	b.ReportMetric(float64(rows[2].Converge.Microseconds()), "16shard-converge-us")
+	b.ReportMetric(float64(paced[0].MaxNodeSent), "max-node-sent")
+	b.ReportMetric(float64(paced[0].Converge.Microseconds()), "converge-us")
+	b.ReportMetric(float64(bursts[0].MaxNodeSent), "bursts-max-node-sent")
 }
 
 // BenchmarkA1DelegationLookup measures class lookup cost: local class,

@@ -1,13 +1,13 @@
 // Command benchjson runs the scale experiments — E10 remote invocation,
 // E11 chunked artifact transfer, E12 event backpressure, E13 directory
-// sharding — and writes one JSON file per experiment into the output
+// convergence — and writes one JSON file per experiment into the output
 // directory:
 //
 //	BENCH_remote.json     E10: pipelined pool vs conn-per-call
 //	BENCH_provision.json  E11: transfer throughput across chunk sizes
 //	BENCH_events.json     E12: fast/slow subscribers, flow control off/on
 //	BENCH_directory.json  E13: convergence + per-node broadcast load,
-//	                      1k/10k/100k endpoints at 1/4/16 shards
+//	                      1k/10k/100k endpoints, paced and in bursts
 //
 // Each file holds the experiment's full trajectory (see internal/benchio):
 // a run APPENDS a timestamped point to the existing file instead of
@@ -74,20 +74,19 @@ func main() {
 	if *dirMax > 10000 {
 		endpointCounts = append(endpointCounts, *dirMax)
 	}
-	shardCounts := []int{1, 4, 16}
-	e13, err := experiments.E13DirectorySharding(endpointCounts, shardCounts, *dirNodes)
+	e13, err := experiments.E13Directory(endpointCounts, *dirNodes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeReport(*out, "BENCH_directory.json", "E13DirectorySharding", map[string]any{
-		"endpoints": endpointCounts, "shards": shardCounts, "nodes": *dirNodes,
+	writeReport(*out, "BENCH_directory.json", "E13Directory", map[string]any{
+		"endpoints": endpointCounts, "nodes": *dirNodes,
 	}, e13)
-	e13b, err := experiments.E13DirectoryShardingBursts(endpointCounts, shardCounts, *dirNodes)
+	e13b, err := experiments.E13DirectoryBursts(endpointCounts, *dirNodes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeReport(*out, "BENCH_directory.json", "E13DirectoryShardingBursts", map[string]any{
-		"endpoints": endpointCounts, "shards": shardCounts, "nodes": *dirNodes,
+	writeReport(*out, "BENCH_directory.json", "E13DirectoryBursts", map[string]any{
+		"endpoints": endpointCounts, "nodes": *dirNodes,
 	}, e13b)
 }
 

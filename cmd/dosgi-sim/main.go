@@ -33,7 +33,6 @@ func main() {
 	flag.Int64Var(&cfg.ArtifactChunk, "chunk", 4096, "artifact chunk size in bytes")
 	flag.IntVar(&cfg.ArtifactHolders, "holders", 3, "fake nodes holding each artifact")
 	flag.IntVar(&cfg.NodeListeners, "node-listeners", 0, "fake nodes given a real dialable listener")
-	flag.IntVar(&cfg.Shards, "shards", 1, "directory shard count the population is laid out over (rendezvous placement)")
 	flag.Float64Var(&cfg.StormRate, "storm", 0, "event storm rate in events/second (0 = off)")
 	flag.IntVar(&cfg.ReplayWindow, "replay-window", 0, "broker replay window (0 = protocol default)")
 	flag.Parse()

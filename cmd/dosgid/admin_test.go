@@ -127,7 +127,7 @@ func TestHangupReleasesSubscription(t *testing.T) {
 // and leaves no goroutine of theirs behind.
 func TestCloseEndsAdminConnections(t *testing.T) {
 	before := runtime.NumGoroutine()
-	d, err := newDaemon("127.0.0.1:0", "127.0.0.1:0", nil, 1, defaultHealthConfig())
+	d, err := newDaemon("127.0.0.1:0", "127.0.0.1:0", nil, defaultHealthConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,6 @@ import (
 	"dosgi/internal/core"
 	"dosgi/internal/health"
 	"dosgi/internal/manifest"
-	"dosgi/internal/migrate"
 	"dosgi/internal/module"
 	"dosgi/internal/obs"
 	"dosgi/internal/policy"
@@ -70,7 +69,6 @@ func main() {
 	listenAddr := flag.String("listen", "127.0.0.1:7700", "admin listen address")
 	remoteAddr := flag.String("remote", "127.0.0.1:7790", "remote-services listen address")
 	peers := flag.String("peers", "", "comma-separated remote-services addresses of peer daemons (failover targets)")
-	shards := flag.Int("shards", 1, "directory shard count of the cluster this daemon belongs to (rendezvous placement; reported by STATUS)")
 	debugAddr := flag.String("debug", "", "net/http/pprof listen address, e.g. 127.0.0.1:6060 (empty = disabled)")
 	hc := defaultHealthConfig()
 	flag.DurationVar(&hc.interval, "health-interval", hc.interval, "health evaluator tick interval")
@@ -90,7 +88,7 @@ func main() {
 		}()
 		log.Printf("dosgid: pprof on http://%s/debug/pprof/", *debugAddr)
 	}
-	d, err := newDaemon(*listenAddr, *remoteAddr, peerList, *shards, hc)
+	d, err := newDaemon(*listenAddr, *remoteAddr, peerList, hc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +120,6 @@ type daemon struct {
 	services   *remote.CompositeSource
 	adminLn    net.Listener
 	peers      []string
-	router     migrate.ShardRouter
 	repo       *provision.Store
 	deployer   *provision.Deployer
 
@@ -363,7 +360,7 @@ func (d *daemon) peerLocations() map[string][]string {
 	return out
 }
 
-func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc healthConfig) (*daemon, error) {
+func newDaemon(adminAddr, remoteAddr string, peers []string, hc healthConfig) (*daemon, error) {
 	sched := clock.NewReal()
 
 	defs := module.NewDefinitionRegistry()
@@ -457,17 +454,10 @@ func newDaemon(adminAddr, remoteAddr string, peers []string, shards int, hc heal
 	// invocations, replaying the current exports to new subscribers. The
 	// health broker serves dosgi.health beside it, replaying the fleet
 	// health view (PROTOCOL.md §6.4).
-	// The daemon's shard router mirrors the cluster's rendezvous placement
-	// (-shards N): STATUS reports the topology, and both brokers partition
-	// their replay rings by it so one shard's churn storm cannot evict
-	// another shard's replayable tail.
-	d.router = migrate.NewShardRouter(shards)
 	d.broker = remote.NewEventBroker(sched,
 		remote.WithEventSnapshot(d.exportSnapshot),
-		remote.WithBrokerAckHistogram(d.plane.EventAckLag),
-		remote.WithReplayRingShards(d.router.Shards(), d.router.Shard))
-	d.health = adminproto.NewHealthView(sched,
-		remote.WithReplayRingShards(d.router.Shards(), d.router.Shard))
+		remote.WithBrokerAckHistogram(d.plane.EventAckLag))
+	d.health = adminproto.NewHealthView(sched)
 	// Both brokers' suspends, replays and overflows are readable like any
 	// other counter.
 	d.metrics.RegisterProvider("events:self", d.broker.Provider())

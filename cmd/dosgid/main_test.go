@@ -14,7 +14,7 @@ import (
 // startDaemon runs an in-process dosgid on ephemeral ports.
 func startDaemon(t *testing.T, peers ...string) *daemon {
 	t.Helper()
-	d, err := newDaemon("127.0.0.1:0", "127.0.0.1:0", peers, 1, defaultHealthConfig())
+	d, err := newDaemon("127.0.0.1:0", "127.0.0.1:0", peers, defaultHealthConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,9 @@ func (d *daemon) verbs() []adminproto.Verb {
 
 func (d *daemon) status(_ []string, out *adminproto.Reply) (string, error) {
 	refs, _ := d.host.SystemContext().ServiceReferences("", "")
-	out.Row("framework=%s state=%s bundles=%d services=%d instances=%d exports=%d shards=%d",
+	out.Row("framework=%s state=%s bundles=%d services=%d instances=%d exports=%d",
 		d.host.Name(), d.host.State(), len(d.host.Bundles()), len(refs), len(d.mgr.List()),
-		len(d.exportNames()), d.router.Shards())
+		len(d.exportNames()))
 	return "", nil
 }
 

@@ -28,7 +28,7 @@ type HealthView struct {
 }
 
 // NewHealthView builds an empty view and its dosgi.health broker; opts
-// tune the broker (replay window, ring shards, lease).
+// tune the broker (replay window, lease).
 func NewHealthView(sched clock.Scheduler, opts ...remote.BrokerOption) *HealthView {
 	v := &HealthView{records: make(map[string]remote.ServiceEvent)}
 	v.broker = remote.NewEventBroker(sched, append([]remote.BrokerOption{

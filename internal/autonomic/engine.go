@@ -8,7 +8,6 @@
 package autonomic
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -40,6 +39,12 @@ func WithInterval(d time.Duration) Option {
 	return func(e *Engine) { e.interval = d }
 }
 
+// ruleSubject keys the engine's per-rule, per-subject state.
+type ruleSubject struct {
+	rule    int
+	subject string
+}
+
 // Engine periodically evaluates rules over subjects.
 type Engine struct {
 	sched    clock.Scheduler
@@ -48,12 +53,15 @@ type Engine struct {
 	mu        sync.Mutex
 	rules     []*policy.Rule
 	subjects  func() []Subject
-	holdSince map[string]time.Duration
-	fired     map[string]bool
-	onAction  []func(ActionEvent)
-	onError   []func(subject string, err error)
-	timer     clock.Timer
-	running   bool
+	holdSince map[ruleSubject]time.Duration
+	fired     map[ruleSubject]bool
+	// live is the set of pairs the current tick evaluated, cleared and
+	// refilled by every tick.
+	live     map[ruleSubject]bool
+	onAction []func(ActionEvent)
+	onError  []func(subject string, err error)
+	timer    clock.Timer
+	running  bool
 }
 
 // New builds an engine driven by sched.
@@ -61,8 +69,9 @@ func New(sched clock.Scheduler, opts ...Option) *Engine {
 	e := &Engine{
 		sched:     sched,
 		interval:  100 * time.Millisecond,
-		holdSince: make(map[string]time.Duration),
-		fired:     make(map[string]bool),
+		holdSince: make(map[ruleSubject]time.Duration),
+		fired:     make(map[ruleSubject]bool),
+		live:      make(map[ruleSubject]bool),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -144,7 +153,6 @@ func (e *Engine) TickNow() {
 	}
 	now := e.sched.Now()
 	subjects := provider()
-	live := make(map[string]bool)
 
 	type firing struct {
 		subject Subject
@@ -152,10 +160,11 @@ func (e *Engine) TickNow() {
 	}
 	var firings []firing
 	e.mu.Lock()
+	clear(e.live)
 	for _, subj := range subjects {
 		for idx, rule := range rules {
-			key := strconv.Itoa(idx) + "|" + subj.ID
-			live[key] = true
+			key := ruleSubject{rule: idx, subject: subj.ID}
+			e.live[key] = true
 			cond, err := policy.EvalBool(rule.Cond, subj.Env)
 			if err != nil {
 				e.queueErrorLocked(subj.ID, err)
@@ -179,12 +188,12 @@ func (e *Engine) TickNow() {
 	}
 	// Drop state of vanished subjects.
 	for key := range e.holdSince {
-		if !live[key] {
+		if !e.live[key] {
 			delete(e.holdSince, key)
 		}
 	}
 	for key := range e.fired {
-		if !live[key] {
+		if !e.live[key] {
 			delete(e.fired, key)
 		}
 	}

@@ -15,8 +15,7 @@ type tenantEnv struct {
 	actions *[]string
 }
 
-func (t *tenantEnv) Resolve(path []string) (any, error) {
-	key := join(path)
+func (t *tenantEnv) Resolve(key string) (any, error) {
 	if v, ok := t.vars[key]; ok {
 		return v, nil
 	}

@@ -735,57 +735,6 @@ func TestChaosTraceCompleteness(t *testing.T) {
 	}
 }
 
-// TestChaosShardedEventStreamInvariants replays the event-stream chaos
-// schedule on a cluster whose directory runs over 4 rendezvous-hashed
-// shard groups: the same kill/restart/partition/heal churn must uphold
-// the same invariants when record broadcasts ride four independent
-// total orders with four independently elected coordinators. Fresh
-// seeds (not the single-group ones) because the extra shard-group
-// heartbeat traffic shifts the simulation's event interleaving.
-func TestChaosShardedEventStreamInvariants(t *testing.T) {
-	for _, seed := range []int64{31, 32, 33} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			h := newChaosHarness(t, seed, 3, WithDirectoryShards(4))
-			for i := 0; i < 3; i++ {
-				h.exportOne()
-			}
-			h.c.Settle(500 * time.Millisecond)
-			h.observe("obs-sh", 1, 0, 1, 2)
-			h.c.Settle(300 * time.Millisecond)
-			for i := 0; i < 40; i++ {
-				h.step()
-			}
-			h.quiesce()
-			h.verify()
-		})
-	}
-}
-
-// TestChaosShardedProvisioningInvariants runs the provisioning-extended
-// chaos schedule in sharded mode: artifact records hash across shard
-// groups, so replication duty, on-demand fetches and dead-holder
-// pruning must converge through four partitioned/healed total orders.
-func TestChaosShardedProvisioningInvariants(t *testing.T) {
-	for _, seed := range []int64{41, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			h := newChaosHarness(t, seed, 3, WithDirectoryShards(4))
-			for i := 0; i < 2; i++ {
-				h.exportOne()
-				h.publishOne()
-			}
-			h.c.Settle(500 * time.Millisecond)
-			h.observe("obs-shp", 1, 0, 1, 2)
-			h.c.Settle(300 * time.Millisecond)
-			for i := 0; i < 40; i++ {
-				h.stepProvision()
-			}
-			h.quiesce()
-			h.verify()
-			h.verifyProvisioning()
-		})
-	}
-}
-
 // TestChaosSoakFiveNodes reuses the harness for a longer churn run on a
 // five-node cluster with three observers — the soak configuration.
 func TestChaosSoakFiveNodes(t *testing.T) {

@@ -64,21 +64,6 @@ func WithProvisionPolicy(p *security.Policy) Option {
 	return func(c *Cluster) { c.provPolicy = p }
 }
 
-// WithDirectoryShards partitions the replicated directory's record
-// engine (endpoints, artifacts, health) into n rendezvous-hashed
-// shards on every node added later. Each shard runs its own GCS group
-// — own coordinator, epoch log, view and anti-entropy timer — with
-// shard-group member ids ranked (gcs.RankedID) so coordinators spread
-// across nodes and per-node sequencing load scales sub-linearly in
-// record count. n <= 1 keeps the single-group layout (the default).
-func WithDirectoryShards(n int) Option {
-	return func(c *Cluster) {
-		if n > 1 {
-			c.dirShards = n
-		}
-	}
-}
-
 // WithGCSMaxTotalLog overrides every member's retransmission-log cap
 // (the MaxTotalLog forced-view-change alarm). Negative disables the
 // cap — the directory-scale experiments announce record bursts far
@@ -116,11 +101,6 @@ type Cluster struct {
 	gcsFailTimeout time.Duration
 	gcsMaxTotalLog int
 
-	// dirShards is the directory shard count (0/1 = single group);
-	// shardDirs holds one group address book per shard.
-	dirShards int
-	shardDirs []*gcs.Directory
-
 	provKeyring provision.Keyring
 	provPolicy  *security.Policy
 
@@ -148,9 +128,6 @@ func New(seed int64, opts ...Option) *Cluster {
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	for i := 0; i < c.dirShards; i++ {
-		c.shardDirs = append(c.shardDirs, gcs.NewDirectory())
 	}
 	c.eng = sim.New(seed)
 	c.net = netsim.NewNetwork(c.eng, netsim.WithLatency(networkLatency))
@@ -251,37 +228,16 @@ func (c *Cluster) AddNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.member = member
-	// One extra group member per directory shard, each on its own port
-	// with its own address book, joined under a ranked id so each shard
-	// group elects a different coordinator (rendezvous placement of the
-	// sequencer — the per-node broadcast-volume win of sharding).
-	for s := 0; s < c.dirShards; s++ {
-		sm, err := gcs.NewMember(c.eng, gcs.Config{
-			NodeID:            gcs.RankedID(shardGroupName(s), cfg.ID),
-			Addr:              netsim.Addr{IP: cfg.IP, Port: uint16(ShardGCSPort + s)},
-			NIC:               n.nic,
-			Directory:         c.shardDirs[s],
-			HeartbeatInterval: c.gcsHeartbeat,
-			FailTimeout:       c.gcsFailTimeout,
-			MaxTotalLog:       c.gcsMaxTotalLog,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.shardMembers = append(n.shardMembers, sm)
-	}
 	mod, err := migrate.NewModule(migrate.Config{
-		NodeID:       cfg.ID,
-		Sched:        c.eng,
-		Member:       member,
-		Store:        c.store,
-		Manager:      n.manager,
-		CPUCapacity:  int64(cfg.CPUCapacity),
-		MemCapacity:  cfg.MemoryBytes,
-		Mode:         cfg.PlacementMode,
-		ResyncEvery:  c.dirResyncEvery,
-		Shards:       c.dirShards,
-		ShardMembers: n.shardMembers,
+		NodeID:      cfg.ID,
+		Sched:       c.eng,
+		Member:      member,
+		Store:       c.store,
+		Manager:     n.manager,
+		CPUCapacity: int64(cfg.CPUCapacity),
+		MemCapacity: cfg.MemoryBytes,
+		Mode:        cfg.PlacementMode,
+		ResyncEvery: c.dirResyncEvery,
 		// Failover to an artifact-less node transparently fetches first:
 		// restores wait until every bundle location the checkpoint needs
 		// is installable here.
@@ -323,11 +279,6 @@ func (c *Cluster) AddNode(cfg NodeConfig) (*Node, error) {
 	if err := member.Start(); err != nil {
 		return nil, err
 	}
-	for _, sm := range n.shardMembers {
-		if err := sm.Start(); err != nil {
-			return nil, err
-		}
-	}
 	n.mon.Start()
 	c.metrics.RegisterProvider("node:"+cfg.ID, c.nodeProvider(n))
 	c.metrics.RegisterProvider("directory:"+cfg.ID, directoryProvider(mod))
@@ -355,7 +306,7 @@ func (c *Cluster) ensureBaseDefinitions() {
 // — one attribute set per record family, prefixed with the family name.
 func directoryProvider(mod *migrate.Module) func() map[string]any {
 	return func() map[string]any {
-		out := make(map[string]any, 28)
+		out := make(map[string]any, 27)
 		for prefix, st := range mod.DirectoryStats() {
 			out[prefix+"Puts"] = st.Puts
 			out[prefix+"Removes"] = st.Removes
@@ -367,7 +318,6 @@ func directoryProvider(mod *migrate.Module) func() map[string]any {
 			out[prefix+"Pruned"] = st.Pruned
 			out[prefix+"Filtered"] = st.Filtered
 		}
-		out["shards"] = int64(mod.ShardCount())
 		return out
 	}
 }
@@ -375,7 +325,7 @@ func directoryProvider(mod *migrate.Module) func() map[string]any {
 func (c *Cluster) nodeProvider(n *Node) func() map[string]any {
 	return func() map[string]any {
 		cpuUsed, cpuTotal, memUsed, memTotal := n.mon.NodeUsage()
-		gst := n.directoryGCSStats()
+		gst := n.member.Stats()
 		return map[string]any{
 			"powered":               n.Powered(),
 			"cpuUsed":               int64(cpuUsed),
@@ -484,9 +434,6 @@ func (c *Cluster) Crash(nodeID string) error {
 	n.mu.Unlock()
 	n.mon.Stop()
 	n.member.Crash()
-	for _, sm := range n.shardMembers {
-		sm.Crash()
-	}
 	n.teardownRemote()
 	n.teardownProvision()
 	n.vm.Stop()

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -301,4 +303,64 @@ func TestMetricsProviders(t *testing.T) {
 
 func slaAgreement(cpu int64) sla.Agreement {
 	return sla.Agreement{Customer: "acme", CPUMillicores: cpu, Priority: 1, AvailabilityTarget: 0.99}
+}
+
+// TestDirectoryProviderAttributes pins the directory:<node> metrics
+// provider's exact attribute set: nine int64 counters per record family,
+// prefixed with the family name.
+func TestDirectoryProviderAttributes(t *testing.T) {
+	var want []string
+	for _, family := range []string{"endpoint", "artifact", "health"} {
+		for _, counter := range []string{"Puts", "Removes", "Syncs", "Added", "Updated", "Removed", "SilentSyncs", "Pruned", "Filtered"} {
+			want = append(want, family+counter)
+		}
+	}
+	sort.Strings(want)
+	c := newCluster(t, 2)
+	attrs, ok := c.Metrics().Read("directory:" + c.Nodes()[0].ID())
+	if !ok {
+		t.Fatal("no directory provider")
+	}
+	got := make([]string, 0, len(attrs))
+	for name, v := range attrs {
+		got = append(got, name)
+		if _, ok := v.(int64); !ok {
+			t.Fatalf("%s = %T, want int64", name, v)
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("attributes\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNodeProviderSumsGCSState pins the node provider's group
+// communication attributes: message counts, total-order state sizes,
+// hold-back counters and evidence counters read off the node's member.
+func TestNodeProviderSumsGCSState(t *testing.T) {
+	c := newCluster(t, 3)
+	// Evidence against a live node reaches the reporter's member, which
+	// keeps the node.
+	c.Nodes()[2].Member().Suspect("node00")
+	c.Settle(100 * time.Millisecond)
+	var suspicions, exclusions int64
+	for _, n := range c.Nodes() {
+		want := n.Member().Stats()
+		attrs, ok := c.Metrics().Read("node:" + n.ID())
+		if !ok {
+			t.Fatalf("no node provider for %s", n.ID())
+		}
+		if attrs["dirMsgsSent"] != want.MsgsSent || attrs["gcsTotalLog"] != int64(want.TotalLogSize) ||
+			attrs["gcsDedupHeld"] != int64(want.DedupHeld) || attrs["gcsHeldBatches"] != int64(want.HeldBatches) ||
+			attrs["gcsHoldOverflows"] != int64(want.HoldOverflows) ||
+			attrs["gcsSuspicions"] != int64(want.Suspicions) || attrs["gcsEvidenceProbes"] != int64(want.EvidenceProbes) ||
+			attrs["gcsEvidenceExclusions"] != int64(want.EvidenceExclusions) {
+			t.Fatalf("%s: attrs %v, want %+v", n.ID(), attrs, want)
+		}
+		suspicions += attrs["gcsSuspicions"].(int64)
+		exclusions += attrs["gcsEvidenceExclusions"].(int64)
+	}
+	if suspicions != 1 || exclusions != 0 {
+		t.Fatalf("%d suspicions and %d exclusions, want 1 and 0", suspicions, exclusions)
+	}
 }

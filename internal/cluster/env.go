@@ -26,8 +26,7 @@ type instanceEnv struct {
 var _ policy.Env = (*instanceEnv)(nil)
 
 // Resolve implements policy.Env.
-func (e *instanceEnv) Resolve(path []string) (any, error) {
-	key := strings.Join(path, ".")
+func (e *instanceEnv) Resolve(key string) (any, error) {
 	desc := e.inst.Descriptor()
 	switch key {
 	case "instance.id":

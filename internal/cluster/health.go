@@ -85,7 +85,6 @@ func healthEvent(typ remote.ServiceEventType, rec health.Record) remote.ServiceE
 func (n *Node) newHealthBroker() *remote.EventBroker {
 	n.healthBroker = remote.NewEventBroker(n.cluster.eng,
 		remote.WithBrokerService(remote.HealthServiceName),
-		remote.WithReplayRingShards(n.mod.ShardCount(), n.mod.ShardOf),
 		remote.WithEventSnapshot(func() []remote.ServiceEvent {
 			var evs []remote.ServiceEvent
 			for _, rec := range n.mod.Directory().HealthRecords() {

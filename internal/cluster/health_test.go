@@ -221,3 +221,20 @@ func TestSteadyHealthTickReusesSubjects(t *testing.T) {
 		t.Fatalf("a subject for the node's own record: %+v", env.Vars)
 	}
 }
+
+// TestSteadyHealthPolicyTickAllocations: a steady health tick on one
+// node of a 4-node cluster (12 remote records, two rules) allocates the
+// subjects' listing (three, see TestSteadyHealthTickReusesSubjects) and
+// the engine's copy of its rules, and nothing per rule and subject: the
+// engine keys its state by (rule, subject) and reuses its liveness set,
+// and selectors carry their dotted path from parse time.
+func TestSteadyHealthPolicyTickAllocations(t *testing.T) {
+	c := newCluster(t, 4)
+	eng := c.Nodes()[0].healthCtl.Engine()
+	eng.TickNow()
+	allocs := testing.AllocsPerRun(100, eng.TickNow)
+	t.Logf("steady health policy tick: %.0f allocations", allocs)
+	if allocs > 4 {
+		t.Fatalf("steady health policy tick allocated %.0f times, want at most 4", allocs)
+	}
+}

@@ -30,16 +30,6 @@ import (
 // GCSPort is the port group-communication members bind on every node.
 const GCSPort = 7000
 
-// ShardGCSPort is the port directory-shard group members bind on every
-// node: shard s listens on ShardGCSPort+s (the range up to RemotePort
-// leaves room for 99 shards).
-const ShardGCSPort = 7001
-
-// shardGroupName names shard s's group — the salt mixed into each
-// member's ranked id so every shard group elects a different
-// coordinator (see gcs.RankedID).
-func shardGroupName(s int) string { return fmt.Sprintf("dir-shard-%02d", s) }
-
 // NodeConfig sizes a node.
 type NodeConfig struct {
 	ID string
@@ -73,27 +63,23 @@ type Node struct {
 	cluster *Cluster
 	cfg     NodeConfig
 
-	vm      *vjvm.VJVM
-	nic     *netsim.NIC
-	host    *module.Framework
-	defs    *module.DefinitionRegistry
-	manager *core.Manager
-	member  *gcs.Member
-	// shardMembers are the per-shard directory group members (empty in
-	// the single-group layout). Each joins its own group under a ranked
-	// id so shard coordinators spread across nodes.
-	shardMembers []*gcs.Member
-	mod          *migrate.Module
-	mon          *monitor.Monitor
-	logSvc       *services.LogService
-	exporter     *remote.Exporter
-	remoteSrv    *remote.NetsimServer
-	rtransport   *remote.NetsimTransport
-	invoker      *remote.Invoker
-	importer     *remote.Importer
-	broker       *remote.EventBroker
-	prov         *nodeProvision
-	obsPlane     *obs.Plane
+	vm         *vjvm.VJVM
+	nic        *netsim.NIC
+	host       *module.Framework
+	defs       *module.DefinitionRegistry
+	manager    *core.Manager
+	member     *gcs.Member
+	mod        *migrate.Module
+	mon        *monitor.Monitor
+	logSvc     *services.LogService
+	exporter   *remote.Exporter
+	remoteSrv  *remote.NetsimServer
+	rtransport *remote.NetsimTransport
+	invoker    *remote.Invoker
+	importer   *remote.Importer
+	broker     *remote.EventBroker
+	prov       *nodeProvision
+	obsPlane   *obs.Plane
 
 	// Health plane: the evaluator ticking rules over the obs plane, its
 	// announcement timer, the dosgi.health alert broker and the autonomic
@@ -138,39 +124,12 @@ func (n *Node) Manager() *core.Manager { return n.manager }
 // Member returns the node's group member.
 func (n *Node) Member() *gcs.Member { return n.member }
 
-// ShardMembers returns the node's directory-shard group members (empty
-// in the single-group layout).
-func (n *Node) ShardMembers() []*gcs.Member { return n.shardMembers }
-
-// DirectoryMsgCounts sums the wire messages sent and received by every
-// group member carrying directory traffic on this node — the main
-// member plus all shard members. E13 aggregates these per node to show
-// sub-linear per-node broadcast volume as shards are added.
+// DirectoryMsgCounts returns the wire messages sent and received by the
+// node's group member, which carries all directory traffic — the
+// per-node broadcast volume E13 reports.
 func (n *Node) DirectoryMsgCounts() (sent, received int64) {
-	st := n.directoryGCSStats()
+	st := n.member.Stats()
 	return st.MsgsSent, st.MsgsReceived
-}
-
-// directoryGCSStats sums the message counters, the total-order state
-// sizes (retransmission log, dedup runs held above a gap), the
-// coordinator's hold-back counters (batches held, overflows) and the
-// evidence counters (suspicions, probes, exclusions) over the main member
-// and every shard member; the other fields are left zero.
-func (n *Node) directoryGCSStats() gcs.MemberStats {
-	var sum gcs.MemberStats
-	for _, m := range append([]*gcs.Member{n.member}, n.shardMembers...) {
-		st := m.Stats()
-		sum.MsgsSent += st.MsgsSent
-		sum.MsgsReceived += st.MsgsReceived
-		sum.TotalLogSize += st.TotalLogSize
-		sum.DedupHeld += st.DedupHeld
-		sum.HeldBatches += st.HeldBatches
-		sum.HoldOverflows += st.HoldOverflows
-		sum.Suspicions += st.Suspicions
-		sum.EvidenceProbes += st.EvidenceProbes
-		sum.EvidenceExclusions += st.EvidenceExclusions
-	}
-	return sum
 }
 
 // Migration returns the node's migration module.

@@ -32,8 +32,8 @@ const RemotePort = 7100
 // RemoteCallTimeout bounds one call attempt; it sits well inside the
 // default failure-detector window (4 × 50ms) so a partitioned call fails
 // over before the membership view changes. A timed-out attempt is also
-// evidence against its node (suspectNode), which the group confirms by
-// probing before it acts.
+// evidence against its node (gcs.Member.Suspect), which the group
+// confirms by probing before it acts.
 const RemoteCallTimeout = 100 * time.Millisecond
 
 // EventRenewInterval is how often cluster subscribers renew their event
@@ -88,7 +88,6 @@ func (n *Node) setupRemote() error {
 	// listener as invocations.
 	n.broker = remote.NewEventBroker(n.cluster.eng,
 		remote.WithBrokerAckHistogram(n.obsPlane.EventAckLag),
-		remote.WithReplayRingShards(n.mod.ShardCount(), n.mod.ShardOf),
 		remote.WithEventSnapshot(func() []remote.ServiceEvent {
 			var evs []remote.ServiceEvent
 			for _, info := range n.mod.Directory().Endpoints() {
@@ -124,7 +123,7 @@ func (n *Node) setupRemote() error {
 		remote.WithPoolObserver(n.cluster.eng.Now, n.obsPlane.PoolWait))
 	n.invoker = remote.NewInvoker(pool, directoryResolver{mod: n.mod},
 		remote.WithInvokerObservability(n.obsPlane.Tracer, n.obsPlane.InvokerCall),
-		remote.WithTimeoutEvidence(n.suspectNode))
+		remote.WithTimeoutEvidence(n.member.Suspect))
 	n.importer = remote.NewImporter(n.host.SystemContext(), n.invoker)
 
 	// The plane's histograms and span-store depth surface per node, next
@@ -200,16 +199,6 @@ func (n *Node) setupRemote() error {
 	// of the dosgi.health broker, demotion into the invoker.
 	n.setupHealth()
 	return nil
-}
-
-// suspectNode hands a call timeout against node to the failure detector
-// of every group this node shares with it: the main member, and each
-// shard member under node's ranked id in that shard's group.
-func (n *Node) suspectNode(node string) {
-	n.member.Suspect(node)
-	for s, sm := range n.shardMembers {
-		sm.Suspect(gcs.RankedID(shardGroupName(s), node))
-	}
 }
 
 // attachInstanceExporter starts exporting a started instance's

@@ -8,26 +8,21 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// E13 — directory convergence at scale: single replicated group vs the
-// rendezvous-sharded directory.
+// E13 — directory convergence at scale.
 //
 // A fixed cluster announces an endpoint population (spread round-robin
 // across the nodes) into the replicated directory and runs the simulator
-// until every node's replica holds every record. With a single GCS group,
-// one coordinator sequences every broadcast: when each record is its own
-// submission, its per-node message load is the whole population times the
-// fan-out. With N shard groups and ranked member ids, sequencing duty
-// spreads across the nodes, so the hottest node's traffic drops toward
-// total/nodes while the records stay exactly replicated. When records
-// arrive in bursts, the GCS batches each member's burst into one request
-// per group, and the message counts turn the other way (the Bursts rows).
-// The experiment runs entirely on the deterministic simulator: identical
-// numbers on every machine.
+// until every node's replica holds every record. One coordinator
+// sequences every broadcast: when each record is its own submission, its
+// per-node message load is the whole population times the fan-out. When
+// records arrive in bursts, the GCS batches each member's burst into one
+// order request, so a burst costs a few messages whatever its size (the
+// Bursts rows). The experiment runs entirely on the deterministic
+// simulator: identical numbers on every machine.
 
-// E13Row reports one (endpoints × shards) cell.
+// E13Row reports one endpoint count's fill.
 type E13Row struct {
 	Endpoints int
-	Shards    int
 	Nodes     int
 	// PerTurn is the number of records announced together, in one
 	// scheduler turn, before the simulator runs on.
@@ -37,60 +32,54 @@ type E13Row struct {
 	Converge time.Duration
 	// MaxNodeSent/MaxNodeRecv are the hottest single node's GCS messages
 	// sent/received while the population filled — the per-node broadcast
-	// load the sharding is meant to flatten.
+	// load.
 	MaxNodeSent int64
 	MaxNodeRecv int64
 	// TotalSent is the cluster-wide message count for the same fill.
 	TotalSent int64
 }
 
-// E13DirectorySharding fills an n-node cluster's directory with each
-// endpoint count, once per shard count, and reports convergence time and
-// per-node broadcast traffic for every cell. Records arrive one per
-// simulated microsecond, each in its own scheduler turn, so every record
-// is its own GCS submission: the rows measure the per-record sequencing
-// load.
-func E13DirectorySharding(endpointCounts, shardCounts []int, nodes int) ([]E13Row, error) {
-	return e13Rows(endpointCounts, shardCounts, nodes, 1, time.Microsecond)
+// E13Directory fills an n-node cluster's directory with each endpoint
+// count and reports convergence time and per-node broadcast traffic for
+// every fill. Records arrive one per simulated microsecond, each in its
+// own scheduler turn, so every record is its own GCS submission: the rows
+// measure the per-record sequencing load.
+func E13Directory(endpointCounts []int, nodes int) ([]E13Row, error) {
+	return e13Rows(endpointCounts, nodes, 1, time.Microsecond)
 }
 
-// E13DirectoryShardingBursts is E13DirectorySharding at the same average
-// offered rate in bursts: 1,000 records in one scheduler turn per
-// simulated millisecond. The GCS sends the total-order broadcasts one
-// member makes in one turn as one order request per group, so a burst
-// costs each group a few messages whatever its size, and splitting it
-// across shard groups multiplies them: here the sharded layout's hottest
-// node sends more messages than the single group's.
-func E13DirectoryShardingBursts(endpointCounts, shardCounts []int, nodes int) ([]E13Row, error) {
-	return e13Rows(endpointCounts, shardCounts, nodes, 1000, time.Millisecond)
+// E13DirectoryBursts is E13Directory at the same average offered rate in
+// bursts: 1,000 records in one scheduler turn per simulated millisecond.
+// The GCS sends the total-order broadcasts one member makes in one turn
+// as one order request, so a burst costs a few messages whatever its
+// size.
+func E13DirectoryBursts(endpointCounts []int, nodes int) ([]E13Row, error) {
+	return e13Rows(endpointCounts, nodes, 1000, time.Millisecond)
 }
 
-func e13Rows(endpointCounts, shardCounts []int, nodes, perTurn int, every time.Duration) ([]E13Row, error) {
+func e13Rows(endpointCounts []int, nodes, perTurn int, every time.Duration) ([]E13Row, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("experiments: e13 needs at least 2 nodes")
 	}
 	var rows []E13Row
 	for _, eps := range endpointCounts {
-		for _, shards := range shardCounts {
-			row, err := e13Run(eps, shards, nodes, perTurn, every)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		row, err := e13Run(eps, nodes, perTurn, every)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func e13Run(endpoints, shards, nodes, perTurn int, every time.Duration) (E13Row, error) {
-	if endpoints <= 0 || shards <= 0 {
-		return E13Row{}, fmt.Errorf("experiments: e13 needs positive endpoints and shards")
+func e13Run(endpoints, nodes, perTurn int, every time.Duration) (E13Row, error) {
+	if endpoints <= 0 {
+		return E13Row{}, fmt.Errorf("experiments: e13 needs a positive endpoint count")
 	}
 	// The record burst dwarfs any heartbeat-ack window, so the slow-member
 	// log alarm is off; periodic anti-entropy is off too, so the counted
 	// messages are exactly the announce broadcasts plus group upkeep.
 	c := cluster.New(13,
-		cluster.WithDirectoryShards(shards),
 		cluster.WithGCSMaxTotalLog(-1),
 		cluster.WithDirectoryResyncEvery(-1))
 	ns := make([]*cluster.Node, 0, nodes)
@@ -101,7 +90,7 @@ func e13Run(endpoints, shards, nodes, perTurn int, every time.Duration) (E13Row,
 		}
 		ns = append(ns, n)
 	}
-	c.Settle(2 * time.Second) // stable membership in every shard group
+	c.Settle(2 * time.Second) // stable membership
 
 	base := make([][2]int64, nodes)
 	for i, n := range ns {
@@ -139,12 +128,12 @@ func e13Run(endpoints, shards, nodes, perTurn int, every time.Duration) (E13Row,
 			break
 		}
 		if c.Now() > deadline {
-			return E13Row{}, fmt.Errorf("experiments: e13 %d endpoints / %d shards never converged", endpoints, shards)
+			return E13Row{}, fmt.Errorf("experiments: e13 %d endpoints never converged", endpoints)
 		}
 		c.Settle(5 * time.Millisecond)
 	}
 
-	row := E13Row{Endpoints: endpoints, Shards: shards, Nodes: nodes, PerTurn: perTurn, Converge: c.Now() - start}
+	row := E13Row{Endpoints: endpoints, Nodes: nodes, PerTurn: perTurn, Converge: c.Now() - start}
 	for i, n := range ns {
 		s, r := n.DirectoryMsgCounts()
 		ds, dr := s-base[i][0], r-base[i][1]

@@ -86,11 +86,21 @@ func (m *Member) answerProbe(p probeMsg) {
 	}
 }
 
+// evidenceSilence is how long a suspect must have been silent for
+// evidence to exclude it: two heartbeat intervals, or half of FailTimeout
+// when that is longer, and never more than FailTimeout. A long timeout
+// says the link is trusted to stay quiet that long, so evidence waits
+// for a proportionate silence instead of excluding a live member whose
+// heartbeats a lossy link dropped. For every FailTimeout up to four
+// intervals (the default among them) it is min(2·interval, FailTimeout).
+func (m *Member) evidenceSilence() time.Duration {
+	return min(m.cfg.FailTimeout, max(2*m.cfg.HeartbeatInterval, m.cfg.FailTimeout/2))
+}
+
 // confirmEvidence decides a confirmation started in view viewID: the
-// suspect leaves the view if its silence exceeds two heartbeat intervals
-// (at most FailTimeout). The decision falls 3/10 of an interval after the
-// evidence, so anything that arrived since then, a probe's answer among
-// it, keeps the suspect.
+// suspect leaves the view if its silence exceeds evidenceSilence. The
+// decision falls 3/10 of an interval after the evidence, so anything
+// that arrived since then, a probe's answer among it, keeps the suspect.
 func (m *Member) confirmEvidence(id string, viewID int64) {
 	m.mu.Lock()
 	if m.state != stateRunning || m.view.ID != viewID {
@@ -98,7 +108,7 @@ func (m *Member) confirmEvidence(id string, viewID int64) {
 		return
 	}
 	delete(m.confirming, id)
-	if m.sched.Now()-m.lastSeen[id] <= min(2*m.cfg.HeartbeatInterval, m.cfg.FailTimeout) {
+	if m.sched.Now()-m.lastSeen[id] <= m.evidenceSilence() {
 		m.mu.Unlock()
 		return
 	}

@@ -63,6 +63,36 @@ func TestAnsweredProbeKeepsMember(t *testing.T) {
 	sameView(t, []*Member{h.members["node00"], h.members["node01"], h.members["node02"]}, 3)
 }
 
+// TestEvidenceSilenceFollowsFailTimeout: with a FailTimeout of forty
+// heartbeat intervals, a live member that a partition from the
+// coordinator silenced past two intervals, but not past half the
+// timeout, stays in the view although the probes the evidence starts go
+// unanswered.
+func TestEvidenceSilenceFollowsFailTimeout(t *testing.T) {
+	h := newHarnessCfg(t, 3, func(c *Config) {
+		c.HeartbeatInterval = 50 * time.Millisecond
+		c.FailTimeout = 2 * time.Second
+	})
+	h.startAll(t)
+	h.eng.RunFor(4 * time.Second) // formation waits out the long timeout
+	views := h.members["node00"].ViewChanges()
+	h.net.Partition("node00", "node02")
+	h.eng.RunFor(120 * time.Millisecond)
+	h.members["node01"].Suspect("node02") // node00 coordinates without node02
+	h.eng.RunFor(30 * time.Millisecond)   // every probe goes out and is lost
+	h.net.HealAll()
+	h.eng.RunFor(time.Second)
+
+	st := h.members["node00"].Stats()
+	if st.Suspicions != 1 || st.EvidenceProbes != evidenceProbes || st.EvidenceExclusions != 0 {
+		t.Fatalf("node00 stats %+v, want 1 suspicion, %d probes, no exclusion", st, evidenceProbes)
+	}
+	if got := h.members["node00"].ViewChanges(); got != views {
+		t.Fatalf("view changes %d -> %d, want none", views, got)
+	}
+	sameView(t, []*Member{h.members["node00"], h.members["node01"], h.members["node02"]}, 3)
+}
+
 // TestEvidenceAgainstRecentlyHeardMemberIsDropped: within one heartbeat
 // interval of the suspect's last message the evidence starts no probe.
 func TestEvidenceAgainstRecentlyHeardMemberIsDropped(t *testing.T) {

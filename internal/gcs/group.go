@@ -23,17 +23,19 @@
 // HeartbeatInterval/10 apart, each answered at once by a live member's
 // heartbeat. One spacing after the last probe it installs the successor
 // view without the suspect, but only if nothing arrived from the suspect
-// since the evidence and its silence exceeds two heartbeat intervals
-// (never more than FailTimeout). Otherwise nothing changes. So a crashed
-// member silent for two intervals leaves the view three spacings after
-// the next client call to it times out, not FailTimeout after its last
-// heartbeat. The scope under loss: evidence lowers the silence an
-// exclusion needs from FailTimeout to two intervals, and only the probes
-// stand between a lossy link and a false suspicion. At the default
-// FailTimeout (four intervals) they hold false suspicions flat (ablation
-// A3's evidence axis); with a FailTimeout much longer than two intervals,
-// evidence on a lossy link excludes members that FailTimeout alone would
-// keep.
+// since the evidence and its silence exceeds two heartbeat intervals or
+// half of FailTimeout, whichever is longer (never more than FailTimeout).
+// Otherwise nothing changes. So a crashed member silent that long leaves
+// the view three spacings after the next client call to it times out,
+// not FailTimeout after its last heartbeat. The scope under loss:
+// evidence lowers the silence an exclusion needs from FailTimeout to
+// that bound, and only the probes stand between a lossy link and a false
+// suspicion. At the default FailTimeout (four intervals) the bound is two
+// intervals and the probes hold false suspicions flat (ablation A3's
+// evidence axis); a longer FailTimeout raises the bound with it, so a
+// lossy link's dropped heartbeats do not turn evidence into the false
+// suspicions FailTimeout alone would avoid (A3 at 30 % loss: none from
+// 400 ms up).
 //
 // Total order is also FIFO per sender: every member delivers one
 // sender's broadcasts in the order that sender made them, so a

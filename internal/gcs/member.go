@@ -3,6 +3,7 @@ package gcs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,14 +13,9 @@ import (
 	"dosgi/internal/netsim"
 )
 
-// Errors returned by membership operations.
-var (
-	// ErrNotRunning is returned when broadcasting before a view is
-	// installed.
-	ErrNotRunning = errors.New("gcs: member not running")
-	// ErrStopped is returned after Stop or Crash.
-	ErrStopped = errors.New("gcs: member stopped")
-)
+// ErrNotRunning is returned when broadcasting before a view is
+// installed.
+var ErrNotRunning = errors.New("gcs: member not running")
 
 type memberState int
 
@@ -163,7 +159,7 @@ type Member struct {
 	// msgsSent/msgsReceived count wire messages through this member —
 	// heartbeats, views, order requests, sequenced broadcasts, gap
 	// retransmissions — the per-member traffic numbers the directory
-	// sharding experiment (E13) aggregates per node. Atomics: sendTo
+	// experiment (E13) reads per node. Atomics: sendTo
 	// runs both under and outside mu.
 	msgsSent     atomic.Int64
 	msgsReceived atomic.Int64
@@ -255,18 +251,12 @@ func (m *Member) View() View {
 	return m.view.clone()
 }
 
-// HasNode reports whether the current view holds a member running on node,
-// compared on the plain node id (NodeOf), so ranked ids match too. Unlike
-// View it copies nothing.
+// HasNode reports whether the current view holds node. Unlike View it
+// copies nothing.
 func (m *Member) HasNode(node string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, id := range m.view.Members {
-		if NodeOf(id) == node {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(m.view.Members, node)
 }
 
 // ViewChanges returns the number of views installed so far.

@@ -43,13 +43,13 @@ func TestDirectoryArtifactRecords(t *testing.T) {
 	if got := d.ArtifactReplicas("aaa"); len(got) != 1 {
 		t.Fatalf("after RemoveArtifact = %+v", got)
 	}
-	d.artifacts.prune(map[string]bool{"n2": true}, nil)
+	d.artifacts.prune(map[string]bool{"n2": true})
 	if got := d.Artifacts(); len(got) != 0 {
 		t.Fatalf("after RemoveArtifactsOf = %+v", got)
 	}
 	// Removing from an empty directory is a no-op.
 	d.artifacts.remove("ghost", "n1")
-	d.artifacts.prune(map[string]bool{"n1": true, "n2": true}, nil)
+	d.artifacts.prune(map[string]bool{"n1": true, "n2": true})
 }
 
 func TestDirectoryReplaceArtifactsOf(t *testing.T) {
@@ -65,7 +65,7 @@ func TestDirectoryReplaceArtifactsOf(t *testing.T) {
 
 	// The anti-entropy resync: n1 now holds only ccc; its stale aaa/bbb
 	// records vanish, other nodes' records survive. Deltas are exact.
-	added, updated, removed := d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")}, nil)
+	added, updated, removed := d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")})
 	if len(added) != 1 || added[0].Digest != "ccc" {
 		t.Fatalf("added = %+v", added)
 	}
@@ -81,20 +81,20 @@ func TestDirectoryReplaceArtifactsOf(t *testing.T) {
 	}
 	// Identical replay: no deltas at all — the property that makes
 	// periodic artifact anti-entropy silent when converged.
-	added, updated, removed = d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")}, nil)
+	added, updated, removed = d.artifacts.replaceOf("n1", []ArtifactInfo{art("ccc", "n1")})
 	if len(added)+len(updated)+len(removed) != 0 {
 		t.Fatalf("replay deltas: +%v ~%v -%v", added, updated, removed)
 	}
 	// A content change surfaces as updated.
 	changed := art("ccc", "n1")
 	changed.Location = "app:moved"
-	_, updated, _ = d.artifacts.replaceOf("n1", []ArtifactInfo{changed}, nil)
+	_, updated, _ = d.artifacts.replaceOf("n1", []ArtifactInfo{changed})
 	if len(updated) != 1 || updated[0].Location != "app:moved" {
 		t.Fatalf("updated = %+v", updated)
 	}
 	// Records claiming another node are ignored (a node only speaks for
 	// itself in a sync).
-	added, updated, removed = d.artifacts.replaceOf("n2", []ArtifactInfo{art("ddd", "n3")}, nil)
+	added, updated, removed = d.artifacts.replaceOf("n2", []ArtifactInfo{art("ddd", "n3")})
 	if got := d.Artifacts(); len(got) != 1 || got[0].Digest != "ccc" {
 		t.Fatalf("forged sync applied: %+v", got)
 	}

@@ -202,7 +202,7 @@ func (d *Directory) PutEndpoint(info EndpointInfo) (existed bool) {
 func (d *Directory) ReplaceEndpointsOf(node string, infos []EndpointInfo) (added, updated, removed []EndpointInfo) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.endpoints.replaceOf(node, infos, nil)
+	return d.endpoints.replaceOf(node, infos)
 }
 
 // EndpointsAt returns every endpoint record served at addr, sorted by

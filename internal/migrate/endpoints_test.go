@@ -38,7 +38,7 @@ func TestDirectoryEndpointRecords(t *testing.T) {
 	if got := d.EndpointsFor("kv"); len(got) != 1 {
 		t.Fatalf("after RemoveEndpoint = %+v", got)
 	}
-	if removed := d.endpoints.prune(map[string]bool{"n2": true}, nil); len(removed) != 2 {
+	if removed := d.endpoints.prune(map[string]bool{"n2": true}); len(removed) != 2 {
 		t.Fatalf("RemoveEndpointsOf = %+v", removed)
 	}
 	if got := d.Endpoints(); len(got) != 0 {
@@ -48,7 +48,7 @@ func TestDirectoryEndpointRecords(t *testing.T) {
 	if _, ok := d.endpoints.remove("ghost", "n1"); ok {
 		t.Fatal("ghost removal reported a record")
 	}
-	if removed := d.endpoints.prune(map[string]bool{"n1": true, "n2": true}, nil); len(removed) != 0 {
+	if removed := d.endpoints.prune(map[string]bool{"n1": true, "n2": true}); len(removed) != 0 {
 		t.Fatalf("empty RemoveEndpointsOf = %+v", removed)
 	}
 }

@@ -12,10 +12,10 @@ import (
 
 // familyCase drives one declared record family: its public announce
 // path, typed wire records for injected messages, the directory listing
-// and the shard engine's subscriber hooks.
+// and the module's subscriber hooks.
 type familyCase struct {
 	name     string
-	tag      func(s *dirShard) int
+	tag      func(m *Module) int
 	announce func(m *Module, key string)
 	record   func(key, holder string) any
 	records  func(holder string, keys ...string) any
@@ -23,11 +23,11 @@ type familyCase struct {
 	onChange func(m *Module, fn func())
 }
 
-func newFamilyCase[V comparable](fam *family[V], pick func(*dirShard) *recordFamily[V],
+func newFamilyCase[V comparable](fam *family[V], pick func(*Module) *recordFamily[V],
 	mk func(key, holder string) V, announce func(m *Module, v V), all func(d *Directory) []V) familyCase {
 	return familyCase{
 		name:     fam.name,
-		tag:      func(s *dirShard) int { return pick(s).tag },
+		tag:      func(m *Module) int { return pick(m).tag },
 		announce: func(m *Module, key string) { announce(m, mk(key, "")) },
 		record:   func(key, holder string) any { return mk(key, holder) },
 		records: func(holder string, keys ...string) any {
@@ -45,9 +45,7 @@ func newFamilyCase[V comparable](fam *family[V], pick func(*dirShard) *recordFam
 			return out
 		},
 		onChange: func(m *Module, fn func()) {
-			for _, s := range m.shards {
-				pick(s).subscribe(func(Change[V]) { fn() })
-			}
+			pick(m).subscribe(func(Change[V]) { fn() })
 		},
 	}
 }
@@ -55,49 +53,40 @@ func newFamilyCase[V comparable](fam *family[V], pick func(*dirShard) *recordFam
 // familyCases lists every declared record family.
 func familyCases() []familyCase {
 	return []familyCase{
-		newFamilyCase(endpointFamily, func(s *dirShard) *recordFamily[EndpointInfo] { return s.eps },
+		newFamilyCase(endpointFamily, func(m *Module) *recordFamily[EndpointInfo] { return m.eps },
 			func(key, holder string) EndpointInfo {
 				return EndpointInfo{Service: key, Node: holder, Addr: "ip:7100"}
 			},
 			func(m *Module, e EndpointInfo) { m.AnnounceEndpoint(e.Service, e.Addr) },
 			(*Directory).Endpoints),
-		newFamilyCase(artifactFamily, func(s *dirShard) *recordFamily[ArtifactInfo] { return s.arts },
+		newFamilyCase(artifactFamily, func(m *Module) *recordFamily[ArtifactInfo] { return m.arts },
 			art, (*Module).AnnounceArtifact, (*Directory).Artifacts),
-		newFamilyCase(healthFamily, func(s *dirShard) *recordFamily[health.Record] { return s.hlth },
+		newFamilyCase(healthFamily, func(m *Module) *recordFamily[health.Record] { return m.hlth },
 			func(key, holder string) health.Record { return hrec(key, holder, health.StatusOK, "") },
 			(*Module).AnnounceHealth, (*Directory).HealthRecords),
 	}
 }
 
 // TestRecordFamilies runs every declared record family through the shared
-// engine at 1 and 4 shards: the deliver-side membership filter, silent
-// converged anti-entropy, deterministic dead-holder pruning, and per-shard
-// sync scoping. A family the shard's engine loops (onDeliver, onView,
-// antiEntropy, DirectoryStats) leave out fails here.
+// engine: the deliver-side membership filter, silent converged
+// anti-entropy, deterministic dead-holder pruning, and a holder's
+// authoritative sync. A family the module's engine loops (onDeliver,
+// onView, antiEntropy, DirectoryStats) leave out fails here.
 func TestRecordFamilies(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, fc := range familyCases() {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, fc.name), func(t *testing.T) {
-				testRecordFamily(t, shards, fc)
-			})
-		}
+	for _, fc := range familyCases() {
+		t.Run(fc.name, func(t *testing.T) { testRecordFamily(t, fc) })
 	}
 }
 
-func testRecordFamily(t *testing.T, shards int, fc familyCase) {
-	tc := newShardedTestClusterSeed(t, 4, shards, 1)
+func testRecordFamily(t *testing.T, fc familyCase) {
+	tc := newTestCluster(t, 4)
 	tc.settle()
 	mod := tc.nodes["node00"].mod
 	stats := func(id string) FamilyStats { return tc.nodes[id].mod.DirectoryStats()[fc.name] }
 
 	keys := make([]string, 8)
-	hit := make(map[int]bool)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k-%02d", i)
-		hit[mod.ShardOf(keys[i])] = true
-	}
-	if len(hit) != shards {
-		t.Fatalf("test keys cover %d of %d shards", len(hit), shards)
 	}
 	for _, n := range tc.nodes {
 		for _, k := range keys {
@@ -121,10 +110,9 @@ func testRecordFamily(t *testing.T, shards int, fc familyCase) {
 	// A put, remove or sync from a holder outside the view is dropped
 	// and counted as Filtered.
 	listed, before := fc.list(mod.Directory()), stats("node00")
-	s := mod.shards[mod.ShardOf("ghost")]
-	s.onDeliver(gcs.Message{Body: recordPut{Family: fc.tag(s), Info: fc.record("ghost", "node99")}})
-	s.onDeliver(gcs.Message{Body: recordRemove{Family: fc.tag(s), Key: keys[0], Node: "node99"}})
-	s.onDeliver(gcs.Message{Body: recordSync{Family: fc.tag(s), Node: "node99", Infos: fc.records("node99", "ghost")}})
+	mod.onDeliver(gcs.Message{Body: recordPut{Family: fc.tag(mod), Info: fc.record("ghost", "node99")}})
+	mod.onDeliver(gcs.Message{Body: recordRemove{Family: fc.tag(mod), Key: keys[0], Node: "node99"}})
+	mod.onDeliver(gcs.Message{Body: recordSync{Family: fc.tag(mod), Node: "node99", Infos: fc.records("node99", "ghost")}})
 	after := stats("node00")
 	if after.Filtered != before.Filtered+3 {
 		t.Fatalf("Filtered %d -> %d, want +3", before.Filtered, after.Filtered)
@@ -137,17 +125,14 @@ func testRecordFamily(t *testing.T, shards int, fc familyCase) {
 	}
 
 	// A converged sync is silent: one anti-entropy round applies one
-	// sync per node and shard, every one silent, and no delta reaches a
-	// subscriber.
+	// sync per node, every one silent, and no delta reaches a subscriber.
 	before = stats("node00")
 	for _, n := range tc.nodes {
-		for _, s := range n.mod.shards {
-			s.antiEntropy()
-		}
+		n.mod.antiEntropy()
 	}
 	tc.eng.RunFor(100 * time.Millisecond)
 	after = stats("node00")
-	if syncs := int64(len(tc.nodes) * shards); after.Syncs-before.Syncs != syncs || after.SilentSyncs-before.SilentSyncs != syncs {
+	if syncs := int64(len(tc.nodes)); after.Syncs-before.Syncs != syncs || after.SilentSyncs-before.SilentSyncs != syncs {
 		t.Fatalf("want %d silent syncs: before %+v, after %+v", syncs, before, after)
 	}
 	if after.Added != before.Added || after.Updated != before.Updated || after.Removed != before.Removed || changes != 0 {
@@ -184,18 +169,16 @@ func testRecordFamily(t *testing.T, shards int, fc familyCase) {
 		t.Fatalf("subscriber saw %d deltas for the prune, want %d", changes, len(keys))
 	}
 
-	// A per-shard sync leaves other shards' keys alone: an empty sync
-	// for node01 on one shard erases only that shard's node01 records.
-	target := mod.ShardOf(keys[0])
-	s = mod.shards[target]
-	s.onDeliver(gcs.Message{Body: recordSync{Family: fc.tag(s), Node: "node01", Infos: fc.records("node01")}})
+	// An authoritative sync replaces the holder's whole set: an empty
+	// sync for node01 erases every node01 record and nothing else.
+	mod.onDeliver(gcs.Message{Body: recordSync{Family: fc.tag(mod), Node: "node01", Infos: fc.records("node01")}})
 	held := make(map[string]bool)
 	for _, rec := range fc.list(mod.Directory()) {
 		held[rec] = true
 	}
 	for _, k := range keys {
-		if want := mod.ShardOf(k) != target; held[k+"@node01"] != want {
-			t.Fatalf("after shard-%d sync, node01 holds %s = %v, want %v", target, k, !want, want)
+		if held[k+"@node01"] || !held[k+"@node00"] || !held[k+"@node02"] {
+			t.Fatalf("after node01's empty sync, records of %s = %v", k, held)
 		}
 	}
 }

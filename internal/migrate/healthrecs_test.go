@@ -38,7 +38,7 @@ func TestDirectoryHealthRecords(t *testing.T) {
 	if got := d.HealthFor("remote"); len(got) != 1 {
 		t.Fatalf("after RemoveHealth = %+v", got)
 	}
-	d.healths.prune(map[string]bool{"n2": true}, nil)
+	d.healths.prune(map[string]bool{"n2": true})
 	if got := d.HealthRecords(); len(got) != 0 {
 		t.Fatalf("after RemoveHealthOf = %+v", got)
 	}
@@ -48,7 +48,7 @@ func TestDirectoryHealthRecords(t *testing.T) {
 	added, updated, removed := d.healths.replaceOf("n1", []health.Record{
 		hrec("remote", "n1", health.StatusCritical, "pool"),
 		hrec("sla", "n1", health.StatusOK, ""),
-	}, nil)
+	})
 	if len(added) != 1 || added[0].Component != "sla" ||
 		len(updated) != 1 || updated[0].Status != health.StatusCritical ||
 		len(removed) != 0 {
@@ -58,7 +58,7 @@ func TestDirectoryHealthRecords(t *testing.T) {
 	added, updated, removed = d.healths.replaceOf("n1", []health.Record{
 		hrec("remote", "n1", health.StatusCritical, "pool"),
 		hrec("sla", "n1", health.StatusOK, ""),
-	}, nil)
+	})
 	if len(added)+len(updated)+len(removed) != 0 {
 		t.Fatalf("replay deltas: +%v ~%v -%v", added, updated, removed)
 	}

@@ -105,20 +105,6 @@ type Config struct {
 	// first. done must be invoked exactly once; a non-nil error aborts
 	// the restore.
 	EnsureBundles func(locations []string, done func(error))
-	// Shards partitions the record engine (endpoints, artifacts, health)
-	// into this many rendezvous-hashed shards, each riding its own GCS
-	// group from ShardMembers — its own coordinator, epoch log, view and
-	// anti-entropy timer. 0 or 1 keeps the single-group layout: records
-	// ride Member exactly as before. Instance, node-capacity and
-	// migration traffic always stays on Member regardless.
-	Shards int
-	// ShardMembers are the per-shard GCS members (required when
-	// Shards > 1, exactly Shards of them). They usually join per-shard
-	// groups under ranked ids (gcs.RankedID) so coordinators spread
-	// across nodes; the module maps view members back to plain node ids
-	// through gcs.NodeOf. The caller starts and stops them alongside
-	// Member; Shutdown stops them after the main member leaves.
-	ShardMembers []*gcs.Member
 }
 
 // DefaultResyncEvery is the default directory anti-entropy period.
@@ -133,17 +119,25 @@ var (
 	ErrMigrationInProgress = errors.New("migrate: migration already in progress")
 )
 
-// Module is one node's migration agent.
+// Module is one node's migration agent, and the engine of the
+// directory's record families: every family rides cfg.Member beside the
+// instance, node and migration traffic.
 type Module struct {
-	cfg    Config
-	dir    *Directory
-	router ShardRouter
-	// shards partition the record engine. The single-shard layout holds
-	// one shard riding cfg.Member (match nil); the sharded layout holds
-	// one per ShardMembers entry, each scoped to its rendezvous-hashed
-	// key subset. Announce/withdraw calls route by key; subscriber hooks
-	// observe the merged exact-delta stream of every shard.
-	shards []*dirShard
+	cfg Config
+	dir *Directory
+
+	// recMu pins record broadcasts' submission order to local mutation
+	// order (see recordFamily.announce) and guards the families' owned
+	// sets, hooks and counters, announced and resyncTimer.
+	recMu       sync.Mutex
+	announced   bool
+	resyncTimer clock.Timer
+	// fams holds every record family in wire-tag order; eps, arts and
+	// hlth are the same families, typed for the per-family API.
+	fams []familyEngine
+	eps  *recordFamily[EndpointInfo]
+	arts *recordFamily[ArtifactInfo]
+	hlth *recordFamily[health.Record]
 
 	mu        sync.Mutex
 	started   bool
@@ -152,7 +146,7 @@ type Module struct {
 }
 
 // NewModule builds the module; call Start *before* starting the group
-// member (and any shard members) so no view change is missed.
+// member so no view change is missed.
 func NewModule(cfg Config) (*Module, error) {
 	if cfg.NodeID == "" || cfg.Sched == nil || cfg.Member == nil || cfg.Store == nil || cfg.Manager == nil {
 		return nil, errors.New("migrate: incomplete config")
@@ -163,38 +157,16 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.ResyncEvery == 0 {
 		cfg.ResyncEvery = DefaultResyncEvery
 	}
-	if cfg.Shards > 1 && len(cfg.ShardMembers) != cfg.Shards {
-		return nil, fmt.Errorf("migrate: %d shards need exactly %d shard members, got %d",
-			cfg.Shards, cfg.Shards, len(cfg.ShardMembers))
-	}
 	m := &Module{
 		cfg:       cfg,
 		dir:       NewDirectory(),
-		router:    NewShardRouter(cfg.Shards),
 		migrating: make(map[core.InstanceID]bool),
 	}
-	if cfg.Shards > 1 {
-		m.shards = make([]*dirShard, cfg.Shards)
-		for i, sm := range cfg.ShardMembers {
-			shard := i
-			m.shards[i] = newDirShard(m, i, sm, func(key string) bool {
-				return m.router.Shard(key) == shard
-			})
-		}
-	} else {
-		m.shards = []*dirShard{newDirShard(m, 0, cfg.Member, nil)}
-	}
+	m.eps = addFamily(m, m.dir.endpoints)
+	m.arts = addFamily(m, m.dir.artifacts)
+	m.hlth = addFamily(m, m.dir.healths)
 	return m, nil
 }
-
-// ShardCount returns the number of directory shards (1 in the
-// single-group layout).
-func (m *Module) ShardCount() int { return m.router.Shards() }
-
-// ShardOf returns the shard owning a record key — identical on every
-// node, so consumers can reason about which shard group sequences a
-// given service, digest or component.
-func (m *Module) ShardOf(key string) int { return m.router.Shard(key) }
 
 // Directory returns this node's replica of the cluster directory.
 func (m *Module) Directory() *Directory { return m.dir }
@@ -215,11 +187,8 @@ func (m *Module) emit(ev Event) {
 	}
 }
 
-// Start hooks the module into the group members and the instance
-// manager. Each shard registers its own view/deliver handlers on its
-// own member (record handlers register before the instance-level ones,
-// preserving the resync-before-placement order of the single-group
-// engine) and runs its own anti-entropy timer.
+// Start hooks the module into the group member and the instance manager
+// and starts the record families' anti-entropy timer.
 func (m *Module) Start() error {
 	m.mu.Lock()
 	if m.started {
@@ -229,38 +198,29 @@ func (m *Module) Start() error {
 	m.started = true
 	m.mu.Unlock()
 
-	for _, s := range m.shards {
-		s.member.OnViewChange(s.onView)
-		s.member.OnDeliver(s.onDeliver)
-	}
 	m.cfg.Member.OnViewChange(m.onView)
 	m.cfg.Member.OnDeliver(m.onDeliver)
 	m.cfg.Manager.OnEvent(m.onInstanceEvent)
 	if m.cfg.ResyncEvery > 0 {
-		for _, s := range m.shards {
-			shard := s
-			s.mu.Lock()
-			s.resyncTimer = m.cfg.Sched.Every(m.cfg.ResyncEvery, shard.antiEntropy)
-			s.mu.Unlock()
-		}
+		m.recMu.Lock()
+		m.resyncTimer = m.cfg.Sched.Every(m.cfg.ResyncEvery, m.antiEntropy)
+		m.recMu.Unlock()
 	}
 	return nil
 }
 
-// Stop halts every shard's anti-entropy (the group members are stopped
+// Stop halts the anti-entropy timer (the group member is stopped
 // separately, usually through Shutdown).
 func (m *Module) Stop() {
 	m.mu.Lock()
 	m.started = false
 	m.mu.Unlock()
-	for _, s := range m.shards {
-		s.mu.Lock()
-		if s.resyncTimer != nil {
-			s.resyncTimer.Cancel()
-			s.resyncTimer = nil
-		}
-		s.mu.Unlock()
+	m.recMu.Lock()
+	if m.resyncTimer != nil {
+		m.resyncTimer.Cancel()
+		m.resyncTimer = nil
 	}
+	m.recMu.Unlock()
 }
 
 // CheckpointPath returns the SAN location of an instance's state.
@@ -282,17 +242,32 @@ func (m *Module) buildInfo(inst *core.Instance) InstanceInfo {
 	}
 }
 
-// broadcast sends a totally-ordered message on the main group, silently
+// broadcast sends a totally-ordered message on the group, silently
 // dropping it when the member is not yet in a view (the first view
-// announce re-publishes everything). Record mutations ride the owning
-// shard's group instead — see dirShard.broadcast.
+// announce re-publishes everything).
 func (m *Module) broadcast(body any) {
 	_ = m.cfg.Member.Broadcast(body, gcs.Total)
 }
 
-// shardFor returns the shard owning a record key.
-func (m *Module) shardFor(key string) *dirShard {
-	return m.shards[m.router.Shard(key)]
+// broadcastSyncsLocked broadcasts every family's authoritative record
+// set. It runs under recMu: a sync submitted after a concurrent announce
+// or withdraw must reflect it, or total-order sequencing could apply the
+// stale snapshot last.
+func (m *Module) broadcastSyncsLocked() {
+	for _, f := range m.fams {
+		m.broadcast(f.syncMsg())
+	}
+}
+
+// antiEntropy re-broadcasts the authoritative record sets on the
+// module's timer, once the first view has announced them. Exact deltas
+// mean a converged directory produces no events.
+func (m *Module) antiEntropy() {
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
+	if m.announced {
+		m.broadcastSyncsLocked()
+	}
 }
 
 // AnnounceEndpoint records and broadcasts a remotely invocable service
@@ -307,7 +282,7 @@ func (m *Module) AnnounceEndpoint(service, addr string) {
 // exports). Re-announcing an existing (service, node) record surfaces as
 // an UPDATED endpoint change — a MODIFIED service event — on every node.
 func (m *Module) AnnounceEndpointFor(service, addr, instance string) {
-	m.shardFor(service).eps.announce(EndpointInfo{Service: service, Node: m.cfg.NodeID, Addr: addr, Instance: instance})
+	m.eps.announce(EndpointInfo{Service: service, Node: m.cfg.NodeID, Addr: addr, Instance: instance})
 }
 
 // WithdrawEndpoint broadcasts that this node's host framework stopped
@@ -323,7 +298,7 @@ func (m *Module) WithdrawEndpoint(service string) {
 // instance whose export name collides with a live host export — from
 // erasing the surviving owner's record cluster-wide.
 func (m *Module) WithdrawEndpointFor(service, instance string) {
-	m.shardFor(service).eps.withdraw(service, func(e EndpointInfo) bool { return e.Instance == instance })
+	m.eps.withdraw(service, func(e EndpointInfo) bool { return e.Instance == instance })
 }
 
 // AnnounceArtifact records and broadcasts that this node holds a copy of
@@ -331,12 +306,12 @@ func (m *Module) WithdrawEndpointFor(service, instance string) {
 // verified fetch).
 func (m *Module) AnnounceArtifact(info ArtifactInfo) {
 	info.Node = m.cfg.NodeID
-	m.shardFor(info.Digest).arts.announce(info)
+	m.arts.announce(info)
 }
 
 // WithdrawArtifact broadcasts that this node no longer holds the artifact.
 func (m *Module) WithdrawArtifact(digest string) {
-	m.shardFor(digest).arts.withdraw(digest, nil)
+	m.arts.withdraw(digest, nil)
 }
 
 // AnnounceHealth records and broadcasts this node's health for one
@@ -344,13 +319,13 @@ func (m *Module) WithdrawArtifact(digest string) {
 // node field is stamped here: a node only ever speaks for itself.
 func (m *Module) AnnounceHealth(rec health.Record) {
 	rec.Node = m.cfg.NodeID
-	m.shardFor(rec.Component).hlth.announce(rec)
+	m.hlth.announce(rec)
 }
 
 // WithdrawHealth broadcasts that this node no longer reports health for
 // component (e.g. the watched subsystem was torn down).
 func (m *Module) WithdrawHealth(component string) {
-	m.shardFor(component).hlth.withdraw(component, nil)
+	m.hlth.withdraw(component, nil)
 }
 
 // OnArtifactChange subscribes to replicated artifact-record changes. The
@@ -359,9 +334,7 @@ func (m *Module) WithdrawHealth(component string) {
 // delivered change to be a real one instead of re-scanning the whole
 // index on every hook.
 func (m *Module) OnArtifactChange(fn func(ArtifactChange)) {
-	for _, s := range m.shards {
-		s.arts.subscribe(fn)
-	}
+	m.arts.subscribe(fn)
 }
 
 // OnEndpointChange subscribes to replicated endpoint-record changes. The
@@ -369,9 +342,7 @@ func (m *Module) OnArtifactChange(fn func(ArtifactChange)) {
 // a subscriber bridging these changes onto the remote event stream never
 // emits duplicates after a partition heals.
 func (m *Module) OnEndpointChange(fn func(EndpointChange)) {
-	for _, s := range m.shards {
-		s.eps.subscribe(fn)
-	}
+	m.eps.subscribe(fn)
 }
 
 // OnHealthChange subscribes to replicated health-record changes. The
@@ -379,66 +350,52 @@ func (m *Module) OnEndpointChange(fn func(EndpointChange)) {
 // nothing — so subscribers (alert bridges, autonomic rules) can treat
 // every delivered change as a real state transition or arrival.
 func (m *Module) OnHealthChange(fn func(HealthChange)) {
-	for _, s := range m.shards {
-		s.hlth.subscribe(fn)
-	}
+	m.hlth.subscribe(fn)
 }
 
-// DirectoryStats returns every record family's directory counters,
-// summed across shards and keyed by family name ("endpoint", "artifact",
-// "health") — the attribute prefixes of the directory:<node> metrics.
+// DirectoryStats returns every record family's directory counters, keyed
+// by family name ("endpoint", "artifact", "health") — the attribute
+// prefixes of the directory:<node> metrics.
 func (m *Module) DirectoryStats() map[string]FamilyStats {
-	out := make(map[string]FamilyStats)
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for _, f := range s.fams {
-			name, st := f.counters()
-			out[name] = out[name].plus(st)
-		}
-		s.mu.Unlock()
+	out := make(map[string]FamilyStats, len(m.fams))
+	m.recMu.Lock()
+	for _, f := range m.fams {
+		name, st := f.counters()
+		out[name] = st
 	}
+	m.recMu.Unlock()
 	return out
 }
 
-// EndpointStats returns the endpoint family's directory counters,
-// summed across shards.
+// EndpointStats returns the endpoint family's directory counters.
 func (m *Module) EndpointStats() FamilyStats { return m.DirectoryStats()[endpointFamily.name] }
 
-// ArtifactStats returns the artifact family's directory counters,
-// summed across shards.
+// ArtifactStats returns the artifact family's directory counters.
 func (m *Module) ArtifactStats() FamilyStats { return m.DirectoryStats()[artifactFamily.name] }
 
-// HealthStats returns the health family's directory counters, summed
-// across shards.
+// HealthStats returns the health family's directory counters.
 func (m *Module) HealthStats() FamilyStats { return m.DirectoryStats()[healthFamily.name] }
 
-// ShardStats returns the per-shard family counters plus each shard
-// group's current membership size, in shard order.
-func (m *Module) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(m.shards))
-	for i, s := range m.shards {
-		members := len(s.member.View().Members)
-		s.mu.Lock()
-		out[i] = ShardStats{
-			Shard:     s.id,
-			Members:   members,
-			Endpoints: s.eps.stats,
-			Artifacts: s.arts.stats,
-			Health:    s.hlth.stats,
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// onView reacts to main-group membership changes: (re-)announcement and
-// crash redeployment. Announcing on every view keeps directories
-// convergent across the singleton-view merges that happen at cluster
-// startup and after healed partitions. Record-family resync and pruning
-// run per shard on each shard's own view changes (dirShard.onView); in
-// the single-shard layout that handler shares this member and fires on
-// the same views.
+// onView reacts to membership changes. The record families go first:
+// every family re-broadcasts its authoritative set (anti-entropy against
+// partitioned withdrawals) and deterministically prunes records whose
+// holders left the view, so placement below reads a resynced directory.
+// Then (re-)announcement and crash redeployment: announcing on every
+// view keeps directories convergent across the singleton-view merges
+// that happen at cluster startup and after healed partitions.
 func (m *Module) onView(v gcs.View) {
+	memberSet := make(map[string]bool, len(v.Members))
+	for _, id := range v.Members {
+		memberSet[id] = true
+	}
+	m.recMu.Lock()
+	m.announced = true
+	m.broadcastSyncsLocked()
+	m.recMu.Unlock()
+	for _, f := range m.fams {
+		f.prune(memberSet)
+	}
+
 	m.broadcast(nodeAnnounce{Info: NodeInfo{
 		Node:        m.cfg.NodeID,
 		CPUCapacity: m.cfg.CPUCapacity,
@@ -456,10 +413,6 @@ func (m *Module) onView(v gcs.View) {
 	}
 
 	// Which hosting nodes disappeared?
-	memberSet := make(map[string]bool, len(v.Members))
-	for _, id := range v.Members {
-		memberSet[id] = true
-	}
 	lostNodes := make(map[string]bool)
 	var failed []InstanceInfo
 	for _, info := range m.dir.Instances() {
@@ -563,12 +516,16 @@ func checkpointLocations(chk *core.Checkpoint) []string {
 	return out
 }
 
-// onDeliver applies replicated instance/node updates and migration
-// handoffs from the main group. Record-family mutations arrive on their
-// owning shard's group and are applied by dirShard.onDeliver (which, in
-// the single-shard layout, is a second handler on this same member).
+// onDeliver applies replicated record mutations, instance and node
+// updates and migration handoffs.
 func (m *Module) onDeliver(msg gcs.Message) {
 	switch body := msg.Body.(type) {
+	case recordPut:
+		m.fams[body.Family].applyPut(body.Info)
+	case recordRemove:
+		m.fams[body.Family].applyRemove(body.Key, body.Node)
+	case recordSync:
+		m.fams[body.Family].applySync(body.Node, body.Infos)
 	case nodeAnnounce:
 		m.dir.PutNode(body.Info)
 	case instancePut:
@@ -701,12 +658,6 @@ func (m *Module) Shutdown(onDone func()) error {
 	local := m.cfg.Manager.List()
 	finish := func() {
 		_ = m.cfg.Member.Stop()
-		// Shard members leave after the main member: the drain's handoff
-		// broadcasts ride the main group, while record withdrawals have
-		// already converged through the shard groups' graceful leaves.
-		for _, sm := range m.cfg.ShardMembers {
-			_ = sm.Stop()
-		}
 		m.Stop()
 		if onDone != nil {
 			onDone()

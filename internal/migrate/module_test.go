@@ -15,25 +15,22 @@ import (
 
 // testNode bundles everything one node runs in these tests.
 type testNode struct {
-	id           string
-	host         *module.Framework
-	mgr          *core.Manager
-	member       *gcs.Member
-	shardMembers []*gcs.Member
-	mod          *Module
-	events       []Event
+	id     string
+	host   *module.Framework
+	mgr    *core.Manager
+	member *gcs.Member
+	mod    *Module
+	events []Event
 }
 
 type testCluster struct {
-	t         *testing.T
-	eng       *sim.Engine
-	net       *netsim.Network
-	store     *san.Store
-	gdir      *gcs.Directory
-	shardDirs []*gcs.Directory
-	defs      *module.DefinitionRegistry
-	shards    int
-	nodes     map[string]*testNode
+	t     *testing.T
+	eng   *sim.Engine
+	net   *netsim.Network
+	store *san.Store
+	gdir  *gcs.Directory
+	defs  *module.DefinitionRegistry
+	nodes map[string]*testNode
 }
 
 func newTestCluster(t *testing.T, n int) *testCluster {
@@ -41,27 +38,16 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 }
 
 func newTestClusterSeed(t *testing.T, n int, seed int64) *testCluster {
-	return newShardedTestClusterSeed(t, n, 1, seed)
-}
-
-// newShardedTestClusterSeed builds a cluster whose replicated directory
-// runs over `shards` rendezvous-hashed groups (1 = the classic
-// single-group layout).
-func newShardedTestClusterSeed(t *testing.T, n, shards int, seed int64) *testCluster {
 	t.Helper()
 	eng := sim.New(seed)
 	tc := &testCluster{
-		t:      t,
-		eng:    eng,
-		net:    netsim.NewNetwork(eng, netsim.WithLatency(time.Millisecond)),
-		store:  san.NewStore(eng),
-		gdir:   gcs.NewDirectory(),
-		defs:   module.NewDefinitionRegistry(),
-		shards: shards,
-		nodes:  make(map[string]*testNode),
-	}
-	for s := 0; s < shards; s++ {
-		tc.shardDirs = append(tc.shardDirs, gcs.NewDirectory())
+		t:     t,
+		eng:   eng,
+		net:   netsim.NewNetwork(eng, netsim.WithLatency(time.Millisecond)),
+		store: san.NewStore(eng),
+		gdir:  gcs.NewDirectory(),
+		defs:  module.NewDefinitionRegistry(),
+		nodes: make(map[string]*testNode),
 	}
 	tc.defs.MustAdd("loc:tenant-app", &module.Definition{
 		ManifestText: "Bundle-SymbolicName: com.tenant.app\nBundle-Version: 1.0.0\n",
@@ -95,7 +81,7 @@ func (tc *testCluster) addNode(id string) *testNode {
 		tc.t.Fatal(err)
 	}
 	node := &testNode{id: id, host: host, mgr: mgr, member: member}
-	cfg := Config{
+	mod, err := NewModule(Config{
 		NodeID:      id,
 		Sched:       tc.eng,
 		Member:      member,
@@ -103,24 +89,7 @@ func (tc *testCluster) addNode(id string) *testNode {
 		Manager:     mgr,
 		CPUCapacity: 2000,
 		MemCapacity: 4 << 30,
-	}
-	if tc.shards > 1 {
-		for s := 0; s < tc.shards; s++ {
-			sm, err := gcs.NewMember(tc.eng, gcs.Config{
-				NodeID:    gcs.RankedID(fmt.Sprintf("shard-%02d", s), id),
-				Addr:      netsim.Addr{IP: ip, Port: uint16(7001 + s)},
-				NIC:       nic,
-				Directory: tc.shardDirs[s],
-			})
-			if err != nil {
-				tc.t.Fatal(err)
-			}
-			node.shardMembers = append(node.shardMembers, sm)
-		}
-		cfg.Shards = tc.shards
-		cfg.ShardMembers = node.shardMembers
-	}
-	mod, err := NewModule(cfg)
+	})
 	if err != nil {
 		tc.t.Fatal(err)
 	}
@@ -131,11 +100,6 @@ func (tc *testCluster) addNode(id string) *testNode {
 	}
 	if err := member.Start(); err != nil {
 		tc.t.Fatal(err)
-	}
-	for _, sm := range node.shardMembers {
-		if err := sm.Start(); err != nil {
-			tc.t.Fatal(err)
-		}
 	}
 	tc.nodes[id] = node
 	return node
@@ -165,9 +129,6 @@ func (tc *testCluster) deploy(nodeID string, id core.InstanceID) {
 func (tc *testCluster) crash(nodeID string) {
 	n := tc.nodes[nodeID]
 	n.member.Crash()
-	for _, sm := range n.shardMembers {
-		sm.Crash()
-	}
 	if nic, ok := tc.net.NIC(nodeID); ok {
 		nic.SetUp(false)
 	}

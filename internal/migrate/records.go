@@ -20,13 +20,14 @@
 //   - per-family counters for the cluster metrics plane.
 //
 // Each family is declared once (family[V]: name, key, holder). The
-// Directory's recordTable and every shard's recordFamily are built from
-// that declaration; a shard drives its families through familyEngine, and
-// the three wire messages carry the family's tag.
+// Directory's recordTable and the Module's recordFamily are built from
+// that declaration; the Module drives its families through familyEngine,
+// and the three wire messages carry the family's tag.
 
 package migrate
 
 import (
+	"maps"
 	"slices"
 	"strings"
 
@@ -72,8 +73,6 @@ type Change[V any] struct {
 // Endpoint-record changes keep their established names; they are the
 // same types the artifact family now shares.
 type (
-	// EndpointChangeType aliases the shared change kind.
-	EndpointChangeType = ChangeType
 	// EndpointChange reports one replicated endpoint-record change — the
 	// feed the remote event brokers push to subscribed importers.
 	EndpointChange = Change[EndpointInfo]
@@ -117,10 +116,10 @@ var (
 		holder: func(h health.Record) string { return h.Node }}
 )
 
-// Record wire messages, broadcast with Total ordering on the owning
-// shard's group and tagged with the family's index in dirShard.fams.
-// put/remove are incremental; sync replaces a holder's complete record
-// set within the shard's keys (view changes and anti-entropy ticks).
+// Record wire messages, broadcast with Total ordering on the node's
+// group and tagged with the family's index in Module.fams. put/remove
+// are incremental; sync replaces a holder's complete record set (view
+// changes and anti-entropy ticks).
 type (
 	recordPut struct {
 		Family int
@@ -207,12 +206,10 @@ func (t *recordTable[V]) remove(key, holder string) (V, bool) {
 	return v, true
 }
 
-// prune deletes every record, among keys satisfying match (nil matches
-// everything), whose holder is not in live — the view-change dead-holder
-// prune, scoped so a holder departing one shard's view loses only that
-// shard's records — and returns them sorted by holder then key. Only the
-// dead holders' keys are visited.
-func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []V {
+// prune deletes every record whose holder is not in live — the
+// view-change dead-holder prune — and returns them sorted by holder then
+// key. Only the dead holders' keys are visited.
+func (t *recordTable[V]) prune(live map[string]bool) []V {
 	var dead []string
 	for holder := range t.held {
 		if !live[holder] {
@@ -222,13 +219,7 @@ func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []
 	slices.Sort(dead)
 	var removed []V
 	for _, holder := range dead {
-		var keys []string
-		for key := range t.held[holder] {
-			if match == nil || match(key) {
-				keys = append(keys, key)
-			}
-		}
-		slices.Sort(keys)
+		keys := slices.Sorted(maps.Keys(t.held[holder]))
 		for _, key := range keys {
 			v, _ := t.remove(key, holder)
 			removed = append(removed, v)
@@ -237,18 +228,15 @@ func (t *recordTable[V]) prune(live map[string]bool, match func(string) bool) []
 	return removed
 }
 
-// replaceOf makes vs the complete record set of holder within the keys
-// satisfying match (nil matches everything), dropping any stale records —
-// the authoritative resync each node broadcasts on view change and
-// anti-entropy ticks. The returned deltas are exact (an unchanged record
-// appears in neither list), so a replayed sync of a converged directory
-// produces no events. Records claiming another holder are ignored: a node
-// only speaks for itself in a sync. Records outside the match subset are
-// neither applied nor erased, which is what makes per-shard syncs safe —
-// a shard only speaks for its own keys.
-func (t *recordTable[V]) replaceOf(holder string, vs []V, match func(string) bool) (added, updated, removed []V) {
-	// prev holds holder's records in scope, each marked once vs names it;
-	// the unmarked ones are stale.
+// replaceOf makes vs the complete record set of holder, dropping any
+// stale records — the authoritative resync each node broadcasts on view
+// change and anti-entropy ticks. The returned deltas are exact (an
+// unchanged record appears in neither list), so a replayed sync of a
+// converged directory produces no events. Records claiming another
+// holder are ignored: a node only speaks for itself in a sync.
+func (t *recordTable[V]) replaceOf(holder string, vs []V) (added, updated, removed []V) {
+	// prev holds holder's records, each marked once vs names it; the
+	// unmarked ones are stale.
 	type prevRec struct {
 		v     V
 		named bool
@@ -256,15 +244,13 @@ func (t *recordTable[V]) replaceOf(holder string, vs []V, match func(string) boo
 	own := t.held[holder]
 	prev := make(map[string]prevRec, len(own))
 	for key := range own {
-		if match == nil || match(key) {
-			rs := t.recs[key]
-			i, _ := t.find(rs, holder)
-			prev[key] = prevRec{v: rs[i]}
-		}
+		rs := t.recs[key]
+		i, _ := t.find(rs, holder)
+		prev[key] = prevRec{v: rs[i]}
 	}
 	for _, v := range vs {
 		key := t.key(v)
-		if t.holder(v) != holder || (match != nil && !match(key)) {
+		if t.holder(v) != holder {
 			continue
 		}
 		p, existed := prev[key]
@@ -341,21 +327,8 @@ type FamilyStats struct {
 	Filtered int64
 }
 
-func (a FamilyStats) plus(b FamilyStats) FamilyStats {
-	a.Puts += b.Puts
-	a.Removes += b.Removes
-	a.Syncs += b.Syncs
-	a.Added += b.Added
-	a.Updated += b.Updated
-	a.Removed += b.Removed
-	a.SilentSyncs += b.SilentSyncs
-	a.Pruned += b.Pruned
-	a.Filtered += b.Filtered
-	return a
-}
-
-// familyEngine is one record family as its shard drives it, whatever the
-// record type. syncMsg and counters run under the shard lock.
+// familyEngine is one record family as the Module drives it, whatever
+// the record type. syncMsg and counters run under Module.recMu.
 type familyEngine interface {
 	applyPut(info any)
 	applyRemove(key, holder string)
@@ -365,54 +338,50 @@ type familyEngine interface {
 	counters() (name string, st FamilyStats)
 }
 
-// recordFamily is the shard-side half of the engine for one family: the
+// recordFamily is the Module's half of the engine for one family: the
 // records this node owns (re-broadcast by every sync), the exact-delta
-// hooks and the counters, guarded by the shard lock, over the
-// Directory's table for the family, guarded by the Directory's lock.
+// hooks and the counters, guarded by Module.recMu, over the Directory's
+// table for the family, guarded by the Directory's lock.
 type recordFamily[V comparable] struct {
-	tag   int // index in s.fams: the family's wire tag
-	s     *dirShard
-	dir   *Directory
+	tag   int // index in m.fams: the family's wire tag
+	m     *Module
 	t     *recordTable[V]
 	owned map[string]V
 	hooks []func(Change[V])
 	stats FamilyStats
 }
 
-// addFamily builds s's engine half of the family stored in t and
-// registers it in s.fams.
-func addFamily[V comparable](s *dirShard, t *recordTable[V]) *recordFamily[V] {
-	f := &recordFamily[V]{tag: len(s.fams), s: s, dir: s.m.dir, t: t, owned: make(map[string]V)}
-	s.fams = append(s.fams, f)
+// addFamily builds m's engine half of the family stored in t and
+// registers it in m.fams.
+func addFamily[V comparable](m *Module, t *recordTable[V]) *recordFamily[V] {
+	f := &recordFamily[V]{tag: len(m.fams), m: m, t: t, owned: make(map[string]V)}
+	m.fams = append(m.fams, f)
 	return f
 }
 
-// announce records info as locally owned and broadcasts the put on the
-// shard's group. The broadcast submits under the shard lock: record
-// broadcasts must sequence in the same order the local state mutates, or
-// a concurrent anti-entropy sync whose snapshot predates this change
-// could be sequenced after it and briefly erase the record cluster-wide
-// (shard mu → member internals is a safe lock order; deliveries run with
-// both released). This holds on a real clock, not just the
-// single-threaded simulator. Per-shard locks mean the ordering is pinned
-// per shard — exactly as strong as the per-key guarantee consumers rely
-// on, since a key never changes shards.
+// announce records info as locally owned and broadcasts the put. The
+// broadcast submits under recMu: record broadcasts must sequence in the
+// same order the local state mutates, or a concurrent anti-entropy sync
+// whose snapshot predates this change could be sequenced after it and
+// briefly erase the record cluster-wide (recMu → member internals is a
+// safe lock order; deliveries run with both released). This holds on a
+// real clock, not just the single-threaded simulator.
 func (f *recordFamily[V]) announce(info V) {
-	f.s.mu.Lock()
+	f.m.recMu.Lock()
 	f.owned[f.t.key(info)] = info
-	f.s.broadcast(recordPut{Family: f.tag, Info: info})
-	f.s.mu.Unlock()
+	f.m.broadcast(recordPut{Family: f.tag, Info: info})
+	f.m.recMu.Unlock()
 }
 
 // withdraw drops local ownership of key, if this node owns a record of
-// it that mine (nil: any) accepts, and broadcasts the removal under the
-// shard lock for the same submission-order reason as announce.
+// it that mine (nil: any) accepts, and broadcasts the removal under
+// recMu for the same submission-order reason as announce.
 func (f *recordFamily[V]) withdraw(key string, mine func(V) bool) {
-	f.s.mu.Lock()
-	defer f.s.mu.Unlock()
+	f.m.recMu.Lock()
+	defer f.m.recMu.Unlock()
 	if v, owned := f.owned[key]; owned && (mine == nil || mine(v)) {
 		delete(f.owned, key)
-		f.s.broadcast(recordRemove{Family: f.tag, Key: key, Node: f.s.nodeID})
+		f.m.broadcast(recordRemove{Family: f.tag, Key: key, Node: f.m.cfg.NodeID})
 	}
 }
 
@@ -420,9 +389,9 @@ func (f *recordFamily[V]) withdraw(key string, mine func(V) bool) {
 // copy-on-write: subscribe installs a new slice, so a slice notify read
 // stays valid while its hooks run.
 func (f *recordFamily[V]) subscribe(fn func(Change[V])) {
-	f.s.mu.Lock()
+	f.m.recMu.Lock()
 	f.hooks = append(f.hooks[:len(f.hooks):len(f.hooks)], fn)
-	f.s.mu.Unlock()
+	f.m.recMu.Unlock()
 }
 
 // syncMsg snapshots the owned records, sorted by key, as this node's
@@ -433,7 +402,7 @@ func (f *recordFamily[V]) syncMsg() recordSync {
 		infos = append(infos, v)
 	}
 	f.t.sortByKey(infos)
-	return recordSync{Family: f.tag, Node: f.s.nodeID, Infos: infos}
+	return recordSync{Family: f.tag, Node: f.m.cfg.NodeID, Infos: infos}
 }
 
 func (f *recordFamily[V]) counters() (string, FamilyStats) { return f.t.name, f.stats }
@@ -444,7 +413,7 @@ func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
 	if len(infos) == 0 {
 		return
 	}
-	f.s.mu.Lock()
+	f.m.recMu.Lock()
 	switch kind {
 	case Added:
 		f.stats.Added += int64(len(infos))
@@ -454,7 +423,7 @@ func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
 		f.stats.Removed += int64(len(infos))
 	}
 	hooks := f.hooks
-	f.s.mu.Unlock()
+	f.m.recMu.Unlock()
 	for _, fn := range hooks {
 		for _, v := range infos {
 			fn(Change[V]{Type: kind, Info: v})
@@ -463,27 +432,23 @@ func (f *recordFamily[V]) notify(kind ChangeType, infos ...V) {
 }
 
 // admit reports whether a replicated mutation's holder is still a member
-// of the shard's current view, counting the mutation in applied when it
-// is and as Filtered when it is not. Mutations from departed holders are
+// of the current view, counting the mutation in applied when it is and
+// as Filtered when it is not. Mutations from departed holders are
 // dropped: a message sequenced before the holder's departure but applied
 // after it — the view-install flush path — would otherwise resurrect
 // dead records on exactly the replicas that buffered it, making
 // dead-holder pruning nondeterministic under concurrent view changes. By
 // apply time every member has the new view installed, so every member
-// drops (or keeps) the same mutations. The check runs against the OWNING
-// shard's view — shard views change independently, and only the shard
-// sequencing a key decides its fate. Shard groups may run under ranked
-// member ids (see gcs.RankedID), so membership is compared on the plain
-// node id.
+// drops (or keeps) the same mutations.
 func (f *recordFamily[V]) admit(holder string, applied *int64) bool {
-	live := f.s.member.HasNode(holder)
-	f.s.mu.Lock()
+	live := f.m.cfg.Member.HasNode(holder)
+	f.m.recMu.Lock()
 	if live {
 		*applied++
 	} else {
 		f.stats.Filtered++
 	}
-	f.s.mu.Unlock()
+	f.m.recMu.Unlock()
 	return live
 }
 
@@ -496,9 +461,9 @@ func (f *recordFamily[V]) applyPut(info any) {
 	if !f.admit(f.t.holder(v), &f.stats.Puts) {
 		return
 	}
-	f.dir.mu.Lock()
+	f.m.dir.mu.Lock()
 	existed := f.t.put(v)
-	f.dir.mu.Unlock()
+	f.m.dir.mu.Unlock()
 	kind := Added
 	if existed {
 		kind = Updated
@@ -511,52 +476,49 @@ func (f *recordFamily[V]) applyRemove(key, holder string) {
 	if !f.admit(holder, &f.stats.Removes) {
 		return
 	}
-	f.dir.mu.Lock()
+	f.m.dir.mu.Lock()
 	v, ok := f.t.remove(key, holder)
-	f.dir.mu.Unlock()
+	f.m.dir.mu.Unlock()
 	if ok {
 		f.notify(Removed, v)
 	}
 }
 
-// applySync applies a replicated authoritative per-holder sync, scoped
-// to the shard's keys, emitting only the exact deltas. A converged
-// replay is silent.
+// applySync applies a replicated authoritative per-holder sync, emitting
+// only the exact deltas. A converged replay is silent.
 func (f *recordFamily[V]) applySync(holder string, infos any) {
 	if !f.admit(holder, &f.stats.Syncs) {
 		return
 	}
-	f.dir.mu.Lock()
-	added, updated, removed := f.t.replaceOf(holder, infos.([]V), f.s.match)
-	f.dir.mu.Unlock()
+	f.m.dir.mu.Lock()
+	added, updated, removed := f.t.replaceOf(holder, infos.([]V))
+	f.m.dir.mu.Unlock()
 	if len(added)+len(updated)+len(removed) == 0 {
-		f.s.mu.Lock()
+		f.m.recMu.Lock()
 		f.stats.SilentSyncs++
-		f.s.mu.Unlock()
+		f.m.recMu.Unlock()
 	}
 	f.notify(Added, added...)
 	f.notify(Updated, updated...)
 	f.notify(Removed, removed...)
 }
 
-// prune removes, in one pass over the shard's keys, every record whose
-// holder left the shard's view, then notifies the exact Removed deltas
-// holder by holder in (holder, key) order. Every replica prunes the same
-// records from the same view in the same order, so directories converge
-// without a broadcast, and one shard's view change never disturbs
-// records sequenced by another shard's group.
+// prune removes, in one pass, every record whose holder left the view,
+// then notifies the exact Removed deltas holder by holder in (holder,
+// key) order. Every replica prunes the same records from the same view in
+// the same order, so directories converge without a broadcast.
 func (f *recordFamily[V]) prune(live map[string]bool) {
-	f.dir.mu.Lock()
-	removed := f.t.prune(live, f.s.match)
-	f.dir.mu.Unlock()
+	f.m.dir.mu.Lock()
+	removed := f.t.prune(live)
+	f.m.dir.mu.Unlock()
 	for len(removed) > 0 {
 		n := 1
 		for n < len(removed) && f.t.holder(removed[n]) == f.t.holder(removed[0]) {
 			n++
 		}
-		f.s.mu.Lock()
+		f.m.recMu.Lock()
 		f.stats.Pruned += int64(n)
-		f.s.mu.Unlock()
+		f.m.recMu.Unlock()
 		f.notify(Removed, removed[:n]...)
 		removed = removed[n:]
 	}

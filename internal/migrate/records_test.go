@@ -86,12 +86,12 @@ func TestDeadHolderMutationsFiltered(t *testing.T) {
 	mod := tc.nodes["node00"].mod
 
 	ghostArt := art("ghost-digest", "node99")
-	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].arts.tag, Info: ghostArt}})
-	mod.shards[0].onDeliver(gcs.Message{Body: recordSync{Family: mod.shards[0].arts.tag, Node: "node99", Infos: []ArtifactInfo{ghostArt}}})
+	mod.onDeliver(gcs.Message{Body: recordPut{Family: mod.arts.tag, Info: ghostArt}})
+	mod.onDeliver(gcs.Message{Body: recordSync{Family: mod.arts.tag, Node: "node99", Infos: []ArtifactInfo{ghostArt}}})
 	if got := mod.Directory().Artifacts(); len(got) != 0 {
 		t.Fatalf("dead holder's artifact records applied: %+v", got)
 	}
-	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].eps.tag, Info: EndpointInfo{Service: "svc", Node: "node99", Addr: "x:1"}}})
+	mod.onDeliver(gcs.Message{Body: recordPut{Family: mod.eps.tag, Info: EndpointInfo{Service: "svc", Node: "node99", Addr: "x:1"}}})
 	if got := mod.Directory().Endpoints(); len(got) != 0 {
 		t.Fatalf("dead holder's endpoint record applied: %+v", got)
 	}
@@ -103,9 +103,63 @@ func TestDeadHolderMutationsFiltered(t *testing.T) {
 	}
 	// Mutations from live members still apply.
 	liveArt := art("live-digest", "node01")
-	mod.shards[0].onDeliver(gcs.Message{Body: recordPut{Family: mod.shards[0].arts.tag, Info: liveArt}})
+	mod.onDeliver(gcs.Message{Body: recordPut{Family: mod.arts.tag, Info: liveArt}})
 	if got := mod.Directory().ArtifactReplicas("live-digest"); len(got) != 1 {
 		t.Fatalf("live holder's record dropped: %+v", got)
+	}
+}
+
+// TestPruningDeterministicUnderChurn: a holder announcing artifact and
+// endpoint records right up to its crash, across several seeds, must
+// leave every survivor with the identical directory and no record naming
+// the dead holder, in both families.
+func TestPruningDeterministicUnderChurn(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			tc := newTestClusterSeed(t, 4, seed)
+			tc.settle()
+			for id, n := range tc.nodes {
+				n.mod.AnnounceArtifact(art("base-"+id, id))
+			}
+			tc.settle()
+
+			victim := tc.nodes["node03"]
+			for i := 0; i < 8; i++ {
+				victim.mod.AnnounceArtifact(art(fmt.Sprintf("late-%d", i), "node03"))
+				victim.mod.AnnounceEndpoint(fmt.Sprintf("late-svc-%d", i), "x:1")
+			}
+			victim.mod.antiEntropy()
+			tc.eng.RunFor(time.Duration(seed) * 700 * time.Microsecond)
+			tc.crash("node03")
+			tc.eng.RunFor(3 * time.Second)
+
+			survivors := []string{"node00", "node01", "node02"}
+			refArts := tc.nodes[survivors[0]].mod.Directory().Artifacts()
+			refEps := tc.nodes[survivors[0]].mod.Directory().Endpoints()
+			for _, rec := range refArts {
+				if rec.Node == "node03" {
+					t.Fatalf("phantom artifact of dead holder survived: %+v", rec)
+				}
+			}
+			for _, rec := range refEps {
+				if rec.Node == "node03" {
+					t.Fatalf("phantom endpoint of dead holder survived: %+v", rec)
+				}
+			}
+			if len(refArts) != 3 { // one base artifact per survivor
+				t.Fatalf("reference artifact directory = %+v", refArts)
+			}
+			for _, id := range survivors[1:] {
+				if got := tc.nodes[id].mod.Directory().Artifacts(); !reflect.DeepEqual(got, refArts) {
+					t.Fatalf("artifact directories diverged:\n%s: %+v\n%s: %+v",
+						survivors[0], refArts, id, got)
+				}
+				if got := tc.nodes[id].mod.Directory().Endpoints(); !reflect.DeepEqual(got, refEps) {
+					t.Fatalf("endpoint directories diverged:\n%s: %+v\n%s: %+v",
+						survivors[0], refEps, id, got)
+				}
+			}
+		})
 	}
 }
 
@@ -131,9 +185,7 @@ func TestArtifactPruningDeterministicUnderChurn(t *testing.T) {
 			victim := tc.nodes["node03"]
 			victim.mod.AnnounceArtifact(art("late-a", "node03"))
 			victim.mod.AnnounceArtifact(art("late-b", "node03"))
-			for _, s := range victim.mod.shards {
-				s.antiEntropy()
-			}
+			victim.mod.antiEntropy()
 			tc.eng.RunFor(time.Duration(seed) * 700 * time.Microsecond)
 			tc.crash("node03")
 			tc.eng.RunFor(3 * time.Second)

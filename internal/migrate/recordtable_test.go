@@ -34,11 +34,11 @@ func (t *modelTable[V]) remove(key, holder string) (V, bool) {
 	return v, ok
 }
 
-func (t *modelTable[V]) prune(live map[string]bool, match func(string) bool) []V {
+func (t *modelTable[V]) prune(live map[string]bool) []V {
 	var removed []V
 	for key, byHolder := range t.recs {
 		for holder, v := range byHolder {
-			if (match == nil || match(key)) && !live[holder] {
+			if !live[holder] {
 				removed = append(removed, v)
 				t.remove(key, holder)
 			}
@@ -53,16 +53,16 @@ func (t *modelTable[V]) prune(live map[string]bool, match func(string) bool) []V
 	return removed
 }
 
-func (t *modelTable[V]) replaceOf(holder string, vs []V, match func(string) bool) (added, updated, removed []V) {
+func (t *modelTable[V]) replaceOf(holder string, vs []V) (added, updated, removed []V) {
 	prev := make(map[string]V)
 	for key, byHolder := range t.recs {
-		if v, ok := byHolder[holder]; ok && (match == nil || match(key)) {
+		if v, ok := byHolder[holder]; ok {
 			prev[key] = v
 		}
 	}
 	next := make(map[string]bool)
 	for _, v := range vs {
-		if t.holder(v) != holder || (match != nil && !match(t.key(v))) {
+		if t.holder(v) != holder {
 			continue
 		}
 		next[t.key(v)] = true
@@ -115,7 +115,6 @@ func (t *modelTable[V]) all() []V {
 var (
 	tapeKeys    = []string{"svc-a", "svc-b", "svc-c", "svc-d", "svc-e", "svc-f", "svc-g", "svc-h"}
 	tapeHolders = []string{"n0", "n1", "n2", "n3"}
-	tapeRouter  = NewShardRouter(4)
 )
 
 // tapeRecord decodes one byte into a record: key, holder and address.
@@ -124,17 +123,6 @@ func tapeRecord(b byte) EndpointInfo {
 }
 
 var tapeAddrs = []string{"10.0.0.0:1", "10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1", "10.0.0.4:1", "10.0.0.5:1", "10.0.0.6:1", "10.0.0.7:1"}
-
-// tapeMatch decodes one byte into a sync or prune scope: every key (-1,
-// nil), as a single-shard directory does, or one shard of a 4-shard
-// router.
-func tapeMatch(b byte) (shard int, match func(string) bool) {
-	if b%5 == 4 {
-		return -1, nil
-	}
-	shard = int(b % 5)
-	return shard, func(key string) bool { return tapeRouter.Shard(key) == shard }
-}
 
 // runTape drives recordTable and modelTable with the operations tape
 // encodes — put, remove, replaceOf, prune, forKey and all — and fails on
@@ -182,7 +170,6 @@ func runTape(t *testing.T, tape []byte) {
 			check("removed", []any{gv, gok}, []any{wv, wok})
 		case 2:
 			holder := tapeHolders[arg%4]
-			shard, match := tapeMatch(arg / 4)
 			var vs []EndpointInfo
 			for n := int(code/6) % 7; n > 0; n-- {
 				b, ok := next()
@@ -195,9 +182,9 @@ func runTape(t *testing.T, tape []byte) {
 				}
 				vs = append(vs, v)
 			}
-			op = []any{"replaceOf", holder, "shard", shard, vs}
-			ga, gu, gr := got.replaceOf(holder, vs, match)
-			wa, wu, wr := want.replaceOf(holder, vs, match)
+			op = []any{"replaceOf", holder, vs}
+			ga, gu, gr := got.replaceOf(holder, vs)
+			wa, wu, wr := want.replaceOf(holder, vs)
 			check("added, updated, removed", [][]EndpointInfo{ga, gu, gr}, [][]EndpointInfo{wa, wu, wr})
 		case 3:
 			live := make(map[string]bool)
@@ -206,9 +193,8 @@ func runTape(t *testing.T, tape []byte) {
 					live[h] = true
 				}
 			}
-			shard, match := tapeMatch(arg >> 4)
-			op = []any{"prune", live, "shard", shard}
-			check("pruned", got.prune(live, match), want.prune(live, match))
+			op = []any{"prune", live}
+			check("pruned", got.prune(live), want.prune(live))
 		case 4:
 			key := tapeKeys[arg%8]
 			op = []any{"forKey", key}

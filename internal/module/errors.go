@@ -7,8 +7,6 @@ import (
 
 // Sentinel errors returned by framework operations.
 var (
-	// ErrBundleNotFound is returned when a bundle id or location is unknown.
-	ErrBundleNotFound = errors.New("module: bundle not found")
 	// ErrDuplicateLocation is returned when installing a location twice.
 	ErrDuplicateLocation = errors.New("module: bundle location already installed")
 	// ErrInvalidState is returned when an operation is illegal in the

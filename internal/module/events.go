@@ -1,7 +1,5 @@
 package module
 
-import "dosgi/internal/filter"
-
 // BundleEventType enumerates bundle lifecycle events.
 type BundleEventType int
 
@@ -128,12 +126,6 @@ func (h *ListenerHandle) Remove() {
 type bundleListenerEntry struct {
 	id int
 	fn BundleListener
-}
-
-type serviceListenerEntry struct {
-	id     int
-	fn     ServiceListener
-	filter *filter.Filter // nil matches everything
 }
 
 type frameworkListenerEntry struct {

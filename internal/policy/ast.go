@@ -39,14 +39,15 @@ func (*Literal) exprNode() {}
 
 func (l *Literal) String() string { return fmt.Sprintf("%v", l.Value) }
 
-// Selector resolves a dotted path through the environment.
+// Selector resolves a dotted path through the environment. The parser
+// joins the path once, so an evaluation builds no key.
 type Selector struct {
-	Path []string
+	Path string // "instance.cpu.rate"
 }
 
 func (*Selector) exprNode() {}
 
-func (s *Selector) String() string { return strings.Join(s.Path, ".") }
+func (s *Selector) String() string { return s.Path }
 
 // Call invokes a function (or action) through the environment.
 type Call struct {
@@ -115,7 +116,7 @@ func (r *Rule) String() string {
 // cluster.* and the action verbs).
 type Env interface {
 	// Resolve returns the value of a dotted selector path.
-	Resolve(path []string) (any, error)
+	Resolve(path string) (any, error)
 	// Call invokes a named function with evaluated arguments.
 	Call(name []string, args []any) (any, error)
 }
@@ -130,12 +131,11 @@ type MapEnv struct {
 var _ Env = (*MapEnv)(nil)
 
 // Resolve implements Env.
-func (m *MapEnv) Resolve(path []string) (any, error) {
-	key := strings.Join(path, ".")
-	if v, ok := m.Vars[key]; ok {
+func (m *MapEnv) Resolve(path string) (any, error) {
+	if v, ok := m.Vars[path]; ok {
 		return v, nil
 	}
-	return nil, fmt.Errorf("policy: unknown selector %q", key)
+	return nil, fmt.Errorf("policy: unknown selector %q", path)
 }
 
 // Call implements Env.

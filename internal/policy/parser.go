@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -317,5 +318,5 @@ func (p *parser) parseSelectorOrCall() (Expr, error) {
 		}
 		return call, nil
 	}
-	return &Selector{Path: path}, nil
+	return &Selector{Path: strings.Join(path, ".")}, nil
 }

@@ -41,9 +41,9 @@ func (s *Sim) verbs() []admin.Verb {
 func (s *Sim) status(_ []string, out *admin.Reply) (string, error) {
 	s.mu.Lock()
 	live, eps := s.liveCountsLocked()
-	row := fmt.Sprintf("sim seed=%d nodes=%d live=%d services=%d endpoints=%d artifacts=%d shards=%d storm=%.1f/s remote=%s",
+	row := fmt.Sprintf("sim seed=%d nodes=%d live=%d services=%d endpoints=%d artifacts=%d storm=%.1f/s remote=%s",
 		s.cfg.Seed, len(s.nodes), live, len(s.serviceNames), eps,
-		len(s.arts), s.router.Shards(), s.stormRate, s.remoteAddr)
+		len(s.arts), s.stormRate, s.remoteAddr)
 	s.mu.Unlock()
 	out.Row("%s", row)
 	return "", nil

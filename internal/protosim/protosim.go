@@ -35,7 +35,6 @@ import (
 
 	"dosgi/internal/admin"
 	"dosgi/internal/clock"
-	"dosgi/internal/migrate"
 	"dosgi/internal/obs"
 	"dosgi/internal/provision"
 	"dosgi/internal/remote"
@@ -72,14 +71,6 @@ type Config struct {
 	// their own holdings only — a replica a fetcher can actually dial,
 	// fail over from, and lose mid-transfer to a KILL directive.
 	NodeListeners int
-	// Shards is the directory shard count the simulated cluster's
-	// records are laid out over (default 1 — the single-group layout):
-	// every synthetic service, artifact and health record routes to a
-	// shard via the same rendezvous hashing the real sharded directory
-	// uses, both brokers partition their replay rings per shard, and
-	// STATUS / sim:cluster metrics report the topology and per-shard
-	// populations.
-	Shards int
 	// StormRate starts the event storm at this many events/second
 	// (default off; adjustable live via SetStormRate or FAULT STORM).
 	StormRate float64
@@ -126,9 +117,6 @@ func (c *Config) fill() {
 	}
 	if c.NodeListeners > c.Nodes {
 		c.NodeListeners = c.Nodes
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	if c.ReplayWindow <= 0 {
 		c.ReplayWindow = remote.DefaultReplayWindow
@@ -188,7 +176,6 @@ type Sim struct {
 
 	broker *remote.EventBroker
 	health *admin.HealthView // the synthetic fleet's records + the dosgi.health broker
-	router migrate.ShardRouter
 	faults *faultInjector
 	store  *provision.Store
 
@@ -225,24 +212,20 @@ func New(cfg Config) (*Sim, error) {
 		store:     provision.NewStore(),
 		byName:    make(map[string]*simNode),
 		endpoints: make(map[string]map[string]struct{}),
-		router:    migrate.NewShardRouter(cfg.Shards),
 		faults:    newFaultInjector(),
 	}
 	s.plane = obs.NewPlane("sim", s.sched.Now)
 	s.metrics = services.NewMetricsService()
 	s.metricsRd = services.NewMetricsRemote(s.metrics, s.plane.Tracer.Store())
 
-	// Both brokers share the window and ring layout; the health one
-	// exists before the population is built because the population's
-	// health records are folded into its view.
-	brokerOpts := []remote.BrokerOption{
+	// Both brokers share the replay window; the health one exists before
+	// the population is built because the population's health records
+	// are folded into its view.
+	s.health = admin.NewHealthView(s.sched, remote.WithReplayWindow(cfg.ReplayWindow))
+	s.broker = remote.NewEventBroker(s.sched,
 		remote.WithReplayWindow(cfg.ReplayWindow),
-		remote.WithReplayRingShards(s.router.Shards(), s.router.Shard),
-	}
-	s.health = admin.NewHealthView(s.sched, brokerOpts...)
-	s.broker = remote.NewEventBroker(s.sched, append(brokerOpts,
 		remote.WithEventSnapshot(s.endpointSnapshot),
-		remote.WithBrokerAckHistogram(s.plane.EventAckLag))...)
+		remote.WithBrokerAckHistogram(s.plane.EventAckLag))
 	if err := s.buildPopulation(); err != nil {
 		s.sched.Stop()
 		return nil, err
@@ -351,29 +334,14 @@ func (s *Sim) registerProviders() {
 		return map[string]any{
 			"nodes": len(s.nodes), "live": live,
 			"services": len(s.serviceNames), "endpoints": eps,
-			"artifacts": len(s.arts), "shards": s.router.Shards(),
+			"artifacts":     len(s.arts),
 			"stormRate":     s.stormRate,
 			"droppedPushes": s.faults.droppedCount(),
 		}
 	})
-	s.metrics.RegisterProvider("sim:shards", func() map[string]any {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := make(map[string]any, s.router.Shards())
-		for _, svc := range s.serviceNames {
-			key := fmt.Sprintf("shard%02d-services", s.router.Shard(svc))
-			n, _ := out[key].(int)
-			out[key] = n + 1
-		}
-		return out
-	})
 	s.metrics.RegisterProvider("events:sim", s.broker.Provider())
 	s.metrics.RegisterProvider("health:sim", s.health.Broker().Provider())
 }
-
-// ShardOf returns the directory shard a record key routes to under the
-// simulator's configured topology (always 0 with one shard).
-func (s *Sim) ShardOf(key string) int { return s.router.Shard(key) }
 
 // AdminAddr returns the admin line-protocol address (what dosgictl
 // -addr takes).

@@ -267,51 +267,6 @@ func TestSimAdminVerbs(t *testing.T) {
 	})
 }
 
-// TestSimShardedPopulation: a sharded simulator routes its seeded
-// population deterministically over the configured shard count and
-// reports the topology through STATUS and the sim:shards provider.
-func TestSimShardedPopulation(t *testing.T) {
-	sim, err := New(Config{Seed: 7, Nodes: 48, Artifacts: 3, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-
-	lines := adminCmd(t, sim.AdminAddr(), "STATUS")
-	if !anyLineContains(lines, "shards=8") {
-		t.Fatalf("STATUS = %q", lines)
-	}
-
-	// Every service routes in-range, the placement is a pure function of
-	// the name, and the population touches more than one shard.
-	hit := make(map[int]int)
-	for _, svc := range sim.ServiceNames() {
-		s := sim.ShardOf(svc)
-		if s < 0 || s >= 8 {
-			t.Fatalf("service %s routed to shard %d", svc, s)
-		}
-		if again := sim.ShardOf(svc); again != s {
-			t.Fatalf("service %s routed to %d then %d", svc, s, again)
-		}
-		hit[s]++
-	}
-	if len(hit) < 2 {
-		t.Fatalf("population landed on %d shard(s): %v", len(hit), hit)
-	}
-
-	lines = adminCmd(t, sim.AdminAddr(), "METRICS sim:shards")
-	counted := 0
-	for s, n := range hit {
-		want := fmt.Sprintf("shard%02d-services=%d", s, n)
-		if anyLineContains(lines, want) {
-			counted++
-		}
-	}
-	if counted != len(hit) {
-		t.Fatalf("sim:shards reported %d of %d shard counts: %q", counted, len(hit), lines)
-	}
-}
-
 // TestAnnexBListsSimVerbs fails when a verb of the simulator's own table,
 // or its usage string, is missing from the protocol annex.
 func TestAnnexBListsSimVerbs(t *testing.T) {

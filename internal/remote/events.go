@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -200,21 +199,6 @@ func WithReplayWindow(n int) BrokerOption {
 	}
 }
 
-// WithReplayRingShards partitions each subscription's replay ring into n
-// per-shard rings routed by the event's service key — normally the
-// directory's rendezvous router, so the retained window lines up with the
-// sharded directory's delta streams. One shard's churn storm then evicts
-// only its own shard's retained events; another shard's replayable tail
-// or suspended backlog survives. n <= 1 or a nil route keeps the legacy
-// single-ring layout.
-func WithReplayRingShards(n int, route func(service string) int) BrokerOption {
-	return func(b *EventBroker) {
-		if n > 1 && route != nil {
-			b.ringShards, b.ringRoute = n, route
-		}
-	}
-}
-
 // brokerAckTrackMax bounds per-subscription push-timestamp tracking: a
 // subscriber that never acks (no credit window, no ack rides its renews)
 // must not grow the lag map without bound.
@@ -281,8 +265,6 @@ type EventBroker struct {
 	sched        clock.Scheduler
 	snapshot     func() []ServiceEvent
 	replayWindow int
-	ringShards   int
-	ringRoute    func(service string) int
 	ackHist      *obs.Histogram
 	service      string
 
@@ -312,8 +294,6 @@ type brokerSub struct {
 	pushedSince bool
 
 	// ring retains the subscription's recent events — the replay window.
-	// Single-ring by default; per-directory-shard rings when the broker
-	// was built with WithReplayRingShards.
 	ring *replayRing
 
 	// sentAt stamps each unacknowledged push's wire-write time for the
@@ -356,104 +336,54 @@ func (b *EventBroker) drainAcked(sub *brokerSub, ack uint64) {
 	}
 }
 
-// replayRing retains a subscription's recent events for Replay requests
-// and suspended-delivery resume: one ring in the legacy layout, or N
-// per-shard rings routed by the event's service key when the node's
-// directory is sharded. Per-shard retention means a churn storm in one
-// directory shard evicts only its own shard's retained events — another
-// shard's replayable tail or suspended backlog survives the storm, the
-// event-stream face of the sharded directory. Entries within one ring are
-// stored in sequence order (the subscription assigns globally increasing
-// sequence numbers), so lookup by sequence number is a binary search.
+// replayRing retains a subscription's most recent events for Replay
+// requests and suspended-delivery resume. The subscription stores every
+// event it sequences, so the ring holds a run of consecutive sequence
+// numbers ending at the newest.
 type replayRing struct {
-	cap    int
-	shards int
-	route  func(service string) int // nil = single ring
-	rings  [][]ServiceEvent         // lazily allocated per shard
-	counts []uint64                 // events ever stored per shard
+	buf   []ServiceEvent
+	count uint64 // events ever stored
 }
 
-func newReplayRing(capacity, shards int, route func(string) int) *replayRing {
-	if shards < 1 || route == nil {
-		shards, route = 1, nil
-	}
-	return &replayRing{
-		cap: capacity, shards: shards, route: route,
-		rings: make([][]ServiceEvent, shards), counts: make([]uint64, shards),
-	}
+func newReplayRing(capacity int) *replayRing {
+	return &replayRing{buf: make([]ServiceEvent, capacity)}
 }
 
-func (r *replayRing) shardOf(service string) int {
-	if r.route == nil {
-		return 0
-	}
-	if s := r.route(service); s >= 0 && s < r.shards {
-		return s
-	}
-	return 0
+// retained returns how many events the ring holds.
+func (r *replayRing) retained() uint64 {
+	return min(r.count, uint64(len(r.buf)))
 }
 
 // store retains ev, returning the entry it evicted (had=true once the
-// shard's ring has wrapped) so the caller can count overflowed
-// (never-sent) deliveries.
+// ring has wrapped) so the caller can count overflowed (never-sent)
+// deliveries.
 func (r *replayRing) store(ev ServiceEvent) (evicted ServiceEvent, had bool) {
-	s := r.shardOf(ev.Service)
-	if r.rings[s] == nil {
-		r.rings[s] = make([]ServiceEvent, r.cap)
+	slot := r.count % uint64(len(r.buf))
+	if r.count >= uint64(len(r.buf)) {
+		evicted, had = r.buf[slot], true
 	}
-	slot := r.counts[s] % uint64(r.cap)
-	if r.counts[s] >= uint64(r.cap) {
-		evicted, had = r.rings[s][slot], true
-	}
-	r.rings[s][slot] = ev
-	r.counts[s]++
+	r.buf[slot] = ev
+	r.count++
 	return evicted, had
 }
 
-// oldest returns the smallest sequence number still retained in any ring
-// (0 when nothing is retained).
+// oldest returns the smallest sequence number still retained (0 when
+// nothing is retained).
 func (r *replayRing) oldest() uint64 {
-	var lowest uint64
-	for s := range r.rings {
-		n := r.counts[s]
-		if n == 0 {
-			continue
-		}
-		valid := uint64(r.cap)
-		if n < valid {
-			valid = n
-		}
-		seq := r.rings[s][(n-valid)%uint64(r.cap)].Seq
-		if lowest == 0 || seq < lowest {
-			lowest = seq
-		}
+	if r.count == 0 {
+		return 0
 	}
-	return lowest
+	return r.buf[(r.count-r.retained())%uint64(len(r.buf))].Seq
 }
 
-// get returns the retained event with sequence number q, searching each
-// shard ring's sequence-ordered window.
+// get returns the retained event with sequence number q.
 func (r *replayRing) get(q uint64) (ServiceEvent, bool) {
-	for s := range r.rings {
-		n := r.counts[s]
-		if n == 0 {
-			continue
-		}
-		valid := uint64(r.cap)
-		if n < valid {
-			valid = n
-		}
-		lo := n - valid
-		i := sort.Search(int(valid), func(i int) bool {
-			return r.rings[s][(lo+uint64(i))%uint64(r.cap)].Seq >= q
-		})
-		if uint64(i) < valid {
-			if ev := r.rings[s][(lo+uint64(i))%uint64(r.cap)]; ev.Seq == q {
-				return ev, true
-			}
-		}
+	first := r.oldest()
+	if first == 0 || q < first || q-first >= r.retained() {
+		return ServiceEvent{}, false
 	}
-	return ServiceEvent{}, false
+	ev := r.buf[(r.count-r.retained()+q-first)%uint64(len(r.buf))]
+	return ev, ev.Seq == q
 }
 
 // firstAvail returns the oldest sequence number still in the ring
@@ -600,7 +530,7 @@ func (b *EventBroker) pushEventLocked(key brokerSubKey, sub *brokerSub, ev Servi
 	suspend := !force && sub.window > 0 && sub.seq-sub.acked > sub.window
 	if b.replayWindow > 0 {
 		if sub.ring == nil {
-			sub.ring = newReplayRing(b.replayWindow, b.ringShards, b.ringRoute)
+			sub.ring = newReplayRing(b.replayWindow)
 		}
 		if evicted, had := sub.ring.store(ev); had && evicted.Seq > sub.sent {
 			b.stats.Overflowed++ // a suspended delivery rolled out of reach
@@ -703,15 +633,8 @@ func (b *EventBroker) advance(key brokerSubKey, sub *brokerSub, ack uint64) {
 			}
 			next = first // rolled past: skip to what the ring still holds
 		}
-		ev, ok := sub.at(next)
+		ev, _ := sub.at(next) // first ≤ next ≤ seq: the ring holds it
 		sub.sent = next
-		if !ok {
-			// With per-shard rings a hot shard may have evicted this
-			// sequence number while a colder shard retains older ones: skip
-			// it — the subscriber observes the gap and heals via resync.
-			b.mu.Unlock()
-			continue
-		}
 		sub.pushedSince = true
 		b.stats.Pushed++
 		b.stampSent(sub, next)

@@ -447,3 +447,28 @@ func TestSlowTCPSubscriberBounded(t *testing.T) {
 		t.Fatalf("broker stats after drain = %+v", bst)
 	}
 }
+
+// TestReplayRingWindow pins the ring's window after it wraps: the
+// newest capacity events stay retrievable by sequence number, older ones
+// are gone, and each store past capacity reports the event it evicted.
+func TestReplayRingWindow(t *testing.T) {
+	r := newReplayRing(4)
+	if r.oldest() != 0 {
+		t.Fatalf("empty ring oldest = %d", r.oldest())
+	}
+	for q := uint64(1); q <= 10; q++ {
+		evicted, had := r.store(ServiceEvent{Service: fmt.Sprintf("svc.%d", q), Seq: q})
+		if wantHad := q > 4; had != wantHad || (had && evicted.Seq != q-4) {
+			t.Fatalf("store %d evicted %d (had %v)", q, evicted.Seq, had)
+		}
+	}
+	if r.oldest() != 7 {
+		t.Fatalf("oldest = %d, want 7", r.oldest())
+	}
+	for q := uint64(0); q <= 11; q++ {
+		ev, ok := r.get(q)
+		if want := q >= 7 && q <= 10; ok != want || (ok && ev.Service != fmt.Sprintf("svc.%d", q)) {
+			t.Fatalf("get(%d) = %+v, %v; want retained %v", q, ev, ok, want)
+		}
+	}
+}

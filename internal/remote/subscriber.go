@@ -24,9 +24,6 @@ const DefaultEventWindow = 128
 // before the subscriber gives up on replay and resynchronizes.
 const maxPendingEvents = 1024
 
-// ErrSubscriberClosed is returned for operations on a closed Subscriber.
-var ErrSubscriberClosed = errors.New("remote: subscriber closed")
-
 // SubscriberConfig wires a Subscriber.
 type SubscriberConfig struct {
 	// Transport dials the event servers. Connections made for

@@ -3,9 +3,8 @@
 // at the filesystem and network levels we rely on the SecurityManager
 // provided by the JAVA platform that should be configured by the
 // administrator according to the business policies" (§2). The one check
-// enforced today is provisioning's deploy gate (provision.Verifier: the
-// signer subject must hold the deploy permission for the install
-// location); the other permission types are modelled but guard nothing.
+// enforced is provisioning's deploy gate (provision.Verifier: the signer
+// subject must hold the deploy permission for the install location).
 package security
 
 import (
@@ -17,52 +16,24 @@ import (
 // PermissionType classifies what a permission guards.
 type PermissionType int
 
-// Permission types.
-const (
-	PermFile PermissionType = iota + 1
-	PermSocket
-	PermService
-	PermPackage
-	PermAdmin
-)
+// PermAdmin is the permission type of administrative operations, the
+// deploy gate among them.
+const PermAdmin PermissionType = 1
 
 func (t PermissionType) String() string {
-	switch t {
-	case PermFile:
-		return "file"
-	case PermSocket:
-		return "socket"
-	case PermService:
-		return "service"
-	case PermPackage:
-		return "package"
-	case PermAdmin:
+	if t == PermAdmin {
 		return "admin"
 	}
 	return "unknown"
 }
 
-// Actions for the built-in permission types.
-const (
-	ActionRead     = "read"
-	ActionWrite    = "write"
-	ActionDelete   = "delete"
-	ActionConnect  = "connect"
-	ActionListen   = "listen"
-	ActionBind     = "bind"
-	ActionRegister = "register"
-	ActionGet      = "get"
-	ActionImport   = "import"
-	ActionLifecyle = "lifecycle"
-	// ActionDeploy guards provisioned-artifact installation: the
-	// provisioning verifier checks the artifact's signer subject holds it
-	// for the install location before a fetched bundle may be deployed.
-	ActionDeploy = "deploy"
-)
+// ActionDeploy guards provisioned-artifact installation: the provisioning
+// verifier checks the artifact's signer subject holds it for the install
+// location before a fetched bundle may be deployed.
+const ActionDeploy = "deploy"
 
 // Permission is a (type, target pattern, actions) triple. Target patterns
-// support a trailing "*" wildcard ("/data/tenant-a/*", "com.example.*",
-// "10.0.0.1:*").
+// support a trailing "*" wildcard ("app:*").
 type Permission struct {
 	Type    PermissionType
 	Target  string
@@ -99,28 +70,14 @@ func containsAction(granted []string, need string) bool {
 	return false
 }
 
-// matchTarget matches a pattern against a concrete target. The pattern may
-// end with "*" (prefix match); socket patterns additionally match per
-// component ("host:port" where either side may be "*").
+// matchTarget matches a pattern against a concrete target: equal, or the
+// pattern ends with "*" and the target extends the rest of it. A "*"
+// anywhere else is a literal, so "*:greeter" grants no "app:greeter".
 func matchTarget(pattern, target string) bool {
-	if pattern == "*" || pattern == target {
-		return true
+	if prefix, ok := strings.CutSuffix(pattern, "*"); ok {
+		return strings.HasPrefix(target, prefix)
 	}
-	if strings.HasSuffix(pattern, "*") {
-		return strings.HasPrefix(target, strings.TrimSuffix(pattern, "*"))
-	}
-	// host:port with wildcard components.
-	pi := strings.LastIndex(pattern, ":")
-	ti := strings.LastIndex(target, ":")
-	if pi > 0 && ti > 0 {
-		ph, pp := pattern[:pi], pattern[pi+1:]
-		th, tp := target[:ti], target[ti+1:]
-		hostOK := ph == "*" || ph == th ||
-			(strings.HasSuffix(ph, "*") && strings.HasPrefix(th, strings.TrimSuffix(ph, "*")))
-		portOK := pp == "*" || pp == tp
-		return hostOK && portOK
-	}
-	return false
+	return pattern == target
 }
 
 // AccessDeniedError reports a failed permission check.

@@ -9,7 +9,7 @@ import (
 func TestPolicyDefaultStance(t *testing.T) {
 	allow := NewPolicy(true)
 	deny := NewPolicy(false)
-	perm := NewPermission(PermFile, "/data/x", ActionRead)
+	perm := NewPermission(PermAdmin, "app:x", ActionDeploy)
 	if err := allow.Check("unknown", perm); err != nil {
 		t.Errorf("default-allow denied: %v", err)
 	}
@@ -20,30 +20,22 @@ func TestPolicyDefaultStance(t *testing.T) {
 
 func TestGrantAndCheck(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("tenant-a",
-		NewPermission(PermFile, "/data/tenant-a/*", ActionRead, ActionWrite),
-		NewPermission(PermSocket, "10.0.0.5:8080", ActionBind, ActionListen),
-		NewPermission(PermService, "log.Service", ActionGet),
-		NewPermission(PermPackage, "com.base.*", ActionImport),
+	p.Grant("signer-a",
+		NewPermission(PermAdmin, "app:greeter", ActionDeploy),
+		NewPermission(PermAdmin, "lib:*", ActionDeploy),
 	)
-
 	tests := []struct {
 		name    string
 		subject string
 		perm    Permission
 		allowed bool
 	}{
-		{"own file read", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionRead), true},
-		{"own file write", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionWrite), true},
-		{"own file delete denied", "tenant-a", NewPermission(PermFile, "/data/tenant-a/db", ActionDelete), false},
-		{"foreign file", "tenant-a", NewPermission(PermFile, "/data/tenant-b/db", ActionRead), false},
-		{"exact socket bind", "tenant-a", NewPermission(PermSocket, "10.0.0.5:8080", ActionBind), true},
-		{"other port", "tenant-a", NewPermission(PermSocket, "10.0.0.5:9090", ActionBind), false},
-		{"service get", "tenant-a", NewPermission(PermService, "log.Service", ActionGet), true},
-		{"service register denied", "tenant-a", NewPermission(PermService, "log.Service", ActionRegister), false},
-		{"package prefix", "tenant-a", NewPermission(PermPackage, "com.base.util", ActionImport), true},
-		{"package outside prefix", "tenant-a", NewPermission(PermPackage, "com.other", ActionImport), false},
-		{"unknown subject", "tenant-b", NewPermission(PermFile, "/data/tenant-a/db", ActionRead), false},
+		{"exact location", "signer-a", NewPermission(PermAdmin, "app:greeter", ActionDeploy), true},
+		{"other location", "signer-a", NewPermission(PermAdmin, "app:shop", ActionDeploy), false},
+		{"other action denied", "signer-a", NewPermission(PermAdmin, "app:greeter", "undeploy"), false},
+		{"location prefix", "signer-a", NewPermission(PermAdmin, "lib:json", ActionDeploy), true},
+		{"location outside prefix", "signer-a", NewPermission(PermAdmin, "app:json", ActionDeploy), false},
+		{"unknown subject", "signer-b", NewPermission(PermAdmin, "app:greeter", ActionDeploy), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -64,46 +56,52 @@ func TestGrantAndCheck(t *testing.T) {
 func TestWildcardActions(t *testing.T) {
 	p := NewPolicy(false)
 	p.Grant("admin", NewPermission(PermAdmin, "*", "*"))
-	if !p.Allowed("admin", NewPermission(PermAdmin, "*", ActionLifecyle)) {
+	if !p.Allowed("admin", NewPermission(PermAdmin, "app:x", ActionDeploy)) {
 		t.Error("wildcard action grant failed")
 	}
 }
 
-func TestSocketWildcards(t *testing.T) {
+// TestTargetWildcardOnlyAtTheEnd: a "*" matches only as the
+// pattern's last character, so a grant for "*:greeter" names no install
+// location, and "app:*" covers the app scheme alone.
+func TestTargetWildcardOnlyAtTheEnd(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("svc", NewPermission(PermSocket, "10.0.0.5:*", ActionBind))
-	p.Grant("svc", NewPermission(PermSocket, "*:80", ActionConnect))
-	if !p.Allowed("svc", NewPermission(PermSocket, "10.0.0.5:1234", ActionBind)) {
-		t.Error("host:* failed")
-	}
-	if p.Allowed("svc", NewPermission(PermSocket, "10.0.0.6:1234", ActionBind)) {
-		t.Error("wrong host allowed")
-	}
-	if !p.Allowed("svc", NewPermission(PermSocket, "192.168.1.1:80", ActionConnect)) {
-		t.Error("*:port failed")
-	}
-	if p.Allowed("svc", NewPermission(PermSocket, "192.168.1.1:81", ActionConnect)) {
-		t.Error("wrong port allowed")
+	p.Grant("greeter-signer", NewPermission(PermAdmin, "*:greeter", ActionDeploy))
+	p.Grant("app-signer", NewPermission(PermAdmin, "app:*", ActionDeploy))
+	for _, tt := range []struct {
+		subject, target string
+		allowed         bool
+	}{
+		{"greeter-signer", "app:greeter", false},
+		{"greeter-signer", "repo:greeter", false},
+		{"app-signer", "app:x", true},
+		{"app-signer", "repo:x", false},
+	} {
+		if got := p.Allowed(tt.subject, NewPermission(PermAdmin, tt.target, ActionDeploy)); got != tt.allowed {
+			t.Errorf("%s deploying %s: allowed=%v, want %v", tt.subject, tt.target, got, tt.allowed)
+		}
 	}
 }
 
 func TestRevoke(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("s", NewPermission(PermFile, "/x", ActionRead))
-	if !p.Allowed("s", NewPermission(PermFile, "/x", ActionRead)) {
+	p.Grant("s", NewPermission(PermAdmin, "app:x", ActionDeploy))
+	if !p.Allowed("s", NewPermission(PermAdmin, "app:x", ActionDeploy)) {
 		t.Fatal("grant missing")
 	}
 	p.Revoke("s")
-	if p.Allowed("s", NewPermission(PermFile, "/x", ActionRead)) {
+	if p.Allowed("s", NewPermission(PermAdmin, "app:x", ActionDeploy)) {
 		t.Fatal("revoke ineffective")
 	}
 }
 
+// TestTypeMismatchNeverImplies: a grant of another type (here the zero
+// type) implies no admin permission, however wide its target and actions.
 func TestTypeMismatchNeverImplies(t *testing.T) {
 	p := NewPolicy(false)
-	p.Grant("s", NewPermission(PermFile, "*", "*"))
-	if p.Allowed("s", NewPermission(PermSocket, "1.2.3.4:80", ActionConnect)) {
-		t.Fatal("file grant implied socket permission")
+	p.Grant("s", Permission{Target: "*", Actions: []string{"*"}})
+	if p.Allowed("s", NewPermission(PermAdmin, "app:x", ActionDeploy)) {
+		t.Fatal("untyped grant implied an admin permission")
 	}
 }
 
@@ -113,7 +111,7 @@ func TestImpliesProperty(t *testing.T) {
 	sanitize := func(s string) string {
 		out := make([]rune, 0, len(s))
 		for _, r := range s {
-			if r != '*' && r != ':' && r > 0x20 && r < 0x7f {
+			if r != '*' && r > 0x20 && r < 0x7f {
 				out = append(out, r)
 			}
 			if len(out) > 12 {
@@ -127,12 +125,12 @@ func TestImpliesProperty(t *testing.T) {
 	}
 	prop := func(rawTarget, rawSuffix string) bool {
 		target, suffix := sanitize(rawTarget), sanitize(rawSuffix)
-		self := NewPermission(PermFile, target, ActionRead)
+		self := NewPermission(PermAdmin, target, ActionDeploy)
 		if !self.implies(self) {
 			return false
 		}
-		wild := NewPermission(PermFile, target+"*", ActionRead)
-		return wild.implies(NewPermission(PermFile, target+suffix, ActionRead))
+		wild := NewPermission(PermAdmin, target+"*", ActionDeploy)
+		return wild.implies(NewPermission(PermAdmin, target+suffix, ActionDeploy))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package services
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -40,9 +39,6 @@ const (
 // Servlet handles a request after its CPU cost has been consumed and
 // returns the response status.
 type Servlet func(req HTTPRequest) int
-
-// ErrNotRunning is returned when registering servlets on a stopped service.
-var ErrNotRunning = errors.New("services: http service not running")
 
 // HTTPStats counts request outcomes.
 type HTTPStats struct {

@@ -17,7 +17,6 @@
 package vosgi
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -33,9 +32,6 @@ const (
 	// PropParentServiceID carries the parent-side service.id of a mirror.
 	PropParentServiceID = "vosgi.parent.service.id"
 )
-
-// ErrNotRunning is returned for operations requiring a started instance.
-var ErrNotRunning = errors.New("vosgi: virtual framework is not running")
 
 // SharePolicy is the delegation descriptor: what the administrator
 // explicitly exports from the underlying framework into a virtual instance.

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -290,6 +291,143 @@ func (tree parsedTree) imports(t *testing.T, f parsedFile) map[string]string {
 			name = imp.Name.Name
 		}
 		out[name] = p
+	}
+	return out
+}
+
+// TestEveryPackageIdentifierIsReferenced extends the census to the
+// package-level constants, variables and types declared in non-test
+// files under internal/ and cmd/, exported or not: each must be
+// referenced from some non-test file of the tree (examples and the
+// benchmark module count) besides its own declaration. Like the With*
+// census it matches ast identifiers — a selector on the declaring
+// package's import from outside, a bare identifier from inside — never
+// text, and it skips the names that declare rather than refer: the
+// declarations themselves, function and method names, struct field and
+// parameter names and field selectors. A name with a reason to stay
+// unreferenced is listed in scripts/reach_allow.txt, as pkg.Name.
+func TestEveryPackageIdentifierIsReferenced(t *testing.T) {
+	tree := parseTree(t)
+
+	type ident struct{ pkg, name string }
+	declared := map[ident]string{}     // -> position of the declaration
+	declaring := map[*ast.Ident]bool{} // the names the declarations introduce
+	for _, f := range tree.declaring() {
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok == token.IMPORT {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				var names []*ast.Ident
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					names = s.Names
+				case *ast.TypeSpec:
+					names = []*ast.Ident{s.Name}
+				}
+				for _, name := range names {
+					declaring[name] = true
+					if name.Name != "_" {
+						declared[ident{f.importPath, name.Name}] = tree.fset.Position(name.Pos()).String()
+					}
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("census found no package-level identifiers; is the walk rooted at the module?")
+	}
+
+	used := map[ident]bool{}
+	for _, f := range tree.files {
+		if f.test {
+			continue
+		}
+		imports := tree.imports(t, f)
+		own := f.ownPackage()
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.Field:
+				// Field, parameter and interface method names declare.
+				if n.Type != nil {
+					ast.Inspect(n.Type, visit)
+				}
+				return false
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[x.Name]; ok {
+						used[ident{p, n.Sel.Name}] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				if own != "" && !declaring[n] {
+					used[ident{own, n.Name}] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f.ast, visit)
+	}
+
+	allowed := reachAllowed(t)
+	var missing, stale []string
+	for id, pos := range declared {
+		name := allowName(id.pkg) + "." + id.name
+		switch {
+		case !used[id] && !allowed[name]:
+			missing = append(missing, name+" ("+pos+")")
+		case used[id] && allowed[name]:
+			stale = append(stale, name+" ("+pos+")")
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(stale) > 0 {
+		t.Errorf("referenced but listed in scripts/reach_allow.txt (remove the entry):\n\t%s", strings.Join(stale, "\n\t"))
+	}
+	if len(missing) > 0 {
+		t.Errorf("%d of %d package-level identifiers are referenced by no non-test file; delete each, "+
+			"use it, or list it in scripts/reach_allow.txt with a reason:\n\t%s",
+			len(missing), len(declared), strings.Join(missing, "\n\t"))
+	}
+}
+
+// allowName is how scripts/reach_allow.txt names a package: relative to
+// internal/ for the internal packages, to the module root otherwise.
+func allowName(importPath string) string {
+	if p, ok := strings.CutPrefix(importPath, "dosgi/internal/"); ok {
+		return p
+	}
+	return strings.TrimPrefix(importPath, "dosgi/")
+}
+
+// reachAllowed returns the names scripts/reach_allow.txt lists.
+func reachAllowed(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("scripts/reach_allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		if fields := strings.Fields(line); len(fields) > 0 {
+			out[fields[0]] = true
+		}
 	}
 	return out
 }

@@ -20,6 +20,9 @@
 #
 # Names are package-relative to internal/: `remote.EncodeFrame`,
 # `migrate.recordTable.put` (receiver without `*` or type parameters).
+# The file also allowlists package-level constants, variables and types
+# for the identifier census in options_census_test.go (`pkg.Name`, or
+# `cmd/<dir>.Name` under cmd/); such an entry only needs to be declared.
 #
 #   scripts/reach.sh [DIR]      DIR defaults to the repo this script is in
 set -euo pipefail
@@ -71,6 +74,23 @@ find internal -name '*.go' ! -name '*_test.go' | sort | xargs awk '
 cut -f1 "$tmp/declared" | sort -u >"$tmp/declared.names"
 comm -23 "$tmp/declared.names" "$tmp/linked" >"$tmp/unlinked"
 
+# Package-level constants, variables and types under internal/ and cmd/:
+# the root package's identifier census (options_census_test.go) takes its
+# allowlist from the same file, so such an entry is not "gone" here.
+find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+	FNR == 1 { pkg = FILENAME; sub(/^internal\//, "", pkg); sub(/\/[^\/]*$/, "", pkg); block = 0 }
+	block && /^\)/ { block = 0; next }
+	block && /^\t[A-Za-z_][A-Za-z0-9_]*/ {
+		s = substr($0, 2); sub(/[ =\[].*/, "", s); n = split(s, part, /, */)
+		for (i = 1; i <= n; i++) print pkg "." part[i]
+		next
+	}
+	/^(const|var|type) \($/ { block = 1; next }
+	/^(const|var|type) [A-Za-z_]/ {
+		s = $0; sub(/^[a-z]+ /, "", s); sub(/[ =\[].*/, "", s); n = split(s, part, /, */)
+		for (i = 1; i <= n; i++) print pkg "." part[i]
+	}' | sort -u >"$tmp/idents"
+
 sed -e 's/#.*//' -e '/^[[:space:]]*$/d' "$allow" | sort >"$tmp/allow"
 cut -d' ' -f1 "$tmp/allow" >"$tmp/allow.names"
 
@@ -87,7 +107,7 @@ comm -23 "$tmp/unlinked" "$tmp/allow.names" >"$tmp/missing"
 report "unlinked and not in scripts/reach_allow.txt (delete it, call it, or allow it with a reason):" "$tmp/missing"
 comm -12 "$tmp/allow.names" "$tmp/linked" >"$tmp/stale"
 report "allowed in scripts/reach_allow.txt but linked (remove the entry):" "$tmp/stale"
-comm -23 "$tmp/allow.names" "$tmp/declared.names" >"$tmp/gone"
+sort -u "$tmp/declared.names" "$tmp/idents" | comm -23 "$tmp/allow.names" - >"$tmp/gone"
 report "allowed in scripts/reach_allow.txt but not declared (remove the entry):" "$tmp/gone"
 if [ "$(uniq -d "$tmp/allow.names" | wc -l)" -ne 0 ]; then
 	echo "listed twice in scripts/reach_allow.txt:"; uniq -d "$tmp/allow.names" | sed 's/^/  /'; fail=1
