@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance fuzz-smoke bench bench-module bench-json bench-load ab loc reach check
+.PHONY: all fmt vet staticcheck vuln lint build test test-race test-chaos test-conformance fuzz-smoke bench bench-module bench-load ab loc reach check
 
 all: check
 
@@ -86,20 +86,12 @@ bench:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-readable benchmark trajectory: E10–E13 appended as timestamped
-# run points to BENCH_remote.json / BENCH_provision.json /
-# BENCH_events.json / BENCH_directory.json at the repo root. Commit the
-# refreshed files after performance work — each file carries its own run
-# history.
-bench-json:
-	$(GO) run ./cmd/benchjson -out .
-
 # Fixed-offered-rate load smoke (docs/LOADGEN.md): dosgi-load drives an
-# in-process dosgi-sim over real TCP for a few seconds and appends an
-# honest open-loop percentile point (latency from the intended start, so
-# no coordinated omission) to BENCH_remote.json.
+# in-process dosgi-sim over real TCP for a few seconds and prints honest
+# open-loop percentiles (latency from the intended start, so no
+# coordinated omission); it exits non-zero if any call failed.
 bench-load:
-	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s -mode pipelined -out .
+	$(GO) run ./cmd/dosgi-load -sim -rate 20000 -duration 3s
 
 # The A/B procedure a performance claim is judged by (scripts/ab.sh):
 # alternating parent/change pairs of one repo-benchmark workload, e.g.

@@ -1,11 +1,14 @@
 // Package dosgi's root benchmark harness: one benchmark per experiment of
-// DESIGN.md's index (E1–E9 reproduce the paper's figures and measurable
-// claims; A1–A4 are design ablations). Experiments run on the deterministic
+// internal/experiments (E1–E9 reproduce the paper's figures and measurable
+// claims, E12 measures event push on real TCP, E13 directory fill, A2–A4
+// are design ablations), plus the A1 class-lookup ablation and the GCS
+// total-order path. Simulated experiments run on the deterministic
 // discrete-event simulator, so benchmark wall-time measures harness cost
-// while the *reported metrics* (ReportMetric) carry the experiment results
-// in simulated units. Regenerate EXPERIMENTS.md data with:
+// while the *reported metrics* (ReportMetric) carry the experiment
+// results in simulated units. Run them, or the paper experiments as
+// tables, with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem .
 //	go run ./cmd/cluster-sim -experiment all
 package dosgi_test
 
@@ -218,52 +221,6 @@ func benchTotalOrder(b *testing.B, burst int) {
 	b.ReportMetric(float64(entries), "dedup_entries")
 }
 
-// BenchmarkE10RemoteInvocation measures the remote service invocation
-// layer: wall-clock throughput and tail latency of pipelined pooled
-// connections against the one-connection-per-call baseline (per-call
-// latencies recorded with time.Since at nanosecond resolution — not
-// simulated time, which quantizes).
-func BenchmarkE10RemoteInvocation(b *testing.B) {
-	var rows []experiments.E10Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E10RemoteInvocation(5000, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Throughput, "pipelined-rps")
-	b.ReportMetric(float64(rows[0].P99.Microseconds()), "pipelined-p99-us")
-	b.ReportMetric(rows[1].Throughput, "percall-rps")
-	b.ReportMetric(float64(rows[1].P99.Microseconds()), "percall-p99-us")
-	// The exact columns: netsim messages per call, identical every run.
-	b.ReportMetric(float64(rows[0].Messages)/float64(rows[0].Calls), "pipelined-msgs/call")
-	b.ReportMetric(float64(rows[1].Messages)/float64(rows[1].Calls), "percall-msgs/call")
-}
-
-// BenchmarkE11ArtifactTransfer measures chunked artifact provisioning
-// throughput across chunk sizes: a 4 MiB artifact fetched over netsim
-// with a pipelined chunk window. MB/s is in simulated units; allocs/op is
-// the real harness cost of one full transfer.
-func BenchmarkE11ArtifactTransfer(b *testing.B) {
-	for _, cs := range []int64{4 << 10, 64 << 10, 1 << 20} {
-		name := fmt.Sprintf("chunk=%dKiB", cs>>10)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var rows []experiments.E11Row
-			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = experiments.E11ArtifactTransfer(4<<20, []int64{cs}, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rows[0].MBps, "MB/s")
-			b.ReportMetric(float64(rows[0].Chunks), "chunks")
-		})
-	}
-}
-
 // BenchmarkE12EventBackpressure measures event delivery with one fast
 // and one slow subscriber on real TCP, before and after credit-based
 // backpressure: the fast subscriber's throughput and p99 notify latency
@@ -290,8 +247,7 @@ func BenchmarkE12EventBackpressure(b *testing.B) {
 // BenchmarkE13Directory measures directory convergence on the
 // deterministic simulator: convergence time and the hottest node's GCS
 // message count while the endpoint population fills, paced and in
-// bursts. The benchmark runs the 10k-endpoint column (the 100k column
-// lives in `make bench-json` / BENCH_directory.json); metrics are
+// bursts, over a 10k-endpoint population on 8 nodes. Metrics are
 // simulated units, so they are identical on every machine.
 func BenchmarkE13Directory(b *testing.B) {
 	var paced, bursts []experiments.E13Row

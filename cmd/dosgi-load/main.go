@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	dosgi-load -sim -rate 20000 -duration 5s -mode pipelined -out .
+//	dosgi-load -sim -rate 20000 -duration 5s
 //	dosgi-load -addr 127.0.0.1:7790 -service echo -method Add 2 3
 //
 // With -addr it targets a running daemon (dosgid's -remote listener or
@@ -26,10 +26,8 @@
 // protocol simulator on a loopback port — the full TCP stack with zero
 // external dependencies — and drives that. Positional arguments become
 // the call arguments (integers where they parse, strings otherwise).
-//
-// With -out the run is appended to BENCH_remote.json in that directory
-// through the same trajectory machinery cmd/benchjson uses (see
-// internal/benchio), tagged "LoadFixedRate".
+// Calls are pipelined over -conns pooled connections per endpoint with
+// at most -window in flight. The exit status is 1 when any call failed.
 package main
 
 import (
@@ -37,72 +35,63 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dosgi/internal/benchio"
 	"dosgi/internal/clock"
 	"dosgi/internal/obs"
 	"dosgi/internal/protosim"
 	"dosgi/internal/remote"
 )
 
-// LoadRow is one fixed-rate run; this is what lands in
-// BENCH_remote.json. Durations marshal as integer nanoseconds.
-type LoadRow struct {
-	Mode        string
-	OfferedRate float64 // ops/second the pacer aimed for
-	Ops         int
-	Errors      int
-	Elapsed     time.Duration // first intended start to last completion
-	Throughput  float64       // completed ok ops per wall-clock second
-	P50         time.Duration // measured from INTENDED start
-	P99         time.Duration
-	P999        time.Duration
-	Max         time.Duration
+func main() {
+	os.Exit(run())
 }
 
-func main() {
+// run drives the load and returns the process exit status, so the
+// deferred cleanup (pool, scheduler, in-process simulator) runs first.
+func run() int {
 	addr := flag.String("addr", "", "remote-protocol address of a running dosgid/dosgi-sim")
 	simMode := flag.Bool("sim", false, "spin up an in-process dosgi-sim and drive it over loopback")
 	seed := flag.Int64("seed", 1, "population seed for -sim")
 	rate := flag.Float64("rate", 5000, "offered rate in operations/second")
 	duration := flag.Duration("duration", 5*time.Second, "offered-load duration (ops = rate × duration)")
 	workers := flag.Int("workers", 4, "pacer goroutines (the offered schedule is split across them)")
-	mode := flag.String("mode", "pipelined", "pipelined | conn-per-call")
-	window := flag.Int("window", 64, "max in-flight requests per endpoint (pipelined)")
-	conns := flag.Int("conns", 1, "pooled connections per endpoint (pipelined)")
+	window := flag.Int("window", 64, "max in-flight requests per endpoint")
+	conns := flag.Int("conns", 1, "pooled connections per endpoint")
 	tokens := flag.Bool("tokens", true, "attach idempotency tokens so timeout retries stay effectively-once")
 	service := flag.String("service", "echo", `service to invoke ("echo" on both dosgid and dosgi-sim)`)
 	method := flag.String("method", "Add", "method to invoke")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-call timeout")
-	out := flag.String("out", "", "directory whose BENCH_remote.json the run is appended to (empty = report only)")
 	flag.Parse()
 
 	if *rate <= 0 || *duration <= 0 || *workers <= 0 {
-		log.Fatal("dosgi-load: -rate, -duration and -workers must be positive")
+		log.Print("dosgi-load: -rate, -duration and -workers must be positive")
+		return 1
 	}
 
 	target := *addr
 	if *simMode {
 		if target != "" {
-			log.Fatal("dosgi-load: -sim and -addr are mutually exclusive")
+			log.Print("dosgi-load: -sim and -addr are mutually exclusive")
+			return 1
 		}
 		sim, err := protosim.New(protosim.Config{
 			Seed: *seed, Nodes: 16, ServicesPerNode: 2, Artifacts: -1,
 		})
 		if err != nil {
-			log.Fatalf("dosgi-load: start simulator: %v", err)
+			log.Printf("dosgi-load: start simulator: %v", err)
+			return 1
 		}
 		defer sim.Close()
 		target = sim.RemoteAddr()
 		log.Printf("dosgi-load: in-process dosgi-sim (seed %d) on %s", *seed, target)
 	}
 	if target == "" {
-		log.Fatal("dosgi-load: need -addr or -sim")
+		log.Print("dosgi-load: need -addr or -sim")
+		return 1
 	}
 
 	args := callArgs(flag.Args(), *method)
@@ -110,20 +99,9 @@ func main() {
 	sched := clock.NewReal()
 	defer sched.Stop()
 	transport := remote.NewTCPTransport(sched, remote.WithTCPCallTimeout(*timeout))
-
-	var poolOpts []remote.PoolOption
-	switch *mode {
-	case "pipelined":
-		poolOpts = []remote.PoolOption{
-			remote.WithMaxConnsPerEndpoint(*conns),
-			remote.WithMaxInFlight(*window),
-		}
-	case "conn-per-call":
-		poolOpts = []remote.PoolOption{remote.WithPerCallConns()}
-	default:
-		log.Fatalf("dosgi-load: unknown -mode %q", *mode)
-	}
-	pool := remote.NewPool(transport, poolOpts...)
+	pool := remote.NewPool(transport,
+		remote.WithMaxConnsPerEndpoint(*conns),
+		remote.WithMaxInFlight(*window))
 	defer pool.Close()
 	resolver := remote.NewStaticResolver()
 	resolver.Set(*service, remote.Endpoint{Addr: target})
@@ -136,7 +114,8 @@ func main() {
 	// Warm the path (dial) before the clock starts, so the first bucket
 	// measures steady state, not setup.
 	if _, err := invoker.Call(*service, *method, args...); err != nil {
-		log.Fatalf("dosgi-load: warm-up call failed: %v", err)
+		log.Printf("dosgi-load: warm-up call failed: %v", err)
+		return 1
 	}
 
 	total := int(*rate * duration.Seconds())
@@ -178,42 +157,19 @@ func main() {
 	elapsed := time.Since(begin)
 
 	snap := lat.Snapshot()
-	row := LoadRow{
-		Mode:        *mode,
-		OfferedRate: *rate,
-		Ops:         total,
-		Errors:      int(errs.Load()),
-		Elapsed:     elapsed,
-		P50:         snap.P50,
-		P99:         snap.P99,
-		P999:        snap.P999,
-		Max:         snap.Max,
-	}
+	failed := errs.Load()
+	var achieved float64
 	if elapsed > 0 {
-		row.Throughput = float64(int64(total)-errs.Load()) / elapsed.Seconds()
+		achieved = float64(int64(total)-failed) / elapsed.Seconds()
 	}
-	fmt.Printf("dosgi-load: mode=%s offered=%.0f/s ops=%d errors=%d elapsed=%v\n",
-		row.Mode, row.OfferedRate, row.Ops, row.Errors, row.Elapsed.Round(time.Millisecond))
+	fmt.Printf("dosgi-load: mode=pipelined offered=%.0f/s ops=%d errors=%d elapsed=%v\n",
+		*rate, total, failed, elapsed.Round(time.Millisecond))
 	fmt.Printf("dosgi-load: achieved=%.0f/s p50=%v p99=%v p999=%v max=%v (from intended start)\n",
-		row.Throughput, row.P50, row.P99, row.P999, row.Max)
-	if row.Errors > 0 {
-		defer os.Exit(1)
+		achieved, snap.P50, snap.P99, snap.P999, snap.Max)
+	if failed > 0 {
+		return 1
 	}
-
-	if *out != "" {
-		path := filepath.Join(*out, "BENCH_remote.json")
-		params := map[string]any{
-			"rate": *rate, "durationNs": duration.Nanoseconds(), "workers": *workers,
-			"mode": *mode, "window": *window, "conns": *conns,
-			"tokens":  *tokens,
-			"service": *service, "method": *method, "sim": *simMode,
-		}
-		n, err := benchio.Append(path, "LoadFixedRate", params, []LoadRow{row})
-		if err != nil {
-			log.Fatalf("dosgi-load: %v", err)
-		}
-		fmt.Printf("wrote %s (LoadFixedRate, %d run(s))\n", path, n)
-	}
+	return 0
 }
 
 // callArgs turns positional arguments into call arguments: integers

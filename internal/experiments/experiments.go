@@ -1,12 +1,12 @@
 // Package experiments implements the paper's reproduction experiments
-// (E1–E9) and the design ablations (A2–A4) listed in DESIGN.md. Each
-// experiment is a pure function over a fresh simulated cluster returning a
-// result struct; bench_test.go and cmd/cluster-sim share them.
+// (E1–E9), the event-push and directory-fill measurements (E12, E13) and
+// the design ablations (A2–A4). Each experiment is a function over a
+// fresh cluster (simulated, except E12's real TCP) returning a result
+// struct; the root bench_test.go and cmd/cluster-sim share them.
 //
 // The paper publishes no quantitative results (it is a workshop paper with
 // architecture figures only), so each experiment reproduces the *claim*
-// attached to a figure or section; EXPERIMENTS.md records the measured
-// values next to the claims.
+// attached to a figure or section.
 package experiments
 
 import (

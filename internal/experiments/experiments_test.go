@@ -233,43 +233,6 @@ func TestA4TotalOrderNeverDiverges(t *testing.T) {
 	}
 }
 
-func TestE10PipeliningBeatsPerCall(t *testing.T) {
-	const calls = 2000
-	rows, err := E10RemoteInvocation(calls, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	pipelined, perCall := rows[0], rows[1]
-	if pipelined.Mode != "pipelined" || perCall.Mode != "conn-per-call" {
-		t.Fatalf("modes = %s, %s", pipelined.Mode, perCall.Mode)
-	}
-	for _, r := range rows {
-		if r.Calls != calls || r.Throughput <= 0 || r.P99 <= 0 {
-			t.Errorf("degenerate row %+v", r)
-		}
-		// The headline regression: wall-clock nanosecond percentiles must
-		// show real spread, never the old whole-millisecond quantization
-		// where every percentile collapsed to one value.
-		if r.P50 > r.P99 || r.P99 > r.P999 {
-			t.Errorf("%s: percentiles not monotone: p50=%v p99=%v p999=%v", r.Mode, r.P50, r.P99, r.P999)
-		}
-	}
-	// Why pipelining beats a handshake per call, as counts the simulator
-	// repeats exactly (the wall-clock rps of a ~12 ms run is reported, not
-	// asserted — it flips on a loaded host): one pooled connection pays
-	// hello + ack once and then a request and a response per call, and a
-	// connection per call pays the handshake every time.
-	if want := int64(2*calls + 2); pipelined.Messages != want {
-		t.Errorf("pipelined sent %d messages, want %d (one handshake + 2 per call)", pipelined.Messages, want)
-	}
-	if want := int64(4 * calls); perCall.Messages != want {
-		t.Errorf("per-call sent %d messages, want %d (handshake + 2 per call)", perCall.Messages, want)
-	}
-}
-
 // TestE13PacedFillConverges: one record per scheduler turn fills every
 // replica (the experiment errors out if any replica stays incomplete),
 // and the counters are consistent: the hottest node's traffic is part of

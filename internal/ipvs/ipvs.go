@@ -172,32 +172,6 @@ func (v *VirtualServer) AddServer(addr netsim.Addr, weight int) {
 	v.servers = append(v.servers, &realServer{addr: addr, weight: weight, healthy: true})
 }
 
-// RemoveServer drops a real server.
-func (v *VirtualServer) RemoveServer(addr netsim.Addr) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i, s := range v.servers {
-		if s.addr == addr {
-			v.servers = append(v.servers[:i], v.servers[i+1:]...)
-			return
-		}
-	}
-}
-
-// SetHealthy force-marks a server and resets its probe counters; health
-// checking moves it again after failAfter failed or riseAfter answered
-// probes.
-func (v *VirtualServer) SetHealthy(addr netsim.Addr, healthy bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, s := range v.servers {
-		if s.addr == addr {
-			s.healthy = healthy
-			s.fails, s.oks = 0, 0
-		}
-	}
-}
-
 // Servers lists backend states sorted by address.
 func (v *VirtualServer) Servers() []ServerInfo {
 	v.mu.Lock()

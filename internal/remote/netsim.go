@@ -34,8 +34,7 @@ func WithNetsimFrameHistogram(h *obs.Histogram) NetsimOption {
 // NetsimTransport dials remote endpoints over the simulated fabric. A
 // "connection" is a bound ephemeral client port plus a hello/ack handshake
 // with the server, so connection setup costs one round trip exactly like
-// TCP — which is what makes the pooled-vs-per-call comparison of
-// experiment E10 meaningful.
+// TCP and a simulated dial is as dear as a real one.
 type NetsimTransport struct {
 	sched       clock.Scheduler
 	nic         *netsim.NIC

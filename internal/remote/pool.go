@@ -35,17 +35,10 @@ func WithMaxInFlight(n int) PoolOption {
 	}
 }
 
-// WithPerCallConns disables pooling: every invocation dials a fresh
-// connection and closes it on completion. This is the one-connection-per-
-// call baseline experiment E10 compares pipelining against.
-func WithPerCallConns() PoolOption {
-	return func(p *Pool) { p.perCall = true }
-}
-
 // WithPoolObserver records how long each call waited to acquire a
 // connection slot into wait (zero for calls routed immediately); now
 // supplies timestamps and must share a base with the other instruments on
-// the node. Per-call pools (no queue) record nothing.
+// the node.
 func WithPoolObserver(now func() time.Duration, wait *obs.Histogram) PoolOption {
 	return func(p *Pool) {
 		if now != nil && wait != nil {
@@ -62,7 +55,6 @@ type Pool struct {
 	transport   Transport
 	maxConns    int
 	maxInFlight int
-	perCall     bool
 	now         func() time.Duration
 	waitHist    *obs.Histogram
 
@@ -115,20 +107,6 @@ func NewPool(transport Transport, opts ...PoolOption) *Pool {
 // byte slices are valid only until cb returns; Response.Retain detaches
 // them.
 func (p *Pool) Invoke(addr string, req *Request, cb func(*Response, error)) error {
-	if p.perCall {
-		conn, err := p.transport.Dial(addr)
-		if err != nil {
-			return err
-		}
-		err = conn.Call(req, func(resp *Response, err error) {
-			_ = conn.Close()
-			cb(resp, err)
-		})
-		if err != nil {
-			_ = conn.Close() // cb never fires on a synchronous error
-		}
-		return err
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -742,3 +742,39 @@ func TestConvertArgRejectsOverflow(t *testing.T) {
 		t.Fatalf("negative-to-uint err = %v", err)
 	}
 }
+
+// TestPipelinedCallsShareOneHandshake pins what a pooled connection costs
+// on the wire, as a count the simulator repeats exactly: one hello + ack
+// when the connection opens, then one request and one response per call,
+// however many calls are in flight at once. The pool is capped at one
+// connection: by default a second call in flight dials a second one.
+func TestPipelinedCallsShareOneHandshake(t *testing.T) {
+	const calls, window = 2000, 16
+	r := newRig(t, 0, WithMaxConnsPerEndpoint(1), WithMaxInFlight(window))
+
+	issued, completed := 0, 0
+	var launch func()
+	launch = func() {
+		if issued == calls {
+			return
+		}
+		issued++
+		r.invoker.Go("calc", "Add", []any{int64(issued), int64(1)}, func(_ []any, err error) {
+			if err != nil {
+				t.Errorf("call: %v", err)
+			}
+			completed++
+			launch() // closed loop: a completion issues the next call
+		})
+	}
+	for i := 0; i < window; i++ {
+		launch()
+	}
+	r.eng.RunFor(10 * time.Second)
+	if completed != calls {
+		t.Fatalf("completed %d/%d", completed, calls)
+	}
+	if want := int64(2*calls + 2); r.net.Stats().Delivered != want {
+		t.Errorf("delivered %d messages, want %d (one handshake + 2 per call)", r.net.Stats().Delivered, want)
+	}
+}

@@ -13,7 +13,7 @@
 #   - an allowlist entry whose function is linked or no longer declared,
 #   - an allowlist entry whose reason is not one of
 #       test-seam          a With* option or hook that tests set
-#       experiment:<ids>   reached through cmd/cluster-sim or cmd/benchjson
+#       experiment:<ids>   reached through cmd/cluster-sim or the root benchmarks
 #       harness            internal/conformance
 #       example:<dir>      reached only by examples/<dir>
 #       marker             an interface marker method the linker drops.
